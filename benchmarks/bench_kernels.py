@@ -1,26 +1,22 @@
 #!/usr/bin/env python3
-"""Benchmark the numba-compiled hot kernels against the pure-numpy fallbacks.
+"""Time the three numeric kernels that dominate runtime.
 
-Covers the three kernels that dominate runtime: batched Mittag-Leffler
-evaluation (feeds every weight table), weight-table construction on a
-nonuniform grid (O(N^2) distinct lags), and the product-integration sweep of
-the scalar reference solver (O(M^2) memory work).
+They are batched Mittag-Leffler evaluation (feeds every weight table),
+weight-table construction on a nonuniform grid (O(N^2) distinct lags), and the
+product-integration sweep of the scalar reference solver (O(M^2) memory work).
 
 Run:  python benchmarks/bench_kernels.py [--quick]
-The numpy path is also what you get with FRACVISCO_NO_NUMBA=1.
 """
 
 import argparse
 import sys
 import time
-import warnings
 from pathlib import Path
 
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from fracvisco._accel import USE_NUMBA  # noqa: E402
 from fracvisco._kernels import eval_ml_neg  # noqa: E402
 from fracvisco.mlf import KernelParams  # noqa: E402
 from fracvisco.scalar import ScalarModel, scalar_reference  # noqa: E402
@@ -46,43 +42,22 @@ def main():
     n_grid = 120 if args.quick else 800
     k_ref = 2.0 ** -9 if args.quick else 2.0 ** -12
 
-    if not USE_NUMBA:
-        print("note: numba inactive; the 'numba' column reruns the numpy path")
-
     rows = []
     xs = np.geomspace(1e-4, 60.0, n_ml)
-    for impl in ("numba", "numpy"):
-        sel = impl if USE_NUMBA else "numpy"
-        if sel == "numba":
-            eval_ml_neg(2.0 / 3.0, 2.0, xs[:32], impl=sel)  # compile
-        t, _ = timed(lambda: eval_ml_neg(2.0 / 3.0, 2.0, xs, impl=sel),
-                     repeat)
-        rows.append((f"ml_eval[{n_ml}] ({impl})", t))
+    t, _ = timed(lambda: eval_ml_neg(2.0 / 3.0, 2.0, xs), repeat)
+    rows.append((f"ml_eval[{n_ml}]", t))
 
     ker = KernelParams(alpha=2.0 / 3.0, tau=1.0, gamma=0.5)
     rng = np.random.default_rng(7)
     steps = rng.uniform(0.5, 2.0, n_grid)
     steps *= 4.0 / steps.sum()
     grid = TimeGrid(np.concatenate([[0.0], np.cumsum(steps)]))
-    import fracvisco._kernels as kmod
-
-    saved = kmod.USE_NUMBA
-    for impl in ("numba", "numpy"):
-        kmod.USE_NUMBA = (impl == "numba") and USE_NUMBA
-        t, _ = timed(lambda: build_weights(grid, ker), repeat)
-        rows.append((f"build_weights[N={n_grid}] ({impl})", t))
-    kmod.USE_NUMBA = saved
+    t, _ = timed(lambda: build_weights(grid, ker), repeat)
+    rows.append((f"build_weights[N={n_grid}]", t))
 
     model = ScalarModel(rho=1.0, kappa=1.0, kernel=ker, u0=1.0)
-    for impl in ("numba", "numpy"):
-        sel = impl if USE_NUMBA else "numpy"
-        if sel == "numba":
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # coarse warmup run
-                scalar_reference(model, 0.25, k_ref=2.0 ** -6, impl=sel)
-        t, _ = timed(lambda: scalar_reference(model, 4.0, k_ref=k_ref,
-                                              impl=sel), repeat)
-        rows.append((f"scalar_reference[k={k_ref:g}] ({impl})", t))
+    t, _ = timed(lambda: scalar_reference(model, 4.0, k_ref=k_ref), repeat)
+    rows.append((f"scalar_reference[k={k_ref:g}]", t))
 
     width = max(len(name) for name, _ in rows)
     print(f"{'kernel':<{width}}  best time")

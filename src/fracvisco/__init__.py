@@ -16,7 +16,6 @@ energy balance, long-time limits), scalar (independent single-mode solvers
 and convergence harnesses), cli (CSV-emitting command line).
 """
 
-from ._accel import HAS_NUMBA, USE_NUMBA
 from .config import ConfigError, RunConfig, parse_config, serialize_config
 from .diagnostics import EnergyLedger, energy_ledger, long_time_limit
 from .fem import (AssembledSystem, ElasticParams, Mesh, apply_dirichlet,

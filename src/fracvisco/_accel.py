@@ -1,39 +1,6 @@
-"""Numba activation switch.
+"""Compiled-kernel flag, kept for run metadata.
 
-Hot kernels in `_kernels` come in two variants: a numba-compiled scalar loop
-and a vectorized pure-numpy fallback.  The compiled variant is used when numba
-imports cleanly and the environment variable ``FRACVISCO_NO_NUMBA`` is unset
-(or "0"); setting ``FRACVISCO_NO_NUMBA=1`` forces the numpy path without
-touching numba at all.  ``benchmarks/bench_kernels.py`` compares the two.
+Every kernel is plain numpy; nothing is compiled, so the flag is constant.
 """
 
-from __future__ import annotations
-
-import os
-
-_flag = os.environ.get("FRACVISCO_NO_NUMBA", "0").strip().lower()
-NUMBA_DISABLED = _flag not in ("", "0", "false")
-
-if not NUMBA_DISABLED:
-    try:
-        from numba import njit
-
-        HAS_NUMBA = True
-    except ImportError:  # pragma: no cover - exercised only without numba
-        HAS_NUMBA = False
-else:
-    HAS_NUMBA = False
-
-USE_NUMBA = HAS_NUMBA and not NUMBA_DISABLED
-
-if not USE_NUMBA:
-
-    def njit(*args, **kwargs):
-        """Identity decorator standing in for numba.njit."""
-
-        def wrap(func):
-            return func
-
-        if len(args) == 1 and callable(args[0]) and not kwargs:
-            return args[0]
-        return wrap
+USE_NUMBA = False

@@ -1,9 +1,8 @@
-"""Hot numeric kernels, in numba and pure-numpy variants.
+"""Vectorized numpy evaluation of the Mittag-Leffler function.
 
-Everything here evaluates the two-parameter Mittag-Leffler function on the
-negative real axis, E_{alpha,b}(-x) for x >= 0, b in {1, 2, alpha}, or runs
-the product-integrated Crank-Nicolson sweep used by the scalar reference
-solver.  Three evaluation branches are selected by s = x**(1/alpha):
+``eval_ml_neg`` computes the two-parameter Mittag-Leffler function on the
+negative real axis, E_{alpha,b}(-x) for x >= 0, b in {1, 2, alpha}.  Three
+evaluation branches are selected by s = x**(1/alpha):
 
   s <= S_SERIES   ascending Taylor series, term-ratio recurrence, Kahan sum
   s >= S_ASYM     descending series truncated at the envelope minimum
@@ -24,8 +23,6 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln
-
-from ._accel import USE_NUMBA, njit
 
 S_SERIES = 5.0
 S_ASYM = 40.0
@@ -89,320 +86,124 @@ def asym_coefficients(alpha, b):
     return lenv, lmag, sign
 
 
-# ---------------------------------------------------------------------------
-# scalar-loop implementation (numba target)
-# ---------------------------------------------------------------------------
+def _series(x, srat, st0):
+    t = np.full(x.shape, st0)
+    acc = np.full(x.shape, st0)
+    comp = np.zeros_like(x)
+    prev = np.abs(t)
+    active = np.ones(x.shape, dtype=bool)
+    for k in range(srat.shape[0]):
+        t[active] = t[active] * (-x[active]) * srat[k]
+        y = t[active] - comp[active]
+        tt = acc[active] + y
+        comp[active] = (tt - acc[active]) - y
+        acc[active] = tt
+        a = np.abs(t[active])
+        done = (a < 1e-18 * np.abs(acc[active])) & (a <= prev[active])
+        prev[active] = a
+        idx = np.where(active)[0]
+        active[idx[done]] = False
+        if not np.any(active):
+            break
+    return acc
 
 
-def _eval_ml_loop(alpha, b_code, xs, srat, st0, lenv, lmag, sgn,
-                  dex, dew, glx, glw, out):
-    # b_code: 0 -> b=1, 1 -> b=2, 2 -> b=alpha
-    ia = 1.0 / alpha
-    c = math.cos(math.pi * alpha)
-    w = math.sin(math.pi * alpha)
-    vstar = -c
-    y0 = math.asinh(-vstar / w)
-    pref = 1.0 / (alpha * math.pi)
-    for i in range(xs.shape[0]):
-        x = xs[i]
-        if x == 0.0:
-            out[i] = st0
-            continue
-        s_arg = x ** ia
-        if s_arg <= S_SERIES:
-            t = st0
-            acc = st0
-            comp = 0.0
-            prev = abs(t)
-            for k in range(srat.shape[0]):
-                t = t * (-x) * srat[k]
-                y = t - comp
-                tt = acc + y
-                comp = (tt - acc) - y
-                acc = tt
-                a = abs(t)
-                if a < 1e-18 * abs(acc) and a <= prev:
-                    break
-                prev = a
-            out[i] = acc
-        elif s_arg >= S_ASYM:
-            lx = math.log(x)
-            acc = 0.0
-            comp = 0.0
-            prev_env = 1e308
-            for k in range(lenv.shape[0]):
-                e = lenv[k] - (k + 1) * lx
-                if e >= prev_env:
-                    break
-                prev_env = e
-                lt = lmag[k] - (k + 1) * lx
-                if lt > -700.0:
-                    t = sgn[k] * math.exp(lt)
-                    y = t - comp
-                    tt = acc + y
-                    comp = (tt - acc) - y
-                    acc = tt
-                if e < _LOG_STOP + math.log(abs(acc) + 1e-300):
-                    break
-            out[i] = acc
-        else:
-            v_exp = U_CUT ** alpha / x
-            if b_code == 1:
-                v_alg = (x ** (-ia) / (1.0 + ia) * 1e16) ** (alpha / (1.0 + alpha))
-                v_top = v_exp
-                if v_alg > v_top:
-                    v_top = v_alg
-                if vstar + 4.0 * w > v_top:
-                    v_top = vstar + 4.0 * w
-            else:
-                v_top = v_exp
-            ym = math.asinh((v_exp - vstar) / w)
-            yt = math.asinh((v_top - vstar) / w)
-            if ym > yt:
-                ym = yt
-            acc = 0.0
-            hw = 0.5 * (ym - y0)
-            mid = 0.5 * (ym + y0)
-            for q in range(dex.shape[0]):
-                yq = hw * dex[q] + mid
-                v = vstar + w * math.sinh(yq)
-                if v < 0.0:
-                    v = 0.0
-                u = (v * x) ** ia
-                if b_code == 0:
-                    g = math.exp(-u)
-                elif b_code == 1:
-                    g = -math.expm1(-u) / u if u > 1e-8 else 1.0 - 0.5 * u
-                else:
-                    g = u * math.exp(-u) / x
-                acc += dew[q] * g / math.cosh(yq)
-            acc *= hw
-            if yt > ym:
-                hw2 = 0.5 * (yt - ym)
-                mid2 = 0.5 * (yt + ym)
-                acc2 = 0.0
-                for q in range(glx.shape[0]):
-                    yq = hw2 * glx[q] + mid2
-                    v = vstar + w * math.sinh(yq)
-                    u = (v * x) ** ia
-                    if b_code == 0:
-                        g = math.exp(-u)
-                    elif b_code == 1:
-                        g = -math.expm1(-u) / u if u > 1e-8 else 1.0 - 0.5 * u
-                    else:
-                        g = u * math.exp(-u) / x
-                    acc2 += glw[q] * g / math.cosh(yq)
-                acc += hw2 * acc2
-            out[i] = acc * pref
-    return out
+def _asymptotic(x, lenv, lmag, sgn):
+    lx = np.log(x)
+    acc = np.zeros_like(x)
+    comp = np.zeros_like(x)
+    prev_env = np.full(x.shape, 1e308)
+    active = np.ones(x.shape, dtype=bool)
+    for k in range(lenv.shape[0]):
+        e = lenv[k] - (k + 1) * lx[active]
+        idx = np.where(active)[0]
+        stop = e >= prev_env[active]
+        live = idx[~stop]
+        active[idx[stop]] = False
+        if live.size == 0:
+            break
+        el = lenv[k] - (k + 1) * lx[live]
+        prev_env[live] = el
+        lt = lmag[k] - (k + 1) * lx[live]
+        t = np.where(lt > -700.0, sgn[k] * np.exp(np.maximum(lt, -700.0)), 0.0)
+        y = t - comp[live]
+        tt = acc[live] + y
+        comp[live] = (tt - acc[live]) - y
+        acc[live] = tt
+        conv = el < _LOG_STOP + np.log(np.abs(acc[live]) + 1e-300)
+        active[live[conv]] = False
+        if not np.any(active):
+            break
+    return acc
 
 
-# ---------------------------------------------------------------------------
-# vectorized implementation (numpy fallback)
-# ---------------------------------------------------------------------------
-
-
-def _g_of(b_code, alpha, u, x):
-    if b_code == 0:
+def _g_of(b, u, x):
+    if b == 1.0:
         return np.exp(-u)
-    if b_code == 1:
+    if b == 2.0:
         safe = np.where(u == 0.0, 1.0, u)
         return np.where(u > 1e-8, -np.expm1(-u) / safe, 1.0 - 0.5 * u)
     return u * np.exp(-u) / x
 
 
-def _eval_ml_numpy(alpha, b_code, xs, srat, st0, lenv, lmag, sgn,
-                   dex, dew, glx, glw, out):
+def _spectral(alpha, b, x):
     ia = 1.0 / alpha
-    c = math.cos(math.pi * alpha)
     w = math.sin(math.pi * alpha)
-    vstar = -c
+    vstar = -math.cos(math.pi * alpha)
     y0 = math.asinh(-vstar / w)
-    pref = 1.0 / (alpha * math.pi)
-
-    s_arg = np.where(xs > 0.0, xs, 1.0) ** ia
-    zero = xs == 0.0
-    ser = (~zero) & (s_arg <= S_SERIES)
-    asy = (~zero) & (s_arg >= S_ASYM)
-    bri = ~(zero | ser | asy)
-    out[zero] = st0
-
-    if np.any(ser):
-        x = xs[ser]
-        t = np.full(x.shape, st0)
-        acc = np.full(x.shape, st0)
-        comp = np.zeros_like(x)
-        prev = np.abs(t)
-        active = np.ones(x.shape, dtype=bool)
-        for k in range(srat.shape[0]):
-            t[active] = t[active] * (-x[active]) * srat[k]
-            y = t[active] - comp[active]
-            tt = acc[active] + y
-            comp[active] = (tt - acc[active]) - y
-            acc[active] = tt
-            a = np.abs(t[active])
-            done = (a < 1e-18 * np.abs(acc[active])) & (a <= prev[active])
-            prev[active] = a
-            idx = np.where(active)[0]
-            active[idx[done]] = False
-            if not np.any(active):
-                break
-        out[ser] = acc
-
-    if np.any(asy):
-        x = xs[asy]
-        lx = np.log(x)
-        acc = np.zeros_like(x)
-        comp = np.zeros_like(x)
-        prev_env = np.full(x.shape, 1e308)
-        active = np.ones(x.shape, dtype=bool)
-        for k in range(lenv.shape[0]):
-            e = lenv[k] - (k + 1) * lx[active]
-            idx = np.where(active)[0]
-            stop = e >= prev_env[active]
-            live = idx[~stop]
-            active[idx[stop]] = False
-            if live.size == 0:
-                break
-            el = lenv[k] - (k + 1) * lx[live]
-            prev_env[live] = el
-            lt = lmag[k] - (k + 1) * lx[live]
-            t = np.where(lt > -700.0, sgn[k] * np.exp(np.maximum(lt, -700.0)), 0.0)
-            y = t - comp[live]
-            tt = acc[live] + y
-            comp[live] = (tt - acc[live]) - y
-            acc[live] = tt
-            conv = el < _LOG_STOP + np.log(np.abs(acc[live]) + 1e-300)
-            active[live[conv]] = False
-            if not np.any(active):
-                break
-        out[asy] = acc
-
-    if np.any(bri):
-        x = xs[bri]
-        v_exp = U_CUT ** alpha / x
-        if b_code == 1:
-            v_alg = (x ** (-ia) / (1.0 + ia) * 1e16) ** (alpha / (1.0 + alpha))
-            v_top = np.maximum(np.maximum(v_exp, v_alg), vstar + 4.0 * w)
-        else:
-            v_top = v_exp
-        ym = np.arcsinh((v_exp - vstar) / w)
-        yt = np.arcsinh((v_top - vstar) / w)
-        ym = np.minimum(ym, yt)
-        hw = 0.5 * (ym - y0)
-        mid = 0.5 * (ym + y0)
-        y = mid[:, None] + hw[:, None] * dex[None, :]
-        v = np.maximum(vstar + w * np.sinh(y), 0.0)
-        u = (v * x[:, None]) ** ia
-        g = _g_of(b_code, alpha, u, x[:, None])
-        acc = hw * ((g / np.cosh(y)) @ dew)
-        tail = yt > ym
-        if np.any(tail):
-            hw2 = 0.5 * (yt[tail] - ym[tail])
-            mid2 = 0.5 * (yt[tail] + ym[tail])
-            y2 = mid2[:, None] + hw2[:, None] * glx[None, :]
-            v2 = vstar + w * np.sinh(y2)
-            u2 = (v2 * x[tail][:, None]) ** ia
-            g2 = _g_of(b_code, alpha, u2, x[tail][:, None])
-            acc[tail] += hw2 * ((g2 / np.cosh(y2)) @ glw)
-        out[bri] = acc * pref
-    return out
+    v_exp = U_CUT ** alpha / x
+    if b == 2.0:
+        v_alg = (x ** (-ia) / (1.0 + ia) * 1e16) ** (alpha / (1.0 + alpha))
+        v_top = np.maximum(np.maximum(v_exp, v_alg), vstar + 4.0 * w)
+    else:
+        v_top = v_exp
+    ym = np.arcsinh((v_exp - vstar) / w)
+    yt = np.arcsinh((v_top - vstar) / w)
+    ym = np.minimum(ym, yt)
+    hw = 0.5 * (ym - y0)
+    mid = 0.5 * (ym + y0)
+    y = mid[:, None] + hw[:, None] * _DE_X[None, :]
+    v = np.maximum(vstar + w * np.sinh(y), 0.0)
+    u = (v * x[:, None]) ** ia
+    g = _g_of(b, u, x[:, None])
+    acc = hw * ((g / np.cosh(y)) @ _DE_W)
+    tail = yt > ym
+    if np.any(tail):
+        hw2 = 0.5 * (yt[tail] - ym[tail])
+        mid2 = 0.5 * (yt[tail] + ym[tail])
+        y2 = mid2[:, None] + hw2[:, None] * _GL_X[None, :]
+        v2 = vstar + w * np.sinh(y2)
+        u2 = (v2 * x[tail][:, None]) ** ia
+        g2 = _g_of(b, u2, x[tail][:, None])
+        acc[tail] += hw2 * ((g2 / np.cosh(y2)) @ _GL_W)
+    return acc * (1.0 / (alpha * math.pi))
 
 
-_eval_ml_numba = njit(cache=True)(_eval_ml_loop) if USE_NUMBA else None
-
-
-def eval_ml_neg(alpha, b, xs, impl=None):
+def eval_ml_neg(alpha, b, xs):
     """E_{alpha,b}(-x) elementwise over xs >= 0.
 
-    ``impl`` forces a variant ("numba" or "numpy"); default is the active one.
     alpha == 1 is dispatched to exact exponential forms.
     """
-    xs = np.ascontiguousarray(xs, dtype=np.float64)
-    out = np.empty_like(xs)
+    xs = np.asarray(xs, dtype=np.float64)
     if alpha == 1.0:
         if b == 2.0:
             safe = np.where(xs == 0.0, 1.0, xs)
             return np.where(xs == 0.0, 1.0, -np.expm1(-xs) / safe)
         return np.exp(-xs)
-    if b == 1.0:
-        b_code = 0
-    elif b == 2.0:
-        b_code = 1
-    elif b == alpha:
-        b_code = 2
-    else:
+    if b not in (1.0, 2.0, alpha):
         raise ValueError(f"unsupported second parameter b={b!r}")
     srat, st0 = series_coefficients(alpha, b)
-    lenv, lmag, sgn = asym_coefficients(alpha, b)
-    use_numba = USE_NUMBA if impl is None else (impl == "numba")
-    if use_numba:
-        if _eval_ml_numba is None:
-            raise RuntimeError("numba variant unavailable")
-        _eval_ml_numba(alpha, b_code, xs, srat, st0, lenv, lmag, sgn,
-                       _DE_X, _DE_W, _GL_X, _GL_W, out)
-    else:
-        _eval_ml_numpy(alpha, b_code, xs, srat, st0, lenv, lmag, sgn,
-                       _DE_X, _DE_W, _GL_X, _GL_W, out)
+    s_arg = np.where(xs > 0.0, xs, 1.0) ** (1.0 / alpha)
+    zero = xs == 0.0
+    ser = (~zero) & (s_arg <= S_SERIES)
+    asy = (~zero) & (s_arg >= S_ASYM)
+    bri = ~(zero | ser | asy)
+    out = np.empty_like(xs)
+    out[zero] = st0
+    if np.any(ser):
+        out[ser] = _series(xs[ser], srat, st0)
+    if np.any(asy):
+        out[asy] = _asymptotic(xs[asy], *asym_coefficients(alpha, b))
+    if np.any(bri):
+        out[bri] = _spectral(alpha, b, xs[bri])
     return out
-
-
-# ---------------------------------------------------------------------------
-# product-integrated Crank-Nicolson sweep (scalar reference solver)
-# ---------------------------------------------------------------------------
-
-
-def _cn_sweep_loop(u, v, ivals, fvals, agr, pw, qw, k, rho, kappa, m0):
-    # forward sweep over the uniform tail of the grid; u, v, ivals are
-    # prefilled through index m0.  pw/qw are the lag-indexed product weights,
-    # agr the frozen contribution of the graded startup section.
-    M = u.shape[0] - 1
-    q1 = qw[1]
-    denom = rho + 0.25 * k * k * kappa * (1.0 - q1)
-    for m in range(m0, M):
-        hist = agr[m + 1]
-        for i in range(m0, m + 1):
-            d = m + 1 - i
-            hist += u[i] * pw[d]
-            if i < m:
-                hist += u[i + 1] * qw[d]
-        fm = fvals[m] - kappa * u[m] + kappa * ivals[m]
-        ut = u[m] + 0.5 * k * v[m]
-        v[m + 1] = (rho * v[m]
-                    + 0.5 * k * (fm + fvals[m + 1] + kappa * hist)
-                    + 0.5 * k * kappa * (q1 - 1.0) * ut) / denom
-        u[m + 1] = ut + 0.5 * k * v[m + 1]
-        ivals[m + 1] = hist + q1 * u[m + 1]
-    return u
-
-
-def _cn_sweep_numpy(u, v, ivals, fvals, agr, pw, qw, k, rho, kappa, m0):
-    M = u.shape[0] - 1
-    q1 = qw[1]
-    denom = rho + 0.25 * k * k * kappa * (1.0 - q1)
-    for m in range(m0, M):
-        n = m + 1 - m0
-        hist = agr[m + 1]
-        hist += np.dot(u[m0:m + 1], pw[n:0:-1])
-        if m > m0:
-            hist += np.dot(u[m0 + 1:m + 1], qw[n:1:-1])
-        fm = fvals[m] - kappa * u[m] + kappa * ivals[m]
-        ut = u[m] + 0.5 * k * v[m]
-        v[m + 1] = (rho * v[m]
-                    + 0.5 * k * (fm + fvals[m + 1] + kappa * hist)
-                    + 0.5 * k * kappa * (q1 - 1.0) * ut) / denom
-        u[m + 1] = ut + 0.5 * k * v[m + 1]
-        ivals[m + 1] = hist + q1 * u[m + 1]
-    return u
-
-
-_cn_sweep_numba = njit(cache=True)(_cn_sweep_loop) if USE_NUMBA else None
-
-
-def cn_sweep(u, v, ivals, fvals, agr, pw, qw, k, rho, kappa, m0, impl=None):
-    """Run the uniform-section Crank-Nicolson/product-integration sweep."""
-    use_numba = USE_NUMBA if impl is None else (impl == "numba")
-    fn = _cn_sweep_numba if use_numba else _cn_sweep_numpy
-    if fn is None:
-        raise RuntimeError("numba variant unavailable")
-    return fn(u, v, ivals, fvals, agr, pw, qw, k, rho, kappa, m0)

@@ -8,6 +8,8 @@ Grammar (documented in the README):
 * ``key = value`` assigns; values are numbers, booleans (true/false),
   bare words, or 2-vectors written ``(a, b)``,
 * ``probe`` may repeat inside ``[probes]``; every other key is single-valued,
+* numbers must be finite, and ``dt`` (an alternative to ``steps``) must
+  divide ``t_final`` to 1e-9 relative,
 * unknown sections or keys are errors; all errors are collected with their
   line numbers before parsing fails.
 
@@ -126,15 +128,19 @@ def _parse_value(kind, raw, where, errors):
             parts = raw[1:-1].split(",")
             if len(parts) != 2:
                 raise ValueError("expected exactly two components")
-            return (float(parts[0]), float(parts[1]))
-        if kind is bool:
+            value = (float(parts[0]), float(parts[1]))
+        elif kind is bool:
             low = raw.lower()
             if low in ("true", "1", "yes", "on"):
                 return True
             if low in ("false", "0", "no", "off"):
                 return False
             raise ValueError("expected a boolean")
-        return kind(raw)
+        else:
+            value = kind(raw)
+        if kind in ("vec", float) and not np.all(np.isfinite(value)):
+            raise ValueError(f"expected a finite value, got {raw}")
+        return value
     except ValueError as err:
         errors.append(f"{where}: {err}")
         return None
@@ -148,7 +154,6 @@ def parse_config(text):
     probes = []
     section = None
     saw_dt = saw_steps = False
-    dt_value = None
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         line = rawline.split("#", 1)[0].strip()
         if not line:
@@ -182,8 +187,10 @@ def parse_config(text):
             probes.append(value)
             continue
         if section == "time" and key == "dt":
+            if saw_dt:
+                errors.append(f"line {lineno}: duplicate key 'dt'")
             saw_dt = True
-            dt_value = value
+            dt_value, dt_line = value, lineno
             continue
         if section == "time" and key == "steps":
             saw_steps = True
@@ -205,11 +212,17 @@ def parse_config(text):
     if saw_dt:
         if saw_steps:
             errors.append("time: give either steps or dt, not both")
-        elif dt_value is not None and dt_value > 0.0:
-            cfg = replace(cfg, steps=int(round(cfg.t_final / dt_value)))
-            defaulted = [f for f in defaulted if f != "steps"]
+        elif not dt_value > 0.0:
+            errors.append(f"line {dt_line}: dt must be positive")
         else:
-            errors.append("time: dt must be positive")
+            steps = round(cfg.t_final / dt_value)
+            if steps < 1 or (abs(steps * dt_value - cfg.t_final)
+                             > 1e-9 * cfg.t_final):
+                errors.append(f"line {dt_line}: dt = {dt_value!r} does not "
+                              f"divide t_final = {cfg.t_final!r}")
+            else:
+                cfg = replace(cfg, steps=steps)
+                defaulted = [f for f in defaulted if f != "steps"]
     for field_name, message in cfg.validate():
         if field_name in line_of:
             errors.append(f"line {line_of[field_name]}: {message}")

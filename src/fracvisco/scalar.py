@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import cn_sweep
 from .mlf import KernelParams, beta_double_primitive, beta_primitive
 from .weights import TimeGrid, WeightTable, build_weights
 
@@ -131,7 +130,22 @@ def _cn_step(u, v, ivals, fvals, m, h, hist, q1, rho, kappa):
     ivals[m + 1] = hist + q1 * u[m + 1]
 
 
-def _reference_sweep(model, t_final, k_ref, m_g, startup_steps, impl=None):
+def cn_sweep(u, v, ivals, fvals, agr, pw, qw, k, rho, kappa, m0):
+    """Crank-Nicolson steps of size k over the uniform tail of the grid.
+
+    u, v and ivals are filled through index m0; pw and qw are the lag-indexed
+    product weights, agr the frozen contribution of the graded startup.
+    """
+    for m in range(m0, u.shape[0] - 1):
+        n = m + 1 - m0
+        hist = agr[m + 1] + np.dot(u[m0:m + 1], pw[n:0:-1])
+        if m > m0:
+            hist += np.dot(u[m0 + 1:m + 1], qw[n:1:-1])
+        _cn_step(u, v, ivals, fvals, m, k, hist, qw[1], rho, kappa)
+    return u
+
+
+def _reference_sweep(model, t_final, k_ref, m_g, startup_steps):
     p = model.kernel
     rho, kappa = model.rho, model.kappa
     t_g = startup_steps * k_ref
@@ -149,14 +163,11 @@ def _reference_sweep(model, t_final, k_ref, m_g, startup_steps, impl=None):
 
     if p.gamma == 0.0:
         # pure elastic limit: all memory weights vanish
-        pg = np.zeros(M + 1)
-        qg = np.zeros(M + 1)
-        agr = np.zeros(M + 1)
+        zero = np.zeros(M + 1)
         for m in range(m_g):
             h = nodes[m + 1] - nodes[m]
             _cn_step(u, v, ivals, fvals, m, h, 0.0, 0.0, rho, kappa)
-        cn_sweep(u, v, ivals, fvals, agr, pg, qg, k_ref, rho, kappa, m_g,
-                 impl=impl)
+        cn_sweep(u, v, ivals, fvals, zero, zero, zero, k_ref, rho, kappa, m_g)
         return nodes, u, v
 
     # graded startup: direct double loop, per-pair product weights
@@ -195,13 +206,12 @@ def _reference_sweep(model, t_final, k_ref, m_g, startup_steps, impl=None):
         w_lo = (h_i * bb - (cb - ca)) / h_i
         w_hi = ((cb - ca) - h_i * ba) / h_i
         agr[m_g + 1:] = u[:m_g] @ w_lo + u[1:m_g + 1] @ w_hi
-    cn_sweep(u, v, ivals, fvals, agr, pw, qw, k_ref, rho, kappa, m_g,
-             impl=impl)
+    cn_sweep(u, v, ivals, fvals, agr, pw, qw, k_ref, rho, kappa, m_g)
     return nodes, u, v
 
 
 def scalar_reference(model: ScalarModel, t_final, k_ref, m_g=64,
-                     startup_steps=32, impl=None):
+                     startup_steps=32):
     """High-accuracy reference trajectory with a Richardson error estimate.
 
     Runs the product-integration/Crank-Nicolson scheme at steps k_ref, 2k_ref
@@ -211,12 +221,11 @@ def scalar_reference(model: ScalarModel, t_final, k_ref, m_g=64,
     """
     if not t_final > 0.0:
         raise ValueError("t_final must be positive")
-    nodes, u, v = _reference_sweep(model, t_final, k_ref, m_g, startup_steps,
-                                   impl=impl)
+    nodes, u, v = _reference_sweep(model, t_final, k_ref, m_g, startup_steps)
     _, u2, _ = _reference_sweep(model, t_final, 2.0 * k_ref, m_g,
-                                startup_steps // 2, impl=impl)
+                                startup_steps // 2)
     _, u4, _ = _reference_sweep(model, t_final, 4.0 * k_ref, m_g,
-                                max(startup_steps // 4, 1), impl=impl)
+                                max(startup_steps // 4, 1))
     d12 = abs(u[-1] - u2[-1])
     d24 = abs(u2[-1] - u4[-1])
     est = d12 / 3.0
@@ -255,6 +264,26 @@ class ConvergenceStudy:
         return "\n".join(lines) + "\n"
 
 
+def _dg0_study(model, k_list, t_final, u_ref):
+    """dG(0) final-value errors against u_ref and the observed orders."""
+    errors = []
+    for k in k_list:
+        grid = TimeGrid.uniform(t_final, int(round(t_final / k)))
+        errors.append(float(abs(scalar_dg0(model, grid).u1[-1] - u_ref)))
+    rows = [ConvergenceRow(k=float(k_list[0]), error=errors[0],
+                           order=float("nan"))]
+    for i in range(1, len(k_list)):
+        if errors[i] > 0.0 and errors[i - 1] > 0.0:
+            order = float(np.log(errors[i - 1] / errors[i])
+                          / np.log(k_list[i - 1] / k_list[i]))
+        else:
+            order = float("nan")
+        rows.append(ConvergenceRow(k=float(k_list[i]), error=errors[i],
+                                   order=order))
+    return ConvergenceStudy(rows=rows, reference_value=u_ref,
+                            degenerate=all(e == 0.0 for e in errors))
+
+
 def convergence_study(model: ScalarModel, k_list, t_final,
                       reference: ReferenceTrace = None, ref_factor=32):
     """Observed dG(0) temporal orders against the product-integration reference.
@@ -267,23 +296,7 @@ def convergence_study(model: ScalarModel, k_list, t_final,
         raise ValueError("k_list must be strictly decreasing")
     if reference is None:
         reference = scalar_reference(model, t_final, min(k_list) / ref_factor)
-    u_ref = reference.at_final()
-    errors = []
-    for k in k_list:
-        grid = TimeGrid.uniform(t_final, int(round(t_final / k)))
-        trace = scalar_dg0(model, grid)
-        errors.append(abs(trace.u1[-1] - u_ref))
-    rows = [ConvergenceRow(k=k_list[0], error=errors[0], order=float("nan"))]
-    for i in range(1, len(k_list)):
-        if errors[i] > 0.0 and errors[i - 1] > 0.0:
-            order = float(np.log(errors[i - 1] / errors[i])
-                          / np.log(k_list[i - 1] / k_list[i]))
-        else:
-            order = float("nan")
-        rows.append(ConvergenceRow(k=k_list[i], error=errors[i], order=order))
-    degenerate = all(e == 0.0 for e in errors)
-    return ConvergenceStudy(rows=rows, reference_value=u_ref,
-                            degenerate=degenerate)
+    return _dg0_study(model, k_list, t_final, reference.at_final())
 
 
 def self_convergence_study(model: ScalarModel, k_list, t_final, k_fine):
@@ -291,19 +304,5 @@ def self_convergence_study(model: ScalarModel, k_list, t_final, k_fine):
     if k_fine >= min(k_list):
         raise ValueError("k_fine must be below every entry of k_list")
     grid_f = TimeGrid.uniform(t_final, int(round(t_final / k_fine)))
-    fine = scalar_dg0(model, grid_f)
-    u_ref = float(fine.u1[-1])
-    errors = []
-    for k in k_list:
-        grid = TimeGrid.uniform(t_final, int(round(t_final / k)))
-        errors.append(abs(scalar_dg0(model, grid).u1[-1] - u_ref))
-    rows = [ConvergenceRow(k=k_list[0], error=errors[0], order=float("nan"))]
-    for i in range(1, len(k_list)):
-        if errors[i] > 0.0 and errors[i - 1] > 0.0:
-            order = float(np.log(errors[i - 1] / errors[i])
-                          / np.log(k_list[i - 1] / k_list[i]))
-        else:
-            order = float("nan")
-        rows.append(ConvergenceRow(k=k_list[i], error=errors[i], order=order))
-    return ConvergenceStudy(rows=rows, reference_value=u_ref,
-                            degenerate=all(e == 0.0 for e in errors))
+    u_ref = float(scalar_dg0(model, grid_f).u1[-1])
+    return _dg0_study(model, k_list, t_final, u_ref)

@@ -4,10 +4,12 @@ Direct solves use a dense Cholesky factorization up to ``dense_limit``
 unknowns and a sparse LU beyond it; iterative solves use conjugate gradients
 with a diagonal preconditioner.  Every solve is verified against the
 requested relative residual; violations raise ``SolverError`` carrying the
-achieved residual.
+achieved residual, and a non-finite right-hand side is refused before solving.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import scipy.linalg as sla
@@ -51,6 +53,8 @@ class SpdSolver:
     def solve(self, b):
         b = np.asarray(b, dtype=np.float64)
         nb = np.linalg.norm(b)
+        if not math.isfinite(nb):
+            raise SolverError("right-hand side is not finite")
         if nb == 0.0:
             return np.zeros_like(b)
         if self.method == "direct":
@@ -68,7 +72,7 @@ class SpdSolver:
                 raise SolverError(f"cg did not converge (info={info})",
                                   residual=res)
         res = np.linalg.norm(self.a @ x - b) / nb
-        if res > self.rtol:
+        if not res <= self.rtol:
             raise SolverError(
                 f"solve residual {res:.3e} exceeds tolerance {self.rtol:.1e}",
                 residual=res)

@@ -1,8 +1,6 @@
 """Acceptance suite: one test per criterion, each printing a verdict line.
 
-Budgets are wall-clock for the computation itself; a session-scoped warmup
-triggers the one-time numba compilation beforehand so the timings measure
-steady-state work (compilation is cached on disk after the first ever run).
+Budgets are wall-clock for the computation itself.
 """
 
 import time
@@ -34,21 +32,6 @@ def verdict(num, ok, detail, budget=None, elapsed=None):
     assert ok, f"criterion {num}: {detail}"
     if budget is not None:
         assert elapsed < budget, f"criterion {num} runtime {elapsed:.2f}s"
-
-
-@pytest.fixture(scope="module", autouse=True)
-def warmup():
-    ker = KernelParams(**SEC6_KERNEL)
-    for b in (1.0, 2.0, ker.alpha):
-        ml_e_array(ker.alpha, b, np.array([0.5, 6.0 ** ker.alpha, 50.0]))
-    model = ScalarModel(rho=1.0, kappa=1.0, kernel=ker, u0=1.0)
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        from fracvisco.scalar import scalar_reference
-
-        scalar_reference(model, 0.125, k_ref=2.0 ** -8)
 
 
 @pytest.fixture(scope="module")

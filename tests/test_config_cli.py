@@ -71,9 +71,28 @@ class TestParse:
             cfg = parse_config("[time]\nt_final = 2.0\ndt = 0.25\n")
         assert cfg.steps == 8
 
+    @pytest.mark.parametrize("text,line", [
+        ("[time]\nt_final = inf\n", 2),
+        ("[kernel]\ntau = nan\n", 2),
+        ("[loads]\n\ng_right = (0.0, -inf)\n", 3),
+    ])
+    def test_non_finite_rejected(self, text, line):
+        with pytest.raises(ConfigError, match="finite") as err:
+            parse_config(text)
+        assert any(f"line {line}" in e for e in err.value.errors)
+
+    def test_dt_must_divide_t_final(self):
+        with pytest.raises(ConfigError, match="does not divide") as err:
+            parse_config("[time]\nt_final = 1.0\ndt = 0.3\n")
+        assert any(e.startswith("line 3:") for e in err.value.errors)
+
     def test_duplicate_key(self):
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config("[kernel]\nalpha = 0.5\nalpha = 0.6\n")
+
+    def test_duplicate_dt(self):
+        with pytest.raises(ConfigError, match="line 4: duplicate"):
+            parse_config("[time]\nt_final = 1.0\ndt = 0.25\ndt = 0.5\n")
 
     def test_round_trip(self):
         with warnings.catch_warnings():
@@ -154,6 +173,9 @@ class TestCli:
         lines = (tmp_path / "convergence.csv").read_text().splitlines()
         assert lines[0] == "k,error,order"
         assert len(lines) == 4
+        for line in lines[1:]:
+            k, error, order = (float(cell) for cell in line.split(","))
+            assert k > 0.0 and error > 0.0
 
     def test_config_error_exit_code(self, tmp_path, monkeypatch, capsys):
         bad = tmp_path / "bad.cfg"

@@ -240,6 +240,29 @@ class TestSolvers:
             solver.solve(rng.standard_normal(a.shape[0]))
         assert err.value.residual is not None
 
+    @pytest.mark.parametrize("method,dense_limit", [("direct", 10),
+                                                    ("direct", 1200),
+                                                    ("cg", 1200)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rhs_raises(self, loaded_system8, method, dense_limit,
+                                   bad):
+        a = loaded_system8.Kff
+        solver = make_spd_solver(a, method=method, dense_limit=dense_limit)
+        b = np.ones(a.shape[0])
+        b[3] = bad
+        with pytest.raises(SolverError, match="not finite"):
+            solver.solve(b)
+
+    def test_nan_solution_raises(self, loaded_system8):
+        import types
+
+        a = loaded_system8.Kff
+        solver = make_spd_solver(a, method="direct", dense_limit=10)
+        solver._lu = types.SimpleNamespace(
+            solve=lambda b: np.full_like(b, np.nan))
+        with pytest.raises(SolverError, match="exceeds tolerance"):
+            solver.solve(np.ones(a.shape[0]))
+
     def test_sparse_lu_path(self, rng):
         import scipy.sparse as sp
 

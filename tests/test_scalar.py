@@ -56,17 +56,6 @@ class TestScalarReference:
         assert reference_t4.richardson_ok
         assert reference_t4.est_error <= 1e-6
 
-    def test_numba_and_numpy_sweeps_agree(self, fractional_model):
-        a = scalar_reference(fractional_model, 2.0, k_ref=2.0 ** -10,
-                             impl="numpy")
-        from fracvisco._accel import USE_NUMBA
-
-        if not USE_NUMBA:
-            pytest.skip("numba inactive")
-        b = scalar_reference(fractional_model, 2.0, k_ref=2.0 ** -10,
-                             impl="numba")
-        assert a.at_final() == pytest.approx(b.at_final(), rel=1e-13)
-
     def test_forced_problem_runs(self, kernel_sec6):
         m = ScalarModel(rho=1.0, kappa=2.0, kernel=kernel_sec6,
                         forcing=lambda t: np.sin(np.asarray(t)), u0=0.0)
