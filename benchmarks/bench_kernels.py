@@ -1,9 +1,14 @@
 #!/usr/bin/env python3
-"""Time the three numeric kernels that dominate runtime.
+"""Time the numeric kernels that dominate runtime.
 
 They are batched Mittag-Leffler evaluation (feeds every weight table),
-weight-table construction on a nonuniform grid (O(N^2) distinct lags), and the
-product-integration sweep of the scalar reference solver (O(M^2) memory work).
+weight-table construction on a nonuniform grid (O(N^2) distinct lags), the
+product-integration sweep of the scalar reference solver (O(M^2) memory work),
+the dG(0) history sum (dense row products against ``stepper.history_sums``
+at three FFT thresholds, the middle one the default ``DIRECT_BLOCK``) and one
+direct solve of the dG(0) step matrix by dense Cholesky and by sparse LU
+(the two sides of ``solvers.DENSE_LIMIT``).  Times are per call; the solve
+rows are per solve.
 
 Run:  python benchmarks/bench_kernels.py [--quick]
 """
@@ -17,9 +22,13 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from fracvisco import stepper  # noqa: E402
 from fracvisco._kernels import eval_ml_neg  # noqa: E402
+from fracvisco.fem import (ElasticParams, assemble,  # noqa: E402
+                           build_rect_mesh)
 from fracvisco.mlf import KernelParams  # noqa: E402
 from fracvisco.scalar import ScalarModel, scalar_reference  # noqa: E402
+from fracvisco.solvers import SpdSolver  # noqa: E402
 from fracvisco.weights import TimeGrid, build_weights  # noqa: E402
 
 
@@ -30,6 +39,47 @@ def timed(fn, repeat=3):
         out = fn()
         best = min(best, time.perf_counter() - t0)
     return best, out
+
+
+def dense_history(lags, u):
+    """H_n = sum_{j<n} omega_nj u_j as one row product per step."""
+    rev = lags[::-1].copy()     # rev[N-n:N-1] is table row n, omega_n1..
+    n_all = rev.size
+    for n in range(2, u.shape[0]):
+        h = rev[n_all - n:n_all - 1] @ u[1:n]
+    return h
+
+
+def online_history(table, u, direct_block):
+    saved = stepper.DIRECT_BLOCK
+    stepper.DIRECT_BLOCK = direct_block
+    try:
+        for h in stepper.history_sums(table, u):
+            pass
+    finally:
+        stepper.DIRECT_BLOCK = saved
+    return h
+
+
+def solve_rows(nx, repeat):
+    """Per-solve time, dense Cholesky vs sparse LU, of M + k^2 K on an nx-by-nx
+    mesh with sec6's step k (the dG(0) step matrix without its memory part)."""
+    sys_ = assemble(build_rect_mesh(nx, nx), ElasticParams(1e5, 1e5, 3000.0))
+    k = 40.0 / 2560
+    a = sys_.Mff + (k * k) * sys_.Kff
+    nf = a.shape[0]
+    b = np.random.default_rng(3).standard_normal(nf)
+    calls = max(20, 20_000 // nf)
+    rows = []
+    for path, limit in (("cholesky", nf), ("sparse_lu", 0)):
+        solver = SpdSolver(a, dense_limit=limit)
+
+        def many():
+            for _ in range(calls):
+                solver.solve(b)
+        t, _ = timed(many, repeat)
+        rows.append((f"direct_solve[nf={nf},{path}]", t / calls))
+    return rows
 
 
 def main():
@@ -59,10 +109,26 @@ def main():
     t, _ = timed(lambda: scalar_reference(model, 4.0, k_ref=k_ref), repeat)
     rows.append((f"scalar_reference[k={k_ref:g}]", t))
 
+    n_hist = 1024 if args.quick else 8192
+    table = build_weights(TimeGrid.uniform(40.0, n_hist), ker)
+    u = rng.standard_normal((n_hist + 1, 144))
+    tag = f"[N={n_hist},nf=144"
+    t, _ = timed(lambda: dense_history(table.lags, u), repeat)
+    rows.append((f"history{tag},dense rows]", t))
+    for block, label in ((64, "fft above 64"),
+                         (stepper.DIRECT_BLOCK,
+                          f"fft above {stepper.DIRECT_BLOCK}"),
+                         (n_hist, "no fft")):
+        t, _ = timed(lambda: online_history(table, u, block), repeat)
+        rows.append((f"history{tag},online {label}]", t))
+
+    for nx in ((8, 16) if args.quick else (8, 10, 11, 16, 25)):
+        rows += solve_rows(nx, repeat)
+
     width = max(len(name) for name, _ in rows)
     print(f"{'kernel':<{width}}  best time")
     for name, t in rows:
-        print(f"{name:<{width}}  {t * 1e3:9.2f} ms")
+        print(f"{name:<{width}}  {t * 1e3:11.4f} ms")
 
 
 if __name__ == "__main__":

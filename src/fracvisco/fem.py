@@ -220,6 +220,7 @@ class AssembledSystem:
     free_dofs: np.ndarray
     volume: object = None     # f(points(m,2), t) -> (m,2), or None
     traction: object = None   # g(points(m,2), t, side(m,)) -> (m,2), or None
+    # A load callable with a true ``constant_in_time`` attribute ignores t.
     lumped: bool = False
     _kff: sp.csr_matrix = field(default=None, repr=False)
     _mff: sp.csr_matrix = field(default=None, repr=False)
@@ -239,6 +240,12 @@ class AssembledSystem:
         if self._mff is None:
             self._mff = apply_dirichlet(self, self.M)
         return self._mff
+
+    @property
+    def loads_constant_in_time(self):
+        """True when no load callable can depend on time."""
+        return all(f is None or getattr(f, "constant_in_time", False)
+                   for f in (self.volume, self.traction))
 
     def restrict(self, full):
         return np.asarray(full)[..., self.free_dofs]
@@ -344,6 +351,7 @@ def side_traction(spec):
     def g(points, t, sides):
         return table[np.asarray(sides, dtype=np.int64)]
 
+    g.constant_in_time = True
     return g
 
 
@@ -354,6 +362,7 @@ def constant_volume(vec):
     def f(points, t):
         return np.broadcast_to(vec, (np.asarray(points).shape[0], 2))
 
+    f.constant_in_time = True
     return f
 
 

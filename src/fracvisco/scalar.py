@@ -3,8 +3,9 @@
 Two deliberately different discretizations live here:
 
 * ``scalar_dg0`` is the same piecewise-constant-in-time scheme as the finite
-  element stepper, written as an independent plain loop (no shared stepping
-  code) so the two can cross-check each other on a one-unknown system.
+  element stepper, written as an independent plain loop (it shares only the
+  history sum, ``stepper.history_sums``) so the two can cross-check each
+  other's stepping on a one-unknown system.
 
 * ``scalar_reference`` is a second-order scheme from a different family:
   Crank-Nicolson for the motion, product integration for the memory term
@@ -24,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mlf import KernelParams, beta_double_primitive, beta_primitive
+from .stepper import history_sums
 from .weights import TimeGrid, WeightTable, build_weights
 
 __all__ = [
@@ -88,14 +90,13 @@ def scalar_dg0(model: ScalarModel, grid: TimeGrid, table: WeightTable = None):
     u1[0], u2[0] = model.u0, model.v0
     rho, kappa = model.rho, model.kappa
     omega = table.omega
-    for n in range(1, n_steps + 1):
+    for n, hist in enumerate(history_sums(table, u1), start=1):
         kn = k[n - 1]
         co = kn - omega[n - 1, n - 1]
-        hist = float(omega[n - 1, :n - 1] @ u1[1:n]) if n > 1 else 0.0
         fbar = float(model.f(grid.nodes[n - 1] + 0.5 * kn))
         denom = rho + kn * co * kappa
         u2[n] = (rho * u2[n - 1] - co * kappa * u1[n - 1]
-                 + kappa * hist + kn * fbar) / denom
+                 + kappa * float(hist) + kn * fbar) / denom
         u1[n] = u1[n - 1] + kn * u2[n]
     return ScalarTrace(times=grid.nodes.copy(), u1=u1, u2=u2)
 
@@ -223,7 +224,7 @@ def scalar_reference(model: ScalarModel, t_final, k_ref, m_g=64,
         raise ValueError("t_final must be positive")
     nodes, u, v = _reference_sweep(model, t_final, k_ref, m_g, startup_steps)
     _, u2, _ = _reference_sweep(model, t_final, 2.0 * k_ref, m_g,
-                                startup_steps // 2)
+                                max(startup_steps // 2, 1))
     _, u4, _ = _reference_sweep(model, t_final, 4.0 * k_ref, m_g,
                                 max(startup_steps // 4, 1))
     d12 = abs(u[-1] - u2[-1])
@@ -264,12 +265,18 @@ class ConvergenceStudy:
         return "\n".join(lines) + "\n"
 
 
-def _dg0_study(model, k_list, t_final, u_ref):
+def _step_grid(t_final, k):
+    """Uniform grid of step k on [0, t_final]; k must divide t_final."""
+    steps = round(t_final / k)
+    if steps < 1 or abs(steps * k - t_final) > 1e-9 * t_final:
+        raise ValueError(f"k = {k!r} does not divide t_final = {t_final!r}")
+    return TimeGrid.uniform(t_final, steps)
+
+
+def _dg0_study(model, k_list, grids, u_ref):
     """dG(0) final-value errors against u_ref and the observed orders."""
-    errors = []
-    for k in k_list:
-        grid = TimeGrid.uniform(t_final, int(round(t_final / k)))
-        errors.append(float(abs(scalar_dg0(model, grid).u1[-1] - u_ref)))
+    errors = [float(abs(scalar_dg0(model, grid).u1[-1] - u_ref))
+              for grid in grids]
     rows = [ConvergenceRow(k=float(k_list[0]), error=errors[0],
                            order=float("nan"))]
     for i in range(1, len(k_list)):
@@ -288,21 +295,23 @@ def convergence_study(model: ScalarModel, k_list, t_final,
                       reference: ReferenceTrace = None, ref_factor=32):
     """Observed dG(0) temporal orders against the product-integration reference.
 
-    k_list must be decreasing; the reference step is k_min/ref_factor unless
-    a precomputed reference is supplied.
+    k_list must be decreasing, and each k must divide t_final to 1e-9
+    relative; the reference step is k_min/ref_factor unless a precomputed
+    reference is supplied.
     """
     k_list = list(k_list)
     if any(k2 >= k1 for k1, k2 in zip(k_list, k_list[1:])):
         raise ValueError("k_list must be strictly decreasing")
+    grids = [_step_grid(t_final, k) for k in k_list]
     if reference is None:
         reference = scalar_reference(model, t_final, min(k_list) / ref_factor)
-    return _dg0_study(model, k_list, t_final, reference.at_final())
+    return _dg0_study(model, k_list, grids, reference.at_final())
 
 
 def self_convergence_study(model: ScalarModel, k_list, t_final, k_fine):
     """Orders measured against a fine dG(0) run (same scheme, smaller step)."""
     if k_fine >= min(k_list):
         raise ValueError("k_fine must be below every entry of k_list")
-    grid_f = TimeGrid.uniform(t_final, int(round(t_final / k_fine)))
-    u_ref = float(scalar_dg0(model, grid_f).u1[-1])
-    return _dg0_study(model, k_list, t_final, u_ref)
+    grids = [_step_grid(t_final, k) for k in k_list]
+    u_ref = float(scalar_dg0(model, _step_grid(t_final, k_fine)).u1[-1])
+    return _dg0_study(model, k_list, grids, u_ref)

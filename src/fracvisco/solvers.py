@@ -15,8 +15,14 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dpotrs
 
 __all__ = ["SolverError", "SpdSolver", "make_spd_solver"]
+
+# Largest system solved by dense Cholesky.  On P1 elasticity mass-plus-
+# stiffness matrices sparse LU solves faster from between 220 and 264
+# unknowns on (``benchmarks/bench_kernels.py``, direct_solve rows).
+DENSE_LIMIT = 240
 
 
 class SolverError(RuntimeError):
@@ -28,8 +34,8 @@ class SolverError(RuntimeError):
 class SpdSolver:
     """Factorized (or preconditioned-iterative) solver for a fixed SPD matrix."""
 
-    def __init__(self, a_csr, method="direct", rtol=1e-10, dense_limit=1200,
-                 maxiter=None):
+    def __init__(self, a_csr, method="direct", rtol=1e-10,
+                 dense_limit=DENSE_LIMIT, maxiter=None):
         if method not in ("direct", "cg"):
             raise ValueError(f"unknown solver method {method!r}")
         self.a = sp.csr_matrix(a_csr)
@@ -38,7 +44,8 @@ class SpdSolver:
         n = self.a.shape[0]
         if method == "direct":
             if n <= dense_limit:
-                self._chol = sla.cho_factor(self.a.toarray(), lower=True)
+                # lower Cholesky factor; cho_factor checks the matrix finite
+                self._chol, _ = sla.cho_factor(self.a.toarray(), lower=True)
                 self._lu = None
             else:
                 self._lu = spla.splu(self.a.tocsc())
@@ -59,7 +66,13 @@ class SpdSolver:
             return np.zeros_like(b)
         if self.method == "direct":
             if self._chol is not None:
-                x = sla.cho_solve(self._chol, b)
+                # LAPACK potrs itself: cho_solve's argument checks would
+                # repeat the finite check on b made through nb above and cost
+                # more than the solve on small systems; the residual is
+                # checked below
+                x, info = dpotrs(self._chol, b, lower=1)
+                if info != 0:
+                    raise SolverError(f"potrs failed (info={info})")
             else:
                 x = self._lu.solve(b)
         else:
@@ -79,5 +92,6 @@ class SpdSolver:
         return x
 
 
-def make_spd_solver(a_csr, method="direct", rtol=1e-10, dense_limit=1200):
+def make_spd_solver(a_csr, method="direct", rtol=1e-10,
+                    dense_limit=DENSE_LIMIT):
     return SpdSolver(a_csr, method=method, rtol=rtol, dense_limit=dense_limit)

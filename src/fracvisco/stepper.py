@@ -8,10 +8,11 @@ solve for the velocity plus an explicit displacement update:
     U1_n = U1_{n-1} + k_n U2_n
 
 with the memory term H_n = sum_{j<n} omega_nj U1_j.  M here is the
-rho-weighted mass, so the density never appears explicitly.  The history sum
-is recomputed every step (the weights depend on n): total cost is O(N^2)
-history work plus N solves, with the factorization reused across steps that
-share k_n and omega_nn (all of them, on uniform grids).
+rho-weighted mass, so the density never appears explicitly.  The memory
+terms come from ``history_sums``, an online blocked convolution: O(N log^2 N)
+work per unknown on uniform grids, O(N^2) on nonuniform ones.  The N solves
+reuse one factorization across steps that share k_n and omega_nn (all of
+them, on uniform grids).
 """
 
 from __future__ import annotations
@@ -19,12 +20,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.fft import irfft, next_fast_len, rfft
 
 from .fem import AssembledSystem
 from .solvers import SolverError, make_spd_solver
 from .weights import TimeGrid, WeightTable
 
-__all__ = ["SolutionHistory", "time_average_load", "advance", "run"]
+__all__ = ["SolutionHistory", "history_sums", "time_average_load", "advance",
+           "run"]
+
+# Square blocks of history_sums with sides up to this many steps are dense
+# products; larger ones (uniform grids only) go through real FFTs.  Dense
+# blocks run at BLAS matrix-product speed, so the FFT only pays from sides
+# of about 1024 on (``benchmarks/bench_kernels.py``, history rows).
+DIRECT_BLOCK = 512
 
 
 @dataclass
@@ -51,6 +60,57 @@ class SolutionHistory:
                                 self.U2[:, i], self.U2[:, i + 1]])
 
 
+def history_sums(table: WeightTable, u):
+    """Yield H_n = sum_{1 <= j < n} omega_nj u[j] for n = 1..N, online.
+
+    ``u`` has N + 1 rows (row 0 is never read) and is filled by the caller:
+    row n must hold U_n before H_{n+1} is requested, so the loop reads
+
+        for n, h in enumerate(history_sums(table, u), start=1):
+            u[n] = ...  # from h
+
+    The triangle {j < n} is tiled by squares (Hairer, Lubich & Schlichte,
+    SIAM J. Sci. Stat. Comput. 6 (1985) 532): as soon as u[m] is known, with
+    L the lowest set bit of m, the sources j in (m - L, m] are added into the
+    targets n in (m, m + L].  Every pair (n, j) falls in exactly one square.
+    A square is a dense block product when L <= DIRECT_BLOCK or the grid is
+    nonuniform, and otherwise a real-FFT convolution of the Toeplitz lags,
+    which keeps the weights exact up to roundoff.  The yielded rows are
+    views into the accumulator; each is final when yielded.
+    """
+    n_steps = u.shape[0] - 1
+    acc = np.zeros_like(u, dtype=np.float64)
+    w = table.lags
+    blocks = {}     # uniform grids: (L, T) -> dense block or lag spectrum
+    for m in range(1, n_steps + 1):
+        yield acc[m]
+        if m == n_steps:
+            return
+        span = m & -m
+        hi = min(m + span, n_steps)
+        src = u[m - span + 1:m + 1]
+        if w is None:
+            acc[m + 1:hi + 1] += table.omega[m:hi, m - span:m] @ src
+            continue
+        n_tgt = hi - m
+        key = (span, n_tgt)
+        if span <= DIRECT_BLOCK:
+            if key not in blocks:
+                # block[t, s] = omega at lag span + t - s
+                lag = span + np.arange(n_tgt)[:, None] - np.arange(span)
+                blocks[key] = w[lag]
+            acc[m + 1:hi + 1] += blocks[key] @ src
+        else:
+            # lags 1 .. span + n_tgt - 1 against the sources, one column of
+            # u per row of the transform; no wrap-around reaches the
+            # targets, which sit at offsets span - 1 .. span + n_tgt - 2
+            size = next_fast_len(span + n_tgt - 1, real=True)
+            if key not in blocks:
+                blocks[key] = rfft(w[1:span + n_tgt], size)
+            conv = irfft(blocks[key] * rfft(src.T, size), size)
+            acc[m + 1:hi + 1] += conv[..., span - 1:span - 1 + n_tgt].T
+
+
 def time_average_load(sys: AssembledSystem, grid: TimeGrid, n):
     """Interval averages (Fbar_n, Gbar_n) by the midpoint rule (1-based n).
 
@@ -64,8 +124,8 @@ def advance(u1_prev_f, u2_prev_f, sys, table, n, hist_f, load_f, solver):
     """One dG(0) step on free dofs; returns (u1_f, u2_f) at step n."""
     k = table.grid.steps[n - 1]
     co = k - table.omega[n - 1, n - 1]
-    rhs = (sys.Mff @ u2_prev_f - co * (sys.Kff @ u1_prev_f)
-           + sys.Kff @ hist_f + k * load_f)
+    rhs = (sys.Mff @ u2_prev_f + sys.Kff @ (hist_f - co * u1_prev_f)
+           + k * load_f)
     u2 = solver.solve(rhs)
     return u1_prev_f + k * u2, u2
 
@@ -76,7 +136,8 @@ def run(sys: AssembledSystem, grid: TimeGrid, table: WeightTable, u0, v0,
 
     u0 and v0 must satisfy the Dirichlet constraints.  ``probes`` is a list
     of vertex indices recorded in the returned history (the full coefficient
-    history is kept regardless).
+    history is kept regardless).  Loads the system marks constant in time
+    are evaluated once; any other load once per step.
     """
     n_steps = grid.n_steps
     if table.n_steps < n_steps:
@@ -96,18 +157,17 @@ def run(sys: AssembledSystem, grid: TimeGrid, table: WeightTable, u0, v0,
     u2f[0] = sys.restrict(v0)
     k = grid.steps
     solvers = {}
-    for n in range(1, n_steps + 1):
+    load = None
+    constant_load = sys.loads_constant_in_time
+    for n, hist in enumerate(history_sums(table, u1f), start=1):
         co = k[n - 1] - table.omega[n - 1, n - 1]
         key = (k[n - 1], co)
         if key not in solvers:
             mat = sys.Mff + (k[n - 1] * co) * sys.Kff
             solvers[key] = make_spd_solver(mat, method=solver, rtol=rtol)
-        if n > 1:
-            hist = table.omega[n - 1, :n - 1] @ u1f[1:n]
-        else:
-            hist = np.zeros(nf)
-        fbar, gbar = time_average_load(sys, grid, n)
-        load = sys.restrict(fbar + gbar)
+        if load is None or not constant_load:
+            fbar, gbar = time_average_load(sys, grid, n)
+            load = sys.restrict(fbar + gbar)
         try:
             u1f[n], u2f[n] = advance(u1f[n - 1], u2f[n - 1], sys, table, n,
                                      hist, load, solvers[key])

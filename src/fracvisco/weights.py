@@ -16,14 +16,17 @@ over I_n applied to the (exact) inner primitive difference.  In both modes
     eta_n = 1 - (sum_j omega_nj) / k_n
 
 is derived from the row sum, which keeps the row-sum relation, and with it
-the discrete energy bookkeeping, exact in floating point.
+the discrete energy bookkeeping, exact in floating point (up to the order of
+summation: on uniform grids the row sums are running sums of the lags).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .mlf import (KernelParams, beta_double_primitive, beta_primitive,
                   kernel_beta, ml_e_array)
@@ -61,9 +64,11 @@ class TimeGrid:
         k = t_final / n_steps
         return cls(np.arange(n_steps + 1) * k)
 
-    @property
+    @cached_property
     def steps(self):
-        return np.diff(self.nodes)
+        k = np.diff(self.nodes)
+        k.flags.writeable = False
+        return k
 
     @property
     def n_steps(self):
@@ -84,7 +89,9 @@ class WeightTable:
     """Lower-triangular omega (units: seconds) plus eta_bar on the same grid.
 
     omega[n-1, j-1] holds omega_nj for 1 <= j <= n <= N; eta_bar[n] holds
-    eta_n for n = 0..N with eta_bar[0] = 1.
+    eta_n for n = 0..N with eta_bar[0] = 1.  On uniform grids omega_nj
+    depends only on n - j: ``lags[d]`` holds omega_{j+d,j} and ``omega`` is
+    a read-only view of it; elsewhere ``lags`` is None and omega is dense.
     """
 
     omega: np.ndarray
@@ -92,6 +99,7 @@ class WeightTable:
     mode: str
     grid: TimeGrid
     params: KernelParams = field(repr=False)
+    lags: np.ndarray = field(default=None, repr=False)
 
     @property
     def n_steps(self):
@@ -112,55 +120,63 @@ def build_weights(grid: TimeGrid, p: KernelParams, mode="closed_form"):
 
     closed_form evaluates the exact cell integrals through C; midpoint
     applies a one-point midpoint rule in t to the inner primitive difference.
-    Uniform grids reuse the O(N) distinct lags instead of the O(N^2) pairs.
+    Uniform grids store only the O(N) distinct lags; ``omega`` is then a
+    read-only Toeplitz view of them, not an O(N^2) table.
     """
     if mode not in ("closed_form", "midpoint"):
         raise ValueError(f"unknown mode {mode!r}")
     nodes = grid.nodes
     k = grid.steps
     n = grid.n_steps
+    if grid.is_uniform:
+        h = k[0]
+        w_of = np.zeros(n)  # w_of[d] = omega_{j+d, j}, d = 0 the diagonal
+        if p.gamma > 0.0 and mode == "closed_form":
+            cl = beta_double_primitive(p, np.arange(n + 1) * h)
+            # second difference in the lag index; row-independent
+            w_of[0] = cl[1]  # C(k): diagonal entry
+            d = np.arange(1, n)
+            w_of[1:] = cl[d + 1] - 2.0 * cl[d] + cl[d - 1]
+        elif p.gamma > 0.0:
+            bl = beta_primitive(p, (np.arange(n) + 0.5) * h)
+            w_of[0] = h * bl[0]
+            w_of[1:] = h * (bl[1:] - bl[:-1])
+        w_of.flags.writeable = False  # omega is a view of a copy of it
+        eta_bar = np.empty(n + 1)
+        eta_bar[0] = 1.0
+        eta_bar[1:] = 1.0 - np.cumsum(w_of) / k
+        return WeightTable(omega=_toeplitz_view(w_of), eta_bar=eta_bar,
+                           mode=mode, grid=grid, params=p, lags=w_of)
     omega = np.zeros((n, n))
     if p.gamma > 0.0:
         if mode == "closed_form":
-            if grid.is_uniform:
-                h = k[0]
-                cl = beta_double_primitive(p, np.arange(n + 1) * h)
-                # second difference in the lag index; row-independent
-                w_of = np.empty(n)
-                w_of[0] = cl[1]  # C(k): diagonal entry
-                if n > 1:
-                    d = np.arange(1, n)
-                    w_of[1:] = cl[d + 1] - 2.0 * cl[d] + cl[d - 1]
-                for i in range(n):
-                    omega[i, i] = w_of[0]
-                    omega[i, :i] = w_of[i - np.arange(i)]
-            else:
-                cmat = _pairwise_primitive(beta_double_primitive, p, nodes)
-                for i in range(n):  # i = n-1 (0-based row)
-                    jj = np.arange(i)
-                    omega[i, :i] = (cmat[i + 1, jj] - cmat[i + 1, jj + 1]
-                                    - cmat[i, jj] + cmat[i, jj + 1])
-                    omega[i, i] = beta_double_primitive(p, k[i])
+            cmat = _pairwise_primitive(beta_double_primitive, p, nodes)
+            for i in range(n):  # i = n-1 (0-based row)
+                jj = np.arange(i)
+                omega[i, :i] = (cmat[i + 1, jj] - cmat[i + 1, jj + 1]
+                                - cmat[i, jj] + cmat[i, jj + 1])
+                omega[i, i] = beta_double_primitive(p, k[i])
         else:
             mid = nodes[:-1] + 0.5 * k
-            if grid.is_uniform:
-                h = k[0]
-                bl = beta_primitive(p, (np.arange(n) + 0.5) * h)
-                for i in range(n):
-                    omega[i, i] = h * bl[0]
-                    d = i - np.arange(i)
-                    omega[i, :i] = h * (bl[d] - bl[d - 1])
-            else:
-                bmat = _pairwise_primitive(beta_primitive, p, nodes, mid=mid)
-                for i in range(n):
-                    jj = np.arange(i)
-                    omega[i, :i] = k[i] * (bmat[i, jj] - bmat[i, jj + 1])
-                    omega[i, i] = k[i] * beta_primitive(p, 0.5 * k[i])
+            bmat = _pairwise_primitive(beta_primitive, p, nodes, mid=mid)
+            for i in range(n):
+                jj = np.arange(i)
+                omega[i, :i] = k[i] * (bmat[i, jj] - bmat[i, jj + 1])
+                omega[i, i] = k[i] * beta_primitive(p, 0.5 * k[i])
     row_sums = omega.sum(axis=1)
     eta_bar = np.empty(n + 1)
     eta_bar[0] = 1.0
     eta_bar[1:] = 1.0 - row_sums / k
     return WeightTable(omega=omega, eta_bar=eta_bar, mode=mode, grid=grid, params=p)
+
+
+def _toeplitz_view(w_of):
+    """Read-only lower-triangular Toeplitz matrix T[i, j] = w_of[i - j] (zero
+    above the diagonal) as a zero-copy view of 2N - 1 numbers."""
+    n = w_of.size
+    padded = np.concatenate([w_of[::-1], np.zeros(n - 1)])
+    # window i is padded[i:i + n]; row i of T is window n - 1 - i
+    return sliding_window_view(padded, n)[::-1]
 
 
 def _pairwise_primitive(fn, p, nodes, mid=None):

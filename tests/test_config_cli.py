@@ -177,6 +177,17 @@ class TestCli:
             k, error, order = (float(cell) for cell in line.split(","))
             assert k > 0.0 and error > 0.0
 
+    def test_converge_time_rejects_non_dividing_k(self, tmp_path,
+                                                  monkeypatch, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("")
+        code = run_cli(["converge-time", str(cfg), "--k-list", "0.3,0.1",
+                        "--t-final", "1.0"], tmp_path, monkeypatch)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: converge-time: k = 0.3 does not divide")
+        assert not (tmp_path / "convergence.csv").exists()
+
     def test_config_error_exit_code(self, tmp_path, monkeypatch, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("[kernel]\nalpha = 1.5\n")

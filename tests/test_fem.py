@@ -263,6 +263,13 @@ class TestSolvers:
         with pytest.raises(SolverError, match="exceeds tolerance"):
             solver.solve(np.ones(a.shape[0]))
 
+    def test_nan_solution_raises_dense(self, loaded_system8):
+        a = loaded_system8.Kff
+        solver = make_spd_solver(a, method="direct", dense_limit=a.shape[0])
+        solver._chol = np.full_like(solver._chol, np.nan)
+        with pytest.raises(SolverError, match="exceeds tolerance"):
+            solver.solve(np.ones(a.shape[0]))
+
     def test_sparse_lu_path(self, rng):
         import scipy.sparse as sp
 

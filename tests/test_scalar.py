@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,16 @@ class TestScalarReference:
         assert reference_t4.richardson_ok
         assert reference_t4.est_error <= 1e-6
 
+    def test_single_startup_step(self, kernel_sec6):
+        # the 2k_ref sweep must keep one graded startup step, not zero
+        m = ScalarModel(rho=1.0, kappa=1.0, kernel=kernel_sec6, u0=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the self-check may still warn
+            ref = scalar_reference(m, 0.5, k_ref=2.0 ** -7, startup_steps=1)
+        assert np.all(np.isfinite(ref.u))
+        assert np.isfinite(ref.est_error) and ref.est_error <= 1e-6
+        assert np.isfinite(ref.richardson_order)
+
     def test_forced_problem_runs(self, kernel_sec6):
         m = ScalarModel(rho=1.0, kappa=2.0, kernel=kernel_sec6,
                         forcing=lambda t: np.sin(np.asarray(t)), u0=0.0)
@@ -89,6 +101,13 @@ class TestConvergence:
     def test_k_list_must_decrease(self, fractional_model):
         with pytest.raises(ValueError):
             convergence_study(fractional_model, [0.1, 0.2], 2.0)
+
+    def test_k_must_divide_t_final(self, fractional_model):
+        with pytest.raises(ValueError, match="does not divide"):
+            convergence_study(fractional_model, [0.3, 0.1], 1.0)
+        with pytest.raises(ValueError, match="does not divide"):
+            self_convergence_study(fractional_model, [0.25, 0.125], 1.0,
+                                   k_fine=0.03)
 
     def test_self_convergence_mode(self, fractional_model):
         study = self_convergence_study(fractional_model,

@@ -1,12 +1,67 @@
 import numpy as np
 import pytest
 
+from fracvisco import stepper
 from fracvisco.fem import ElasticParams, assemble, build_rect_mesh, side_traction
 from fracvisco.mlf import KernelParams
 from fracvisco.scalar import ScalarModel, scalar_dg0
 from fracvisco.solvers import make_spd_solver
-from fracvisco.stepper import run, time_average_load
+from fracvisco.stepper import history_sums, run, time_average_load
 from fracvisco.weights import TimeGrid, build_weights
+
+
+def dense_history(table, u):
+    """H_n = omega[n-1, :n-1] @ u[1:n] row by row, n = 1..N."""
+    omega = np.asarray(table.omega)
+    return np.array([omega[n - 1, :n - 1] @ u[1:n]
+                     for n in range(1, u.shape[0])])
+
+
+class TestHistorySums:
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 65, 1000])
+    @pytest.mark.parametrize("mode", ["closed_form", "midpoint"])
+    @pytest.mark.parametrize("direct_block", [stepper.DIRECT_BLOCK, 2])
+    def test_matches_dense_uniform(self, kernel_sec6, rng, monkeypatch, n,
+                                   mode, direct_block):
+        # direct_block = 2 sends every square with side > 2 through the FFT
+        monkeypatch.setattr(stepper, "DIRECT_BLOCK", direct_block)
+        table = build_weights(TimeGrid.uniform(3.0, n), kernel_sec6, mode)
+        u = rng.standard_normal((n + 1, 5))
+        got = np.array([h.copy() for h in history_sums(table, u)])
+        want = dense_history(table, u)
+        scale = max(np.max(np.abs(want)), 1e-300)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 65, 1000])
+    def test_matches_dense_nonuniform(self, kernel_sec6, rng, n):
+        k = rng.uniform(0.5, 2.0, n)
+        grid = TimeGrid(np.concatenate([[0.0], np.cumsum(k / k.sum())]))
+        table = build_weights(grid, kernel_sec6)
+        assert (table.lags is None) == (n > 1)  # one step is uniform
+        u = rng.standard_normal((n + 1, 3))
+        got = np.array([h.copy() for h in history_sums(table, u)])
+        want = dense_history(table, u)
+        scale = max(np.max(np.abs(want)), 1e-300)
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+    def test_one_unknown_rows(self, kernel_sec6, rng, monkeypatch):
+        monkeypatch.setattr(stepper, "DIRECT_BLOCK", 2)
+        table = build_weights(TimeGrid.uniform(1.0, 40), kernel_sec6)
+        u = rng.standard_normal(41)
+        got = np.array([float(h) for h in history_sums(table, u)])
+        want = dense_history(table, u)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_reads_only_known_rows(self, kernel_sec6):
+        # row n may be filled after H_n is taken: a NaN placed in row n
+        # before that must not reach H_1 .. H_n
+        n = 40
+        table = build_weights(TimeGrid.uniform(1.0, n), kernel_sec6)
+        u = np.full((n + 1, 2), np.nan)
+        for m, h in enumerate(history_sums(table, u), start=1):
+            assert np.all(np.isfinite(h)), m
+            u[m] = 1.0
 
 
 class TestTimeAverageLoad:
@@ -23,6 +78,37 @@ class TestTimeAverageLoad:
     def test_zero_volume_load(self, loaded_system8):
         fbar, _ = time_average_load(loaded_system8, TimeGrid.uniform(1.0, 2), 1)
         assert np.all(fbar == 0.0)
+
+    @staticmethod
+    def _count_load_calls(monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[2])
+            return time_average_load(*args)
+
+        monkeypatch.setattr(stepper, "time_average_load", counted)
+        return calls
+
+    def test_constant_loads_evaluated_once(self, mesh8, elastic_soft,
+                                           kernel_sec6, monkeypatch):
+        spec = {"right": (0.3, -1.0)}
+        marked = side_traction(spec)
+
+        def unmarked(points, t, sides):  # same values, not marked constant
+            return marked(points, t, sides)
+
+        grid = TimeGrid.uniform(1.0, 12)
+        table = build_weights(grid, kernel_sec6)
+        finals = []
+        for traction, expect in ((marked, 1), (unmarked, 12), (None, 1)):
+            sys_ = assemble(mesh8, elastic_soft, traction=traction)
+            calls = self._count_load_calls(monkeypatch)
+            z = np.zeros(sys_.n_dofs)
+            finals.append(run(sys_, grid, table, z, z).U1)
+            assert len(calls) == expect
+        assert np.array_equal(finals[0], finals[1])
+        assert np.all(finals[2] == 0.0)
 
     def test_midpoint_exact_for_linear_in_time(self, mesh8, elastic_soft):
         from fracvisco.fem import volume_load

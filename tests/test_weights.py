@@ -81,6 +81,44 @@ class TestBuildWeights:
                 assert uniform.omega[n - 1, j - 1] == pytest.approx(
                     expect, rel=1e-12, abs=1e-16)
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 300])
+    @pytest.mark.parametrize("mode", ["closed_form", "midpoint"])
+    def test_uniform_toeplitz_view_equals_dense_table(self, kernel_sec6, n,
+                                                      mode):
+        # the dense N x N construction the lag view replaced, row by row
+        from fracvisco.mlf import beta_double_primitive, beta_primitive
+
+        grid = TimeGrid.uniform(2.0, n)
+        h = grid.steps[0]
+        dense = np.zeros((n, n))
+        if mode == "closed_form":
+            cl = beta_double_primitive(kernel_sec6, np.arange(n + 1) * h)
+            for i in range(n):
+                d = i - np.arange(i)
+                dense[i, i] = cl[1]
+                dense[i, :i] = cl[d + 1] - 2.0 * cl[d] + cl[d - 1]
+        else:
+            bl = beta_primitive(kernel_sec6, (np.arange(n) + 0.5) * h)
+            for i in range(n):
+                d = i - np.arange(i)
+                dense[i, i] = h * bl[0]
+                dense[i, :i] = h * (bl[d] - bl[d - 1])
+        table = build_weights(grid, kernel_sec6, mode=mode)
+        assert isinstance(table.omega, np.ndarray)
+        assert np.array_equal(table.omega, dense)
+        assert np.array_equal(table.lags, dense[:, 0])
+        assert not table.omega.flags.writeable
+        with pytest.raises(ValueError):
+            table.omega[0, 0] = 1.0
+        lhs = table.omega.sum(axis=1)
+        rhs = grid.steps * (1.0 - table.eta_bar[1:])
+        assert np.max(np.abs(lhs - rhs)) <= 64 * np.finfo(float).eps * h
+
+    def test_nonuniform_table_is_dense(self, kernel_sec6, rng):
+        table = build_weights(random_nonuniform_grid(rng), kernel_sec6)
+        assert table.lags is None
+        assert table.omega.flags.owndata
+
     def test_closed_form_matches_quadrature(self, kernel_sec6, rng):
         grid = random_nonuniform_grid(rng, n=6, t_final=1.2)
         table = build_weights(grid, kernel_sec6)
