@@ -7,8 +7,9 @@ product-integration sweep of the scalar reference solver (O(M^2) memory work),
 the dG(0) history sum (dense row products against ``stepper.history_sums``
 at three FFT thresholds, the middle one the default ``DIRECT_BLOCK``) and one
 direct solve of the dG(0) step matrix by dense Cholesky and by sparse LU
-(the two sides of ``solvers.DENSE_LIMIT``).  Times are per call; the solve
-rows are per solve.
+(the two sides of ``solvers.DENSE_LIMIT``) and the energy ledger of
+``energy-check`` on a stored history.  Times are per call; the solve rows are
+per solve.
 
 Run:  python benchmarks/bench_kernels.py [--quick]
 """
@@ -24,6 +25,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from fracvisco import stepper  # noqa: E402
 from fracvisco._kernels import eval_ml_neg  # noqa: E402
+from fracvisco.diagnostics import energy_ledger  # noqa: E402
 from fracvisco.fem import (ElasticParams, assemble,  # noqa: E402
                            build_rect_mesh)
 from fracvisco.mlf import KernelParams  # noqa: E402
@@ -82,6 +84,21 @@ def solve_rows(nx, repeat):
     return rows
 
 
+def ledger_row(nx, n_steps, ker, repeat):
+    """energy_ledger on an nx-by-nx mesh and N steps; the cost does not
+    depend on the values, so the history is random."""
+    sys_ = assemble(build_rect_mesh(nx, nx), ElasticParams(1.0, 1.0, 3000.0))
+    grid = TimeGrid.uniform(8.0, n_steps)
+    table = build_weights(grid, ker)
+    nf = sys_.free_dofs.size
+    rng = np.random.default_rng(5)
+    hist = stepper.SolutionHistory(
+        U1=sys_.expand(rng.standard_normal((n_steps + 1, nf))),
+        U2=sys_.expand(rng.standard_normal((n_steps + 1, nf))), grid=grid)
+    t, _ = timed(lambda: energy_ledger(hist, sys_, table), repeat)
+    return (f"ledger[N={n_steps},nf={nf}]", t)
+
+
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--quick", action="store_true",
@@ -124,6 +141,9 @@ def main():
 
     for nx in ((8, 16) if args.quick else (8, 10, 11, 16, 25)):
         rows += solve_rows(nx, repeat)
+
+    for n_steps in ((128, 512) if args.quick else (512, 2048)):
+        rows.append(ledger_row(8 if args.quick else 25, n_steps, ker, repeat))
 
     width = max(len(name) for name, _ in rows)
     print(f"{'kernel':<{width}}  best time")

@@ -87,25 +87,34 @@ def asym_coefficients(alpha, b):
 
 
 def _series(x, srat, st0):
+    # the working arrays hold only the points still summing: converged ones
+    # are written out and dropped, so a term costs O(live points)
+    out = np.full(x.shape, st0)
+    live = np.arange(x.size)
+    neg = -x
     t = np.full(x.shape, st0)
-    acc = np.full(x.shape, st0)
+    acc = t.copy()
     comp = np.zeros_like(x)
     prev = np.abs(t)
-    active = np.ones(x.shape, dtype=bool)
     for k in range(srat.shape[0]):
-        t[active] = t[active] * (-x[active]) * srat[k]
-        y = t[active] - comp[active]
-        tt = acc[active] + y
-        comp[active] = (tt - acc[active]) - y
-        acc[active] = tt
-        a = np.abs(t[active])
-        done = (a < 1e-18 * np.abs(acc[active])) & (a <= prev[active])
-        prev[active] = a
-        idx = np.where(active)[0]
-        active[idx[done]] = False
-        if not np.any(active):
-            break
-    return acc
+        t = t * neg * srat[k]
+        y = t - comp
+        tt = acc + y
+        comp = (tt - acc) - y
+        acc = tt
+        a = np.abs(t)
+        done = (a < 1e-18 * np.abs(acc)) & (a <= prev)
+        prev = a
+        if done.any():
+            out[live[done]] = acc[done]
+            keep = ~done
+            live = live[keep]
+            if live.size == 0:
+                return out
+            t, acc, comp, prev, neg = (t[keep], acc[keep], comp[keep],
+                                       prev[keep], neg[keep])
+    out[live] = acc
+    return out
 
 
 def _asymptotic(x, lenv, lmag, sgn):

@@ -16,22 +16,40 @@ holds to solver-residual accuracy because eta_n is derived from the weight
 row sums; it is asserted by tests only in the homogeneous case, with the
 load work 2 sum_n k_n (Fbar_n + Gbar_n, U2_n) reported otherwise.
 
-The memory double sum is also evaluated in a second, reordered form
-(summation by parts in n) as an internal algebra check.
+No Gram matrix a(U1_i, U1_j) is formed.  Expanding a(W_nj, W_nj) reduces
+the memory double sum to per-step scalars: a(U1_n, U1_n), a(U1_n, U1_{n-1}),
+the row sums R_n = sum_{j<n} omega_nj, Z_n = sum_{j<n} omega_nj a(U1_j, U1_j),
+and a(U1_n, H_n), a(U1_{n-1}, H_n) with H_n = sum_{j<n} omega_nj U1_j.  On
+uniform grids K H_n (in blocks of free dofs) and Z_n are real-FFT
+convolutions of the weight lags, so the ledger costs O(N log N * nf) work
+and O(N * nf) memory; nonuniform grids use their dense table.  The ledger
+does not call ``stepper.history_sums``, so it stays an independent check of
+the stepper.  Its terms agree with the Gram-matrix sums to about 1e-13 of
+the energy.
+
+The memory double sum is also reported in a second grouping (summation by
+parts in n) as an internal algebra check.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import irfft, next_fast_len, rfft
 
 from .fem import AssembledSystem
 from .stepper import SolutionHistory, time_average_load
 from .weights import WeightTable
 
 __all__ = ["EnergyLedger", "energy_ledger", "long_time_limit", "TailReport"]
+
+# Blocks of the ledger's per-dof and per-step work hold about this many
+# numbers: beyond one free-dof copy of the history, no array with (N + 1)^2
+# or (N + 1) * nf entries is built.
+_CHUNK = 1 << 18
 
 
 @dataclass
@@ -96,54 +114,38 @@ def energy_ledger(history: SolutionHistory, sys: AssembledSystem,
         raise ValueError("history grid does not match the weight table")
     k = grid.steps
     eta = table.eta_bar
-    omega = table.omega
     u0 = history.U1[0] if u0 is None else np.asarray(u0)
     v0 = history.U2[0] if v0 is None else np.asarray(v0)
 
-    u1f = sys.restrict(history.U1)            # (N+1, nf)
-    u2f = sys.restrict(history.U2)
-    ku = (sys.Kff @ u1f.T).T                  # K U1_n for all n
-    gram = u1f @ ku.T                          # a(U1_i, U1_j)
-    diag = np.diag(gram)
+    weigh, reach = _lower_weights(table, n)
+    diag, sub, p, q = _stiffness_products(history.U1, sys, weigh)
+    z = weigh(diag)
 
     final_elastic = eta[n] * diag[n]
-    mu2 = (sys.Mff @ u2f.T).T
-    final_kinetic = float(u2f[n] @ mu2[n])
-
-    deta = np.diff(eta) / k
-    du_sq = np.array([
-        (diag[i] - 2.0 * gram[i, i - 1] + diag[i - 1]) / k[i - 1] ** 2
-        for i in range(1, n + 1)])
+    deta = np.diff(eta[:n + 1]) / k
+    du_sq = (diag[1:] - 2.0 * sub[1:] + diag[:-1]) / k ** 2
     eta_diss = float(np.sum(k * (-deta) * diag[:-1])
-                     + np.sum(k ** 2 * eta[1:] * du_sq))
+                     + np.sum(k ** 2 * eta[1:n + 1] * du_sq))
 
-    # |W_nj|^2 = a(U1_n - U1_j, U1_n - U1_j) from the Gram matrix
-    wsq = diag[:, None] + diag[None, :] - 2.0 * gram
+    # sum_j omega_nj |W_nj|^2 / k_n for W = U1_n - U1_j (a_n) and for
+    # W = U1_{n-1} - U1_j (b_n), n = 2..N; a_1 = 0 exactly
+    a_n = (reach[2:] * diag[2:] + z[2:] - 2.0 * p[2:]) / k[1:]
+    b_n = (reach[2:] * diag[1:-1] + z[2:] - 2.0 * q[2:]) / k[1:]
+    a_prev = np.concatenate([[0.0], a_n[:-1]])
+    ksq_term = math.fsum(reach[2:] * k[1:] * du_sq[1:])
+    hist_diss = math.fsum(a_n - b_n) + ksq_term
+    # summation by parts in n: a_N - sum_{n>=2} (b_n - a_{n-1})
+    hist_diss_alt = (math.fsum(np.concatenate([a_n[-1:], a_prev - b_n]))
+                     + ksq_term)
 
-    hist_diss = 0.0
-    for row in range(2, n + 1):
-        j = np.arange(1, row)
-        om = omega[row - 1, :row - 1]
-        dw = (wsq[row, j] - wsq[row - 1, j]) / k[row - 1]
-        hist_diss += float(om @ (dw + k[row - 1] * du_sq[row - 1]))
-
-    # reordered form: sum_j k_j beta_Nj |W_Nj|^2
-    #                 - sum_j k_j sum_{n=j+1}^N k_n |W_{n-1,j}|^2 d_n beta_nj
-    bmat = table.beta_cell_averages()[:n, :n]
-    alt = 0.0
-    for j in range(1, n):
-        alt += k[j - 1] * bmat[n - 1, j - 1] * wsq[n, j]
-        rows = np.arange(j + 1, n + 1)
-        dbeta = (bmat[rows - 1, j - 1] - bmat[rows - 2, j - 1]) / k[rows - 1]
-        alt -= k[j - 1] * float(np.sum(k[rows - 1] * wsq[rows - 1, j] * dbeta))
-    ksq_term = 0.0
-    for row in range(2, n + 1):
-        ksq_term += float(omega[row - 1, :row - 1].sum()
-                          * k[row - 1] * du_sq[row - 1])
-    hist_diss_alt = alt + ksq_term
-
-    jumps = np.diff(u2f, axis=0)
-    jump_diss = float(np.einsum("ni,ni->", jumps, (sys.Mff @ jumps.T).T))
+    u2f = sys.restrict(history.U2)
+    final_kinetic = float(u2f[n] @ (sys.Mff @ u2f[n]))
+    jump_diss = 0.0
+    rows = max(1, _CHUNK // max(u2f.shape[1], 1))
+    for r in range(0, n, rows):
+        jumps = np.diff(u2f[r:r + rows + 1], axis=0)
+        jump_diss += float(np.einsum("ni,ni->", jumps,
+                                     (sys.Mff @ jumps.T).T))
 
     ku0 = sys.K @ u0
     mv0 = sys.M @ v0
@@ -151,10 +153,15 @@ def energy_ledger(history: SolutionHistory, sys: AssembledSystem,
 
     load_work = 0.0
     if with_loads and (sys.volume is not None or sys.traction is not None):
-        for step in range(1, n + 1):
+        def load(step):
             fbar, gbar = time_average_load(sys, grid, step)
-            load_work += 2.0 * k[step - 1] * float(
-                sys.restrict(fbar + gbar) @ u2f[step])
+            return sys.restrict(fbar + gbar)
+        if sys.loads_constant_in_time:
+            power = u2f[1:] @ load(1)
+        else:
+            power = np.array([load(step) @ u2f[step]
+                              for step in range(1, n + 1)])
+        load_work = 2.0 * float(k @ power)
 
     return EnergyLedger(final_elastic=float(final_elastic),
                         final_kinetic=float(final_kinetic),
@@ -164,6 +171,69 @@ def energy_ledger(history: SolutionHistory, sys: AssembledSystem,
                         jump_dissipation=float(jump_diss),
                         initial_energy=float(initial),
                         load_work=float(load_work))
+
+
+def _lower_weights(table: WeightTable, n):
+    """The strictly lower weight product and its row sums on steps 0..n.
+
+    Returns ``(weigh, reach)``: ``weigh(x)[..., m] = sum_{1 <= j < m}
+    omega_mj x[..., j]`` for x with n + 1 columns (columns 0 and 1 exactly
+    zero), and ``reach[m] = sum_{1 <= j < m} omega_mj``.  On uniform grids
+    the product is one real-FFT convolution of the lags, long enough that
+    nothing wraps around, and the row sums a running sum of the lags;
+    nonuniform grids use their dense table.
+    """
+    reach = np.zeros(n + 1)
+    if table.lags is None:
+        lower = np.tril(table.omega[:n, :n], -1)
+        reach[1:] = lower.sum(axis=1)
+
+        def weigh(x):
+            out = np.zeros(x.shape)
+            out[..., 1:] = x[..., 1:] @ lower.T
+            return out
+        return weigh, reach
+
+    # weigh(x)[m] = sum_{d=1}^{m-1} lags[d] x[m - d], entry m - 2 of the
+    # linear convolution of lags[1:n] with x[1:n]
+    reach[2:] = np.cumsum(table.lags[1:n])
+    size = next_fast_len(max(2 * n - 3, 1), real=True)
+    spectrum = rfft(table.lags[1:n], size)
+
+    def weigh(x):
+        out = np.zeros(x.shape)
+        if n >= 2:
+            conv = irfft(rfft(x[..., 1:n], size) * spectrum, size)
+            out[..., 2:] = conv[..., :n - 1]
+        return out
+    return weigh, reach
+
+
+def _stiffness_products(u1, sys: AssembledSystem, weigh):
+    """Per-step stiffness products of a displacement history u1 (N+1 rows).
+
+    Returns diag[n] = a(U_n, U_n), sub[n] = a(U_n, U_{n-1}), p[n] =
+    a(U_n, H_n) and q[n] = a(U_{n-1}, H_n) with H_n = weigh(U)[n], each of
+    length N + 1 (sub[0], p[0], q[0], p[1], q[1] zero).  The free dofs are
+    processed in blocks, so beyond one dof-major copy of the history only
+    O(_CHUNK) numbers are held at a time.
+    """
+    ut = u1.T[sys.free_dofs]                  # (nf, N+1), C order
+    n_rows, n_cols = ut.shape
+    diag = np.zeros(n_cols)
+    sub = np.zeros(n_cols)
+    p = np.zeros(n_cols)
+    q = np.zeros(n_cols)
+    width = max(1, _CHUNK // (2 * n_cols))
+    for c in range(0, n_rows, width):
+        u = ut[c:c + width]
+        ku = sys.Kff[c:c + width] @ ut        # rows of K U, all steps
+        kh = weigh(ku)
+        diag += np.einsum("in,in->n", u, ku)
+        sub[1:] += np.einsum("in,in->n", u[:, 1:], ku[:, :-1])
+        p += np.einsum("in,in->n", u, kh)
+        q[1:] += np.einsum("in,in->n", u[:, :-1], kh[:, 1:])
+    return diag, sub, p, q
 
 
 @dataclass

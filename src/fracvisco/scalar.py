@@ -107,9 +107,9 @@ def _graded_nodes(t_g, m_g):
 
 
 def _pl_weights(p, target, s_lo, s_hi):
-    """Product weights of (u_lo, u_hi) for one interval [s_lo, s_hi] seen
-    from time ``target``: the kernel integrated exactly against the linear
-    interpolant, via the primitives B and C."""
+    """Product weights of (u_lo, u_hi) for intervals [s_lo, s_hi] seen from
+    time ``target``: the kernel integrated exactly against the linear
+    interpolant, via the primitives B and C.  s_lo and s_hi may be arrays."""
     a = target - s_hi
     b = target - s_lo
     h = s_hi - s_lo
@@ -171,19 +171,14 @@ def _reference_sweep(model, t_final, k_ref, m_g, startup_steps):
         cn_sweep(u, v, ivals, fvals, zero, zero, zero, k_ref, rho, kappa, m_g)
         return nodes, u, v
 
-    # graded startup: direct double loop, per-pair product weights
+    # graded startup: each step's product weights over all earlier
+    # intervals in one call; the last interval's upper weight is implicit
     for m in range(m_g):
         target = nodes[m + 1]
         h = nodes[m + 1] - nodes[m]
-        hist = 0.0
-        for i in range(m + 1):
-            w_lo, w_hi = _pl_weights(p, target, nodes[i], nodes[i + 1])
-            hist += u[i] * w_lo
-            if i < m:
-                hist += u[i + 1] * w_hi
-            else:
-                q1 = w_hi
-        _cn_step(u, v, ivals, fvals, m, h, hist, q1, rho, kappa)
+        w_lo, w_hi = _pl_weights(p, target, nodes[:m + 1], nodes[1:m + 2])
+        hist = u[:m + 1] @ w_lo + u[1:m + 1] @ w_hi[:m]
+        _cn_step(u, v, ivals, fvals, m, h, hist, w_hi[m], rho, kappa)
 
     # uniform continuation: lag-indexed weights plus the frozen graded part
     d = np.arange(M - m_g + 1, dtype=np.float64)

@@ -34,6 +34,9 @@ __all__ = ["SolutionHistory", "history_sums", "time_average_load", "advance",
 # blocks run at BLAS matrix-product speed, so the FFT only pays from sides
 # of about 1024 on (``benchmarks/bench_kernels.py``, history rows).
 DIRECT_BLOCK = 512
+# An FFT square transforms its columns in blocks of about this many numbers,
+# so its temporaries stay a few MB instead of three (2L x nf) arrays.
+FFT_CHUNK = 1 << 18
 
 
 @dataclass
@@ -107,8 +110,13 @@ def history_sums(table: WeightTable, u):
             size = next_fast_len(span + n_tgt - 1, real=True)
             if key not in blocks:
                 blocks[key] = rfft(w[1:span + n_tgt], size)
-            conv = irfft(blocks[key] * rfft(src.T, size), size)
-            acc[m + 1:hi + 1] += conv[..., span - 1:span - 1 + n_tgt].T
+            src2 = src.reshape(span, -1)
+            tgt = acc[m + 1:hi + 1].reshape(n_tgt, -1)     # a view
+            width = max(1, FFT_CHUNK // size)
+            for c in range(0, src2.shape[1], width):
+                cols = slice(c, c + width)
+                conv = irfft(blocks[key] * rfft(src2[:, cols].T, size), size)
+                tgt[:, cols] += conv[:, span - 1:span - 1 + n_tgt].T
 
 
 def time_average_load(sys: AssembledSystem, grid: TimeGrid, n):

@@ -1,12 +1,97 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from fracvisco.diagnostics import energy_ledger, long_time_limit
-from fracvisco.fem import (ElasticParams, assemble, build_rect_mesh,
-                           quasi_static_solve, side_traction)
+from fracvisco import diagnostics
+from fracvisco.diagnostics import EnergyLedger, energy_ledger, long_time_limit
+from fracvisco.fem import (AssembledSystem, ElasticParams, assemble,
+                           build_rect_mesh, quasi_static_solve, side_traction)
 from fracvisco.mlf import KernelParams
-from fracvisco.stepper import run
-from fracvisco.weights import TimeGrid, build_weights
+from fracvisco.stepper import SolutionHistory, run, time_average_load
+from fracvisco.weights import TimeGrid, WeightTable, build_weights
+
+
+def gram_ledger(history: SolutionHistory, sys: AssembledSystem,
+                table: WeightTable, u0=None, v0=None, with_loads=True):
+    """The ledger as first written: every term from the (N+1)^2 Gram matrix
+    a(U1_i, U1_j), the reordered double sum from the cell means beta_nj.
+    Kept verbatim as the oracle of the O(N) per-step-scalar ledger."""
+    grid = history.grid
+    n = grid.n_steps
+    if table.n_steps < n or not np.array_equal(
+            table.grid.nodes[:n + 1], grid.nodes):
+        raise ValueError("history grid does not match the weight table")
+    k = grid.steps
+    eta = table.eta_bar
+    omega = table.omega
+    u0 = history.U1[0] if u0 is None else np.asarray(u0)
+    v0 = history.U2[0] if v0 is None else np.asarray(v0)
+
+    u1f = sys.restrict(history.U1)            # (N+1, nf)
+    u2f = sys.restrict(history.U2)
+    ku = (sys.Kff @ u1f.T).T                  # K U1_n for all n
+    gram = u1f @ ku.T                          # a(U1_i, U1_j)
+    diag = np.diag(gram)
+
+    final_elastic = eta[n] * diag[n]
+    mu2 = (sys.Mff @ u2f.T).T
+    final_kinetic = float(u2f[n] @ mu2[n])
+
+    deta = np.diff(eta) / k
+    du_sq = np.array([
+        (diag[i] - 2.0 * gram[i, i - 1] + diag[i - 1]) / k[i - 1] ** 2
+        for i in range(1, n + 1)])
+    eta_diss = float(np.sum(k * (-deta) * diag[:-1])
+                     + np.sum(k ** 2 * eta[1:] * du_sq))
+
+    # |W_nj|^2 = a(U1_n - U1_j, U1_n - U1_j) from the Gram matrix
+    wsq = diag[:, None] + diag[None, :] - 2.0 * gram
+
+    hist_diss = 0.0
+    for row in range(2, n + 1):
+        j = np.arange(1, row)
+        om = omega[row - 1, :row - 1]
+        dw = (wsq[row, j] - wsq[row - 1, j]) / k[row - 1]
+        hist_diss += float(om @ (dw + k[row - 1] * du_sq[row - 1]))
+
+    # reordered form: sum_j k_j beta_Nj |W_Nj|^2
+    #                 - sum_j k_j sum_{n=j+1}^N k_n |W_{n-1,j}|^2 d_n beta_nj
+    bmat = table.beta_cell_averages()[:n, :n]
+    alt = 0.0
+    for j in range(1, n):
+        alt += k[j - 1] * bmat[n - 1, j - 1] * wsq[n, j]
+        rows = np.arange(j + 1, n + 1)
+        dbeta = (bmat[rows - 1, j - 1] - bmat[rows - 2, j - 1]) / k[rows - 1]
+        alt -= k[j - 1] * float(np.sum(k[rows - 1] * wsq[rows - 1, j] * dbeta))
+    ksq_term = 0.0
+    for row in range(2, n + 1):
+        ksq_term += float(omega[row - 1, :row - 1].sum()
+                          * k[row - 1] * du_sq[row - 1])
+    hist_diss_alt = alt + ksq_term
+
+    jumps = np.diff(u2f, axis=0)
+    jump_diss = float(np.einsum("ni,ni->", jumps, (sys.Mff @ jumps.T).T))
+
+    ku0 = sys.K @ u0
+    mv0 = sys.M @ v0
+    initial = float(u0 @ ku0 + v0 @ mv0)
+
+    load_work = 0.0
+    if with_loads and (sys.volume is not None or sys.traction is not None):
+        for step in range(1, n + 1):
+            fbar, gbar = time_average_load(sys, grid, step)
+            load_work += 2.0 * k[step - 1] * float(
+                sys.restrict(fbar + gbar) @ u2f[step])
+
+    return EnergyLedger(final_elastic=float(final_elastic),
+                        final_kinetic=float(final_kinetic),
+                        eta_dissipation=float(eta_diss),
+                        history_dissipation=float(hist_diss),
+                        history_dissipation_alt=float(hist_diss_alt),
+                        jump_dissipation=float(jump_diss),
+                        initial_energy=float(initial),
+                        load_work=float(load_work))
 
 
 @pytest.fixture(scope="module")
@@ -132,6 +217,115 @@ class TestEnergyLedger:
         assert table.eta_bar[n] >= 1.0 - kernel_sec6.gamma
         lhs_final = led.final_elastic + led.final_kinetic
         assert lhs_final <= led.initial_energy * (1.0 + 1e-12)
+
+
+class TestAgainstGramOracle:
+    """The per-step-scalar ledger term by term against the Gram oracle."""
+
+    @staticmethod
+    def _check(sys_, grid, table, u0):
+        hist = run(sys_, grid, table, u0, np.zeros_like(u0))
+        got = energy_ledger(hist, sys_, table)
+        want = gram_ledger(hist, sys_, table)
+        tol = 1e-12 * abs(want.rhs_total)
+        for (name, a), (_, b) in zip(got.rows(), want.rows()):
+            if name != "residual_rel":
+                assert abs(a - b) <= tol, (name, a, b)
+        return got
+
+    @pytest.mark.parametrize("loaded", [False, True])
+    @pytest.mark.parametrize("n_steps", [1, 2, 3, 32, 257])
+    def test_uniform(self, mesh8, elastic_soft, kernel_sec6,
+                     downward_traction, n_steps, loaded):
+        grid = TimeGrid.uniform(1.0, n_steps)
+        table = build_weights(grid, kernel_sec6)
+        if loaded:
+            sys_ = assemble(mesh8, elastic_soft, traction=downward_traction)
+            u0 = np.zeros(sys_.n_dofs)
+        else:
+            sys_ = assemble(mesh8, elastic_soft)
+            u0 = quasi_static_solve(assemble(mesh8, elastic_soft,
+                                             traction=downward_traction),
+                                    scale=0.5)
+        led = self._check(sys_, grid, table, u0)
+        assert (led.load_work != 0.0) == loaded
+
+    def test_small_blocks(self, mesh8, elastic_soft, kernel_sec6,
+                          downward_traction, monkeypatch):
+        # one free dof per stiffness block and one step per jump block
+        monkeypatch.setattr(diagnostics, "_CHUNK", 1)
+        sys_ = assemble(mesh8, elastic_soft, traction=downward_traction)
+        u0 = quasi_static_solve(sys_, scale=0.5)
+        grid = TimeGrid.uniform(1.0, 32)
+        self._check(sys_, grid, build_weights(grid, kernel_sec6), u0)
+
+    def test_gamma_zero(self, mesh8, elastic_soft, downward_traction):
+        sys_ = assemble(mesh8, elastic_soft)
+        u0 = quasi_static_solve(assemble(mesh8, elastic_soft,
+                                         traction=downward_traction))
+        grid = TimeGrid.uniform(1.0, 40)
+        table = build_weights(grid, KernelParams(0.5, 1.0, 0.0))
+        led = self._check(sys_, grid, table, u0)
+        assert led.history_dissipation == 0.0
+
+    def test_nonuniform(self, mesh8, elastic_soft, kernel_sec6,
+                        downward_traction):
+        steps = np.random.default_rng(11).uniform(0.5, 2.0, 48)
+        grid = TimeGrid(np.concatenate([[0.0], np.cumsum(steps / steps.sum())]))
+        table = build_weights(grid, kernel_sec6)
+        assert table.lags is None
+        sys_ = assemble(mesh8, elastic_soft, traction=downward_traction)
+        u0 = quasi_static_solve(sys_, scale=0.5)
+        led = self._check(sys_, grid, table, u0)
+        assert led.residual_rel <= 1e-8
+
+    def test_no_quadratic_memory(self, elastic_soft, kernel_sec6,
+                                 downward_traction):
+        # a Gram matrix alone would take 4097^2 * 8 bytes = 134 MB here
+        mesh = build_rect_mesh(4, 4)
+        sys_ = assemble(mesh, elastic_soft)
+        u0 = quasi_static_solve(assemble(mesh, elastic_soft,
+                                         traction=downward_traction),
+                                scale=0.5)
+        grid = TimeGrid.uniform(4.0, 4096)
+        table = build_weights(grid, kernel_sec6)
+        hist = run(sys_, grid, table, u0, np.zeros_like(u0))
+        tracemalloc.start()
+        try:
+            led = energy_ledger(hist, sys_, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+        assert led.residual_rel <= 1e-8
+
+    def test_constant_load_evaluated_once(self, mesh8, elastic_soft,
+                                          kernel_sec6, monkeypatch):
+        marked = side_traction({"right": (0.3, -1.0)})
+
+        def unmarked(points, t, sides):  # same values, not marked constant
+            return marked(points, t, sides)
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args[2])
+            return time_average_load(*args)
+
+        grid = TimeGrid.uniform(1.0, 24)
+        table = build_weights(grid, kernel_sec6)
+        sys_ = assemble(mesh8, elastic_soft, traction=marked)
+        z = np.zeros(sys_.n_dofs)
+        hist = run(sys_, grid, table, z, z)
+        monkeypatch.setattr(diagnostics, "time_average_load", counted)
+        work = []
+        for traction, expect in ((marked, 1), (unmarked, 24)):
+            calls.clear()
+            sys_ = assemble(mesh8, elastic_soft, traction=traction)
+            work.append(energy_ledger(hist, sys_, table).load_work)
+            assert len(calls) == expect
+        assert work[0] != 0.0
+        assert work[1] == pytest.approx(work[0], rel=1e-14)
 
 
 class TestLongTimeLimit:

@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import erfc
 
+from fracvisco import _kernels
 from fracvisco.mlf import (KernelParams, beta_double_primitive, beta_primitive,
                            eta_fn, kernel_beta, ml_e, ml_e_array,
                            ml_e_reference)
@@ -68,6 +69,40 @@ class TestMlE:
             xs = np.geomspace(1e-6, 50.0, 50)
             v = ml_e_array(alpha, b, xs)
             assert np.all(v <= 1.0 / gamma_fn(b) + 1e-14)
+
+    @staticmethod
+    def _masked_series(x, srat, st0):
+        # the ascending series as first written: full-size working arrays,
+        # boolean-mask indexing of the live points on every term
+        t = np.full(x.shape, st0)
+        acc = np.full(x.shape, st0)
+        comp = np.zeros_like(x)
+        prev = np.abs(t)
+        active = np.ones(x.shape, dtype=bool)
+        for k in range(srat.shape[0]):
+            t[active] = t[active] * (-x[active]) * srat[k]
+            y = t[active] - comp[active]
+            tt = acc[active] + y
+            comp[active] = (tt - acc[active]) - y
+            acc[active] = tt
+            a = np.abs(t[active])
+            done = (a < 1e-18 * np.abs(acc[active])) & (a <= prev[active])
+            prev[active] = a
+            idx = np.where(active)[0]
+            active[idx[done]] = False
+            if not np.any(active):
+                break
+        return acc
+
+    @pytest.mark.parametrize("n_points", [48, 80, 5000, 8193])
+    def test_series_bitwise_equal_to_masked_loop(self, n_points, rng):
+        for alpha in (0.3, 2.0 / 3.0, 0.999):
+            for b in (1.0, 2.0, alpha):
+                srat, st0 = _kernels.series_coefficients(alpha, b)
+                xs = rng.uniform(0.0, _kernels.S_SERIES ** alpha, n_points)
+                xs[:2] = (1e-300, _kernels.S_SERIES ** alpha)
+                want = self._masked_series(xs, srat, st0)
+                assert np.array_equal(_kernels._series(xs, srat, st0), want)
 
 
 class TestKernelQuantities:

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from fracvisco import scalar
 from fracvisco.mlf import KernelParams
 from fracvisco.scalar import (ScalarModel, convergence_study, scalar_dg0,
                               scalar_reference, self_convergence_study)
@@ -67,6 +68,23 @@ class TestScalarReference:
         assert np.all(np.isfinite(ref.u))
         assert np.isfinite(ref.est_error) and ref.est_error <= 1e-6
         assert np.isfinite(ref.richardson_order)
+
+    def test_row_weights_match_per_pair(self, fractional_model, monkeypatch):
+        # the graded startup takes each row's product weights in one call;
+        # the same sweep with the weights computed one interval at a time
+        want = scalar_reference(fractional_model, 2.0, k_ref=2.0 ** -8,
+                                m_g=24)
+        batched = scalar._pl_weights
+
+        def per_pair(p, target, s_lo, s_hi):
+            pairs = [batched(p, target, lo, hi) for lo, hi in zip(s_lo, s_hi)]
+            return np.array(pairs).T
+
+        monkeypatch.setattr(scalar, "_pl_weights", per_pair)
+        got = scalar_reference(fractional_model, 2.0, k_ref=2.0 ** -8,
+                               m_g=24)
+        scale = np.max(np.abs(want.u))
+        assert np.max(np.abs(got.u - want.u)) <= 1e-13 * scale
 
     def test_forced_problem_runs(self, kernel_sec6):
         m = ScalarModel(rho=1.0, kappa=2.0, kernel=kernel_sec6,

@@ -53,6 +53,19 @@ class TestHistorySums:
         want = dense_history(table, u)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
+    def test_column_blocks_bitwise(self, kernel_sec6, rng, monkeypatch):
+        # FFT squares transform their columns in blocks; blocks of one and
+        # of three columns give the same bits as one block of all seven
+        monkeypatch.setattr(stepper, "DIRECT_BLOCK", 2)
+        table = build_weights(TimeGrid.uniform(1.0, 300), kernel_sec6)
+        u = rng.standard_normal((301, 7))
+        sums = []
+        for chunk in (1 << 30, 1024, 1):    # FFT sizes here are <= 512
+            monkeypatch.setattr(stepper, "FFT_CHUNK", chunk)
+            sums.append(np.array([h.copy() for h in history_sums(table, u)]))
+        assert np.array_equal(sums[0], sums[1])
+        assert np.array_equal(sums[0], sums[2])
+
     def test_reads_only_known_rows(self, kernel_sec6):
         # row n may be filled after H_n is taken: a NaN placed in row n
         # before that must not reach H_1 .. H_n
