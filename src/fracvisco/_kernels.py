@@ -27,6 +27,7 @@ from scipy.special import gammaln
 S_SERIES = 5.0
 S_ASYM = 40.0
 U_CUT = 64.0  # exp(-u) is below double rounding past this
+SPECTRAL_BLOCK = 1024  # points per _spectral call
 _LN_PI = math.log(math.pi)
 _LOG_STOP = math.log(1e-18)
 
@@ -175,7 +176,10 @@ def _spectral(alpha, b, x):
     v = np.maximum(vstar + w * np.sinh(y), 0.0)
     u = (v * x[:, None]) ** ia
     g = _g_of(b, u, x[:, None])
-    acc = hw * ((g / np.cosh(y)) @ _DE_W)
+    # einsum sums each row on its own; a BLAS matrix-vector product rounds
+    # rows differently by their position in the call, which would make a
+    # point's value depend on the block it is evaluated in
+    acc = hw * np.einsum("ij,j->i", g / np.cosh(y), _DE_W)
     tail = yt > ym
     if np.any(tail):
         hw2 = 0.5 * (yt[tail] - ym[tail])
@@ -184,7 +188,7 @@ def _spectral(alpha, b, x):
         v2 = vstar + w * np.sinh(y2)
         u2 = (v2 * x[tail][:, None]) ** ia
         g2 = _g_of(b, u2, x[tail][:, None])
-        acc[tail] += hw2 * ((g2 / np.cosh(y2)) @ _GL_W)
+        acc[tail] += hw2 * np.einsum("ij,j->i", g2 / np.cosh(y2), _GL_W)
     return acc * (1.0 / (alpha * math.pi))
 
 
@@ -214,5 +218,11 @@ def eval_ml_neg(alpha, b, xs):
     if np.any(asy):
         out[asy] = _asymptotic(xs[asy], *asym_coefficients(alpha, b))
     if np.any(bri):
-        out[bri] = _spectral(alpha, b, xs[bri])
+        # point blocks bound the (points x nodes) quadrature temporaries
+        xb = xs[bri]
+        vals = np.empty_like(xb)
+        for i in range(0, xb.size, SPECTRAL_BLOCK):
+            vals[i:i + SPECTRAL_BLOCK] = _spectral(alpha, b,
+                                                   xb[i:i + SPECTRAL_BLOCK])
+        out[bri] = vals
     return out

@@ -1,10 +1,16 @@
 """SPD linear solvers with enforced residual verification.
 
 Direct solves use a dense Cholesky factorization up to ``dense_limit``
-unknowns and a sparse LU beyond it; iterative solves use conjugate gradients
+unknowns and a banded Cholesky factorization beyond it: the unknowns are
+ordered once by reverse Cuthill-McKee, which gives the P1 matrices of
+``fem.build_rect_mesh`` meshes a half-bandwidth of about 2 (min(nx, ny) + 1)
+(35 at 16x16, 53 at 25x25, 201 at 100x100), and LAPACK ``pbtrf``/``pbtrs``
+factor and solve in that order.  Iterative solves use conjugate gradients
 with a diagonal preconditioner.  Every solve is verified against the
-requested relative residual; violations raise ``SolverError`` carrying the
-achieved residual, and a non-finite right-hand side is refused before solving.
+requested relative residual on the original matrix; violations raise
+``SolverError`` carrying the achieved residual, and a non-finite right-hand
+side is refused before solving.  A matrix that is not finite or not positive
+definite is refused at factorization.
 """
 
 from __future__ import annotations
@@ -15,14 +21,19 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg.lapack import dpotrs
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotrs
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 __all__ = ["SolverError", "SpdSolver", "make_spd_solver"]
 
 # Largest system solved by dense Cholesky.  On P1 elasticity mass-plus-
-# stiffness matrices sparse LU solves faster from between 220 and 264
-# unknowns on (``benchmarks/bench_kernels.py``, direct_solve rows).
-DENSE_LIMIT = 240
+# stiffness matrices the two tie at 84 to 112 unknowns, the banded solve is
+# 15-20% faster at 144 and 1.5x faster from 220 on (``benchmarks/
+# bench_kernels.py``, direct_solve rows).  The limit keeps 8x8 meshes (144
+# unknowns) on the dense path: the banded factor changes their results in the
+# last digits, and ``test_residual_tracks_solver_tolerance`` compares two
+# energy-ledger residuals that differ only at that level.
+DENSE_LIMIT = 144
 
 
 class SolverError(RuntimeError):
@@ -46,9 +57,9 @@ class SpdSolver:
             if n <= dense_limit:
                 # lower Cholesky factor; cho_factor checks the matrix finite
                 self._chol, _ = sla.cho_factor(self.a.toarray(), lower=True)
-                self._lu = None
+                self._band = None
             else:
-                self._lu = spla.splu(self.a.tocsc())
+                self._perm, self._band = _banded_cholesky(self.a)
                 self._chol = None
         else:
             d = self.a.diagonal()
@@ -74,7 +85,11 @@ class SpdSolver:
                 if info != 0:
                     raise SolverError(f"potrs failed (info={info})")
             else:
-                x = self._lu.solve(b)
+                xp, info = dpbtrs(self._band, b[self._perm], lower=1)
+                if info != 0:
+                    raise SolverError(f"pbtrs failed (info={info})")
+                x = np.empty_like(xp)
+                x[self._perm] = xp
         else:
             precond = spla.LinearOperator(self.a.shape,
                                           matvec=lambda v: self._minv * v)
@@ -90,6 +105,24 @@ class SpdSolver:
                 f"solve residual {res:.3e} exceeds tolerance {self.rtol:.1e}",
                 residual=res)
         return x
+
+
+def _banded_cholesky(a):
+    """Reverse Cuthill-McKee order of ``a`` and the lower Cholesky factor of
+    the reordered matrix in LAPACK band storage, ``band[i - j, j] = L[i, j]``
+    for the (bw + 1) x n band."""
+    perm = reverse_cuthill_mckee(a, symmetric_mode=True)
+    low = sp.tril(a[perm][:, perm], format="coo")
+    low.sum_duplicates()
+    offset = low.row - low.col
+    band = np.zeros((offset.max(initial=0) + 1, a.shape[0]))
+    band[offset, low.col] = low.data
+    if not np.isfinite(band).all():
+        raise SolverError("matrix is not finite")
+    band, info = dpbtrf(band, lower=1, overwrite_ab=1)
+    if info != 0:
+        raise SolverError(f"matrix is not positive definite (pbtrf info={info})")
+    return perm, band
 
 
 def make_spd_solver(a_csr, method="direct", rtol=1e-10,

@@ -254,12 +254,9 @@ class TestSolvers:
             solver.solve(b)
 
     def test_nan_solution_raises(self, loaded_system8):
-        import types
-
         a = loaded_system8.Kff
         solver = make_spd_solver(a, method="direct", dense_limit=10)
-        solver._lu = types.SimpleNamespace(
-            solve=lambda b: np.full_like(b, np.nan))
+        solver._band = np.full_like(solver._band, np.nan)
         with pytest.raises(SolverError, match="exceeds tolerance"):
             solver.solve(np.ones(a.shape[0]))
 
@@ -270,7 +267,7 @@ class TestSolvers:
         with pytest.raises(SolverError, match="exceeds tolerance"):
             solver.solve(np.ones(a.shape[0]))
 
-    def test_sparse_lu_path(self, rng):
+    def test_banded_path_random_spd(self, rng):
         import scipy.sparse as sp
 
         n = 60
@@ -279,3 +276,34 @@ class TestSolvers:
         b = rng.standard_normal(n)
         x = make_spd_solver(a, method="direct", dense_limit=10).solve(b)
         assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("nx,ny,lumped", [(8, 8, False), (16, 16, False),
+                                              (25, 25, False), (40, 3, False),
+                                              (16, 16, True)])
+    def test_banded_matches_dense(self, nx, ny, lumped):
+        # the dG(0) step matrix M + k (k - omega_nn) K of the sec6 physics
+        from fracvisco.mlf import KernelParams, beta_double_primitive
+
+        sys_ = assemble(build_rect_mesh(nx, ny),
+                        ElasticParams(1e5, 1e5, 3000.0), lumped=lumped)
+        k = 40.0 / 2560
+        co = k - beta_double_primitive(KernelParams(2.0 / 3.0, 1.0, 0.5), k)
+        a = sys_.Mff + (k * co) * sys_.Kff
+        b = np.random.default_rng(nx * ny).standard_normal(a.shape[0])
+        banded = make_spd_solver(a, dense_limit=0)
+        dense = make_spd_solver(a, dense_limit=a.shape[0])
+        assert banded._band is not None and dense._chol is not None
+        xb, xd = banded.solve(b), dense.solve(b)
+        assert np.linalg.norm(xb - xd) <= 1e-12 * np.linalg.norm(xd)
+
+    @pytest.mark.parametrize("entry,value,match", [
+        ((0, 0), -1.0, "not positive definite"),
+        ((5, 5), np.nan, "not finite"),
+        ((2, 3), np.nan, "not finite")])
+    def test_bad_matrix_raises_at_factorization(self, loaded_system8, entry,
+                                                value, match):
+        a = loaded_system8.Kff.tolil()
+        i, j = entry
+        a[i, j] = a[j, i] = value
+        with pytest.raises(SolverError, match=match):
+            make_spd_solver(a.tocsr(), dense_limit=0)

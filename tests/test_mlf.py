@@ -104,6 +104,16 @@ class TestMlE:
                 want = self._masked_series(xs, srat, st0)
                 assert np.array_equal(_kernels._series(xs, srat, st0), want)
 
+    @pytest.mark.parametrize("n_points", [1, 1024, 1025, 5000])
+    def test_spectral_blocks_bitwise_equal_to_one_call(self, n_points):
+        for alpha in (0.3, 2.0 / 3.0, 0.9):
+            # interior of the spectral window, so every point takes it
+            xs = np.linspace(_kernels.S_SERIES ** alpha,
+                             _kernels.S_ASYM ** alpha, n_points + 2)[1:-1]
+            for b in (1.0, 2.0, alpha):
+                assert np.array_equal(_kernels.eval_ml_neg(alpha, b, xs),
+                                      _kernels._spectral(alpha, b, xs))
+
 
 class TestKernelQuantities:
     def test_gamma_zero_degenerates(self, rng):

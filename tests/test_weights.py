@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,18 @@ class TestBuildWeights:
                     expect = C(kernel_sec6, tn - tn1)
                 assert uniform.omega[n - 1, j - 1] == pytest.approx(
                     expect, rel=1e-12, abs=1e-16)
+
+    def test_uniform_build_memory(self, kernel_sec6):
+        # N = 8192 Mittag-Leffler primitives: unblocked, the spectral
+        # branch's (points x 200) quadrature arrays alone took over 100 MB
+        grid = TimeGrid.uniform(40.0, 8192)
+        tracemalloc.start()
+        try:
+            build_weights(grid, kernel_sec6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
 
     @pytest.mark.parametrize("n", [1, 2, 7, 300])
     @pytest.mark.parametrize("mode", ["closed_form", "midpoint"])
