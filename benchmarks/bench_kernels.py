@@ -6,9 +6,8 @@ weight-table construction on a nonuniform grid (O(N^2) distinct lags), the
 product-integration sweep of the scalar reference solver (O(M^2) memory work),
 the dG(0) history sum (dense row products against ``stepper.history_sums``
 at three FFT thresholds, the middle one the default ``DIRECT_BLOCK``), one
-direct solve of the dG(0) step matrix by dense Cholesky and by banded
-Cholesky in reverse Cuthill-McKee order (the two sides of
-``solvers.DENSE_LIMIT``; the rows name the half-bandwidth bw) and the energy
+direct solve of the dG(0) step matrix by banded Cholesky in reverse
+Cuthill-McKee order (the rows name the half-bandwidth bw) and the energy
 ledger of ``energy-check`` on a stored history.  Times are per call; the
 solve rows are per solve, residual check included.
 
@@ -64,26 +63,23 @@ def online_history(table, u, direct_block):
     return h
 
 
-def solve_rows(nx, repeat):
-    """Per-solve time, dense vs banded Cholesky, of M + k^2 K on an nx-by-nx
-    mesh with sec6's step k (the dG(0) step matrix without its memory part)."""
+def solve_row(nx, repeat):
+    """Per-solve time of M + k^2 K on an nx-by-nx mesh with sec6's step k
+    (the dG(0) step matrix without its memory part)."""
     sys_ = assemble(build_rect_mesh(nx, nx), ElasticParams(1e5, 1e5, 3000.0))
     k = 40.0 / 2560
     a = sys_.Mff + (k * k) * sys_.Kff
     nf = a.shape[0]
     b = np.random.default_rng(3).standard_normal(nf)
     calls = max(20, 20_000 // nf)
-    banded = SpdSolver(a, dense_limit=0)
-    bw = banded._band.shape[0] - 1
-    rows = []
-    for path, solver in (("cholesky", SpdSolver(a, dense_limit=nf)),
-                         ("banded", banded)):
-        def many():
-            for _ in range(calls):
-                solver.solve(b)
-        t, _ = timed(many, repeat)
-        rows.append((f"direct_solve[nf={nf},bw={bw},{path}]", t / calls))
-    return rows
+    solver = SpdSolver(a)
+    bw = solver._band.shape[0] - 1
+
+    def many():
+        for _ in range(calls):
+            solver.solve(b)
+    t, _ = timed(many, repeat)
+    return (f"direct_solve[nf={nf},bw={bw}]", t / calls)
 
 
 def ledger_row(nx, n_steps, ker, repeat):
@@ -142,7 +138,7 @@ def main():
         rows.append((f"history{tag},online {label}]", t))
 
     for nx in ((8, 16) if args.quick else (6, 7, 8, 10, 16, 25)):
-        rows += solve_rows(nx, repeat)
+        rows.append(solve_row(nx, repeat))
 
     for n_steps in ((128, 512) if args.quick else (512, 2048)):
         rows.append(ledger_row(8 if args.quick else 25, n_steps, ker, repeat))

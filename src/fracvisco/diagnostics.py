@@ -51,6 +51,10 @@ __all__ = ["EnergyLedger", "energy_ledger", "long_time_limit", "TailReport"]
 # or (N + 1) * nf entries is built.
 _CHUNK = 1 << 18
 
+# Largest relative gap between the means of the two halves of the tail
+# window for which ``long_time_limit`` calls a run settled.
+SETTLE_TOL = 0.05
+
 
 @dataclass
 class EnergyLedger:
@@ -101,11 +105,12 @@ class EnergyLedger:
 
 
 def energy_ledger(history: SolutionHistory, sys: AssembledSystem,
-                  table: WeightTable, u0=None, v0=None, with_loads=True):
+                  table: WeightTable):
     """Evaluate the balance terms on a computed history.
 
     The history must come from the same weight table (same grid and kernel);
-    a grid mismatch raises.  u0/v0 default to the stored initial row.
+    a grid mismatch raises.  The initial energy is that of the stored
+    initial row.
     """
     grid = history.grid
     n = grid.n_steps
@@ -114,8 +119,8 @@ def energy_ledger(history: SolutionHistory, sys: AssembledSystem,
         raise ValueError("history grid does not match the weight table")
     k = grid.steps
     eta = table.eta_bar
-    u0 = history.U1[0] if u0 is None else np.asarray(u0)
-    v0 = history.U2[0] if v0 is None else np.asarray(v0)
+    u0 = history.U1[0]
+    v0 = history.U2[0]
 
     weigh, reach = _lower_weights(table, n)
     diag, sub, p, q = _stiffness_products(history.U1, sys, weigh)
@@ -152,7 +157,7 @@ def energy_ledger(history: SolutionHistory, sys: AssembledSystem,
     initial = float(u0 @ ku0 + v0 @ mv0)
 
     load_work = 0.0
-    if with_loads and (sys.volume is not None or sys.traction is not None):
+    if sys.volume is not None or sys.traction is not None:
         def load(step):
             fbar, gbar = time_average_load(sys, grid, step)
             return sys.restrict(fbar + gbar)
@@ -250,12 +255,12 @@ class TailReport:
 
 
 def long_time_limit(history: SolutionHistory, vertex, component=1,
-                    reference=None, settle_tol=0.05):
+                    reference=None):
     """Mean of a probe trace over the final quarter of the run.
 
     Returns the tail mean and its relative gap to ``reference`` (typically
     the relaxed static solve).  If the first and second halves of the tail
-    window disagree by more than ``settle_tol`` (relative), the run is
+    window disagree by more than ``SETTLE_TOL`` (relative), the run is
     flagged unsettled and a warning is emitted.
     """
     t = history.times
@@ -276,7 +281,7 @@ def long_time_limit(history: SolutionHistory, vertex, component=1,
                / max(tail_t[second][-1] - tail_t[second][0], 1e-300))
     scale = max(abs(tail_mean), 1e-300)
     halves_gap = abs(m1 - m2) / scale
-    settled = halves_gap <= settle_tol
+    settled = halves_gap <= SETTLE_TOL
     if not settled:
         warnings.warn(
             f"tail not settled: halves differ by {halves_gap:.1%} "

@@ -38,6 +38,9 @@ __all__ = [
     "self_convergence_study",
 ]
 
+# convergence_study's reference step is the smallest k divided by this.
+REF_FACTOR = 32
+
 
 @dataclass(frozen=True)
 class ScalarModel:
@@ -287,11 +290,11 @@ def _dg0_study(model, k_list, grids, u_ref):
 
 
 def convergence_study(model: ScalarModel, k_list, t_final,
-                      reference: ReferenceTrace = None, ref_factor=32):
+                      reference: ReferenceTrace = None):
     """Observed dG(0) temporal orders against the product-integration reference.
 
     k_list must be decreasing, and each k must divide t_final to 1e-9
-    relative; the reference step is k_min/ref_factor unless a precomputed
+    relative; the reference step is k_min/REF_FACTOR unless a precomputed
     reference is supplied.
     """
     k_list = list(k_list)
@@ -299,7 +302,7 @@ def convergence_study(model: ScalarModel, k_list, t_final,
         raise ValueError("k_list must be strictly decreasing")
     grids = [_step_grid(t_final, k) for k in k_list]
     if reference is None:
-        reference = scalar_reference(model, t_final, min(k_list) / ref_factor)
+        reference = scalar_reference(model, t_final, min(k_list) / REF_FACTOR)
     return _dg0_study(model, k_list, grids, reference.at_final())
 
 

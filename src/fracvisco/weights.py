@@ -223,14 +223,13 @@ class SignStructureReport:
                 f"{len(self.beta_violations)} beta violations")
 
 
-def verify_sign_structure(table: WeightTable, grid: TimeGrid = None):
+def verify_sign_structure(table: WeightTable):
     """Check d_n eta_n < 0 and d_n beta_nj < 0 (j < n-1), d_n the backward difference.
 
     Intended for closed_form tables; midpoint tables can violate the signs
     within quadrature error.  Returns a report, never raises.
     """
-    grid = grid or table.grid
-    k = grid.steps
+    k = table.grid.steps
     n = table.n_steps
     if table.params.gamma == 0.0:
         return SignStructureReport([], [], degenerate=True)

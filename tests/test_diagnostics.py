@@ -8,6 +8,7 @@ from fracvisco.diagnostics import EnergyLedger, energy_ledger, long_time_limit
 from fracvisco.fem import (AssembledSystem, ElasticParams, assemble,
                            build_rect_mesh, quasi_static_solve, side_traction)
 from fracvisco.mlf import KernelParams
+from fracvisco.solvers import SpdSolver
 from fracvisco.stepper import SolutionHistory, run, time_average_load
 from fracvisco.weights import TimeGrid, WeightTable, build_weights
 
@@ -179,20 +180,35 @@ class TestEnergyLedger:
         with pytest.raises(ValueError, match="weight table"):
             energy_ledger(hist, sys_, other)
 
-    def test_residual_tracks_solver_tolerance(self, mesh8, elastic_soft,
-                                              kernel_sec6,
-                                              downward_traction):
+    def test_residual_tracks_solve_error(self, mesh8, elastic_soft,
+                                         kernel_sec6, downward_traction,
+                                         monkeypatch):
+        # every step's solution gets relative noise eps: the ledger residual
+        # must sit at roundoff for eps = 0 and grow with the injected error
         loaded = assemble(mesh8, elastic_soft, traction=downward_traction)
         u0 = quasi_static_solve(loaded, scale=0.5)
         sys_ = assemble(mesh8, elastic_soft)
         grid = TimeGrid.uniform(1.0, 16)
         table = build_weights(grid, kernel_sec6)
+        exact_solve = SpdSolver.solve
+        noise = {}
+
+        def noisy_solve(self, b):
+            x = exact_solve(self, b)
+            return x * (1.0 + noise["eps"] * noise["rng"].standard_normal(
+                x.shape))
+
+        monkeypatch.setattr(SpdSolver, "solve", noisy_solve)
+        epsilons = (0.0, 1e-10, 1e-8, 1e-6)
         residuals = []
-        for rtol in (1e-8, 1e-12):
-            hist = run(sys_, grid, table, u0, np.zeros_like(u0),
-                       solver="cg", rtol=rtol)
+        for eps in epsilons:
+            noise.update(eps=eps, rng=np.random.default_rng(3))
+            hist = run(sys_, grid, table, u0, np.zeros_like(u0))
             residuals.append(energy_ledger(hist, sys_, table).residual_rel)
-        assert residuals[1] < residuals[0]
+        assert residuals[0] <= 1e-13
+        for eps, res in zip(epsilons[1:], residuals[1:]):
+            assert res >= 1e-3 * eps
+        assert np.all(np.diff(residuals) > 0.0)
 
     def test_probe_invariance(self, homogeneous_run):
         sys_, grid, table, hist = homogeneous_run
