@@ -91,8 +91,9 @@ def ledger_row(nx, n_steps, ker, repeat):
     nf = sys_.free_dofs.size
     rng = np.random.default_rng(5)
     hist = stepper.SolutionHistory(
-        U1=sys_.expand(rng.standard_normal((n_steps + 1, nf))),
-        U2=sys_.expand(rng.standard_normal((n_steps + 1, nf))), grid=grid)
+        u1f=rng.standard_normal((n_steps + 1, nf)),
+        u2f=rng.standard_normal((n_steps + 1, nf)),
+        free_dofs=sys_.free_dofs, n_dofs=sys_.n_dofs, grid=grid)
     t, _ = timed(lambda: energy_ledger(hist, sys_, table), repeat)
     return (f"ledger[N={n_steps},nf={nf}]", t)
 

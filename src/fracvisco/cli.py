@@ -50,10 +50,6 @@ def _setup(cfg):
     return mesh, ep, ker, sys_, grid, table
 
 
-def _fmt(x):
-    return repr(float(x))
-
-
 def cmd_simulate(args):
     cfg = _load_config(args.config)
     mesh, ep, ker, sys_, grid, table = _setup(cfg)
@@ -63,13 +59,14 @@ def cmd_simulate(args):
                rtol=cfg.cg_tol)
     out = _out_dir(cfg)
     paths = []
+    times = hist.times.tolist()
     for i, point in enumerate(cfg.probes):
         vertex = mesh.nearest_vertex(point)
-        trace = hist.probe_trace(vertex)
+        trace = hist.probe_trace(vertex).tolist()
         name = "probe_trace.csv" if i == 0 else f"probe_trace_{i + 1}.csv"
         lines = ["t,u1_x,u1_y,u2_x,u2_y"]
-        for t, row in zip(hist.times, trace):
-            lines.append(",".join([_fmt(t)] + [_fmt(v) for v in row]))
+        lines += [",".join(map(repr, [t] + row))
+                  for t, row in zip(times, trace)]
         path = out / name
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         paths.append(path)
@@ -121,10 +118,11 @@ def cmd_weights_dump(args):
     grid = TimeGrid.uniform(cfg.t_final, cfg.steps)
     table = build_weights(grid, ker, mode=cfg.weights_mode)
     lines = ["n,j,omega_nj,eta_n"]
+    eta = table.eta_bar.tolist()
     for n in range(1, table.n_steps + 1):
-        eta = table.eta_bar[n]
-        for j in range(1, n + 1):
-            lines.append(f"{n},{j},{_fmt(table.omega[n - 1, j - 1])},{_fmt(eta)}")
+        row, eta_n = table.omega[n - 1, :n].tolist(), repr(eta[n])
+        lines += [f"{n},{j},{w!r},{eta_n}"
+                  for j, w in enumerate(row, start=1)]
     out = _out_dir(cfg)
     path = out / "weights.csv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -108,22 +108,24 @@ def energy_ledger(history: SolutionHistory, sys: AssembledSystem,
                   table: WeightTable):
     """Evaluate the balance terms on a computed history.
 
-    The history must come from the same weight table (same grid and kernel);
-    a grid mismatch raises.  The initial energy is that of the stored
-    initial row.
+    The history must come from the same weight table (same grid and kernel)
+    and the same system (same free dofs); a mismatch raises.  The terms are
+    read off the history's free-dof arrays as they are.  The initial energy
+    is that of the stored initial row.
     """
     grid = history.grid
     n = grid.n_steps
     if table.n_steps < n or not np.array_equal(
             table.grid.nodes[:n + 1], grid.nodes):
         raise ValueError("history grid does not match the weight table")
+    if not np.array_equal(history.free_dofs, sys.free_dofs):
+        raise ValueError("history free dofs do not match the system")
     k = grid.steps
     eta = table.eta_bar
-    u0 = history.U1[0]
-    v0 = history.U2[0]
+    u2f = history.u2f
 
     weigh, reach = _lower_weights(table, n)
-    diag, sub, p, q = _stiffness_products(history.U1, sys, weigh)
+    diag, sub, p, q = _stiffness_products(history.u1f, sys, weigh)
     z = weigh(diag)
 
     final_elastic = eta[n] * diag[n]
@@ -143,7 +145,6 @@ def energy_ledger(history: SolutionHistory, sys: AssembledSystem,
     hist_diss_alt = (math.fsum(np.concatenate([a_n[-1:], a_prev - b_n]))
                      + ksq_term)
 
-    u2f = sys.restrict(history.U2)
     final_kinetic = float(u2f[n] @ (sys.Mff @ u2f[n]))
     jump_diss = 0.0
     rows = max(1, _CHUNK // max(u2f.shape[1], 1))
@@ -152,9 +153,9 @@ def energy_ledger(history: SolutionHistory, sys: AssembledSystem,
         jump_diss += float(np.einsum("ni,ni->", jumps,
                                      (sys.Mff @ jumps.T).T))
 
-    ku0 = sys.K @ u0
-    mv0 = sys.M @ v0
-    initial = float(u0 @ ku0 + v0 @ mv0)
+    u0 = sys.expand(history.u1f[0])
+    v0 = sys.expand(u2f[0])
+    initial = float(u0 @ (sys.K @ u0) + v0 @ (sys.M @ v0))
 
     load_work = 0.0
     if sys.volume is not None or sys.traction is not None:
@@ -214,8 +215,9 @@ def _lower_weights(table: WeightTable, n):
     return weigh, reach
 
 
-def _stiffness_products(u1, sys: AssembledSystem, weigh):
-    """Per-step stiffness products of a displacement history u1 (N+1 rows).
+def _stiffness_products(u1f, sys: AssembledSystem, weigh):
+    """Per-step stiffness products of a free-dof displacement history u1f
+    (N+1 rows).
 
     Returns diag[n] = a(U_n, U_n), sub[n] = a(U_n, U_{n-1}), p[n] =
     a(U_n, H_n) and q[n] = a(U_{n-1}, H_n) with H_n = weigh(U)[n], each of
@@ -223,7 +225,7 @@ def _stiffness_products(u1, sys: AssembledSystem, weigh):
     processed in blocks, so beyond one dof-major copy of the history only
     O(_CHUNK) numbers are held at a time.
     """
-    ut = u1.T[sys.free_dofs]                  # (nf, N+1), C order
+    ut = np.ascontiguousarray(u1f.T)          # (nf, N+1)
     n_rows, n_cols = ut.shape
     diag = np.zeros(n_cols)
     sub = np.zeros(n_cols)
@@ -264,7 +266,7 @@ def long_time_limit(history: SolutionHistory, vertex, component=1,
     flagged unsettled and a warning is emitted.
     """
     t = history.times
-    vals = history.U1[:, 2 * vertex + component]
+    vals, _ = history.dof_history(2 * vertex + component)
     t_cut = t[-1] * 0.75
     sel = t >= t_cut
     if np.count_nonzero(sel) < 4:

@@ -27,6 +27,7 @@ __all__ = [
     "traction_load",
     "volume_load",
     "apply_dirichlet",
+    "expand_free",
     "quasi_static_solve",
     "side_traction",
     "constant_volume",
@@ -251,10 +252,7 @@ class AssembledSystem:
         return np.asarray(full)[..., self.free_dofs]
 
     def expand(self, reduced):
-        reduced = np.asarray(reduced)
-        full = np.zeros(reduced.shape[:-1] + (self.n_dofs,))
-        full[..., self.free_dofs] = reduced
-        return full
+        return expand_free(reduced, self.free_dofs, self.n_dofs)
 
     def volume_load(self, t):
         if self.volume is None:
@@ -297,6 +295,14 @@ def apply_dirichlet(sys: AssembledSystem, obj):
     if sp.issparse(obj):
         return obj[sys.free_dofs][:, sys.free_dofs].tocsr()
     return np.asarray(obj)[sys.free_dofs]
+
+
+def expand_free(reduced, free_dofs, n_dofs):
+    """Scatter free-dof values (last axis) into zero-filled full vectors."""
+    reduced = np.asarray(reduced)
+    full = np.zeros(reduced.shape[:-1] + (n_dofs,))
+    full[..., free_dofs] = reduced
+    return full
 
 
 def traction_load(mesh, g, t=0.0):

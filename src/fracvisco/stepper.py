@@ -13,16 +13,21 @@ terms come from ``history_sums``, an online blocked convolution: O(N log^2 N)
 work per unknown on uniform grids, O(N^2) on nonuniform ones.  The N solves
 reuse one factorization across steps that share k_n and omega_nn (all of
 them, on uniform grids).
+
+The whole computation lives on the free dofs, and so does the history that
+``run`` returns: full-size nodal vectors (constrained entries zero) are
+expanded only when a reader asks for ``SolutionHistory.U1``/``U2``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 
-from .fem import AssembledSystem
+from .fem import AssembledSystem, expand_free
 from .solvers import SolverError, make_spd_solver
 from .weights import TimeGrid, WeightTable
 
@@ -41,14 +46,19 @@ FFT_CHUNK = 1 << 18
 
 @dataclass
 class SolutionHistory:
-    """Per-step displacement/velocity coefficients with probe bookkeeping.
+    """Per-step displacement/velocity coefficients on the free dofs.
 
-    U1[n], U2[n] are full-size nodal vectors at t_n (constrained entries
-    exactly zero); row 0 holds the initial data.
+    u1f[n], u2f[n] hold U1, U2 at t_n on the free dofs ``free_dofs`` (of
+    ``n_dofs`` nodal dofs); row 0 holds the initial data.  The full-size
+    nodal histories ``U1``/``U2`` (constrained entries exactly zero) are
+    expanded on first access and cached; ``dof_history`` and
+    ``probe_trace`` read single dofs without expanding anything.
     """
 
-    U1: np.ndarray
-    U2: np.ndarray
+    u1f: np.ndarray
+    u2f: np.ndarray
+    free_dofs: np.ndarray
+    n_dofs: int
     grid: TimeGrid
     probes: list = field(default_factory=list)  # vertex indices
 
@@ -56,11 +66,28 @@ class SolutionHistory:
     def times(self):
         return self.grid.nodes
 
+    @cached_property
+    def U1(self):
+        return expand_free(self.u1f, self.free_dofs, self.n_dofs)
+
+    @cached_property
+    def U2(self):
+        return expand_free(self.u2f, self.free_dofs, self.n_dofs)
+
+    def dof_history(self, dof):
+        """Columns ``dof`` of U1 and U2 (N + 1 values each), read from the
+        free-dof arrays; exact zeros on a constrained dof."""
+        col = np.flatnonzero(self.free_dofs == dof)
+        if col.size == 0:
+            zero = np.zeros(self.u1f.shape[0])
+            return zero, zero
+        return self.u1f[:, col[0]], self.u2f[:, col[0]]
+
     def probe_trace(self, vertex):
         """(N+1, 4) array with columns u1_x, u1_y, u2_x, u2_y at a vertex."""
-        i = 2 * vertex
-        return np.column_stack([self.U1[:, i], self.U1[:, i + 1],
-                                self.U2[:, i], self.U2[:, i + 1]])
+        u1_x, u2_x = self.dof_history(2 * vertex)
+        u1_y, u2_y = self.dof_history(2 * vertex + 1)
+        return np.column_stack([u1_x, u1_y, u2_x, u2_y])
 
 
 def history_sums(table: WeightTable, u):
@@ -143,9 +170,10 @@ def run(sys: AssembledSystem, grid: TimeGrid, table: WeightTable, u0, v0,
     """Integrate the full history from initial data (u0, v0).
 
     u0 and v0 must satisfy the Dirichlet constraints.  ``probes`` is a list
-    of vertex indices recorded in the returned history (the full coefficient
-    history is kept regardless).  Loads the system marks constant in time
-    are evaluated once; any other load once per step.
+    of vertex indices recorded in the returned history (the whole free-dof
+    history is kept regardless, and returned as it was computed).  Loads the
+    system marks constant in time are evaluated once; any other load once
+    per step.
     """
     n_steps = grid.n_steps
     if table.n_steps < n_steps:
@@ -182,5 +210,5 @@ def run(sys: AssembledSystem, grid: TimeGrid, table: WeightTable, u0, v0,
         except SolverError as err:
             raise SolverError(f"step {n} failed: {err}",
                               residual=err.residual) from err
-    return SolutionHistory(U1=sys.expand(u1f), U2=sys.expand(u2f),
-                           grid=grid, probes=list(probes))
+    return SolutionHistory(u1f=u1f, u2f=u2f, free_dofs=sys.free_dofs,
+                           n_dofs=sys.n_dofs, grid=grid, probes=list(probes))

@@ -10,3 +10,4 @@ def test_benchmark_script_smoke():
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert "ml_eval" in out.stdout
+    assert "ledger[" in out.stdout

@@ -202,6 +202,42 @@ class TestCli:
         assert code == 1
         assert "error: simulate:" in capsys.readouterr().err
 
+    def test_csv_cells_are_float_reprs(self, tmp_path, monkeypatch):
+        # simulate and weights-dump format rows of Python floats; the bytes
+        # must equal repr(float(x)) cell by cell, as the CSVs always read
+        from fracvisco import cli
+        from fracvisco.stepper import run
+
+        cfg = tmp_path / "f.cfg"
+        cfg.write_text("[mesh]\nnx = 4\nny = 4\n[time]\nt_final = 0.5\n"
+                       "steps = 12\n[loads]\ng_right = (0.0, -1.0)\n"
+                       "[probes]\nprobe = (1.0, 1.0)\nprobe = (0.0, 0.5)\n")
+        assert run_cli(["simulate", str(cfg)], tmp_path, monkeypatch) == 0
+        assert run_cli(["weights-dump", str(cfg)], tmp_path, monkeypatch) == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            conf = cli._load_config(cfg)
+        mesh, _, _, sys_, grid, table = cli._setup(conf)
+        z = np.zeros(sys_.n_dofs)
+        hist = run(sys_, grid, table, z, z)
+        for name, point in (("probe_trace.csv", (1.0, 1.0)),
+                            ("probe_trace_2.csv", (0.0, 0.5))):
+            i = 2 * mesh.nearest_vertex(point)
+            lines = ["t,u1_x,u1_y,u2_x,u2_y"]
+            for n, t in enumerate(grid.nodes):
+                cells = [t, hist.U1[n, i], hist.U1[n, i + 1],
+                         hist.U2[n, i], hist.U2[n, i + 1]]
+                lines.append(",".join(repr(float(x)) for x in cells))
+            assert ((tmp_path / name).read_bytes()
+                    == ("\n".join(lines) + "\n").encode())
+        lines = ["n,j,omega_nj,eta_n"]
+        for n in range(1, table.n_steps + 1):
+            for j in range(1, n + 1):
+                lines.append(f"{n},{j},{repr(float(table.omega[n - 1, j - 1]))},"
+                             f"{repr(float(table.eta_bar[n]))}")
+        assert ((tmp_path / "weights.csv").read_bytes()
+                == ("\n".join(lines) + "\n").encode())
+
     def test_outputs_bitwise_reproducible(self, tmp_path, monkeypatch):
         cfg = tmp_path / "r.cfg"
         cfg.write_text("[mesh]\nnx = 2\nny = 2\n[time]\nt_final = 0.5\n"

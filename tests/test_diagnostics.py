@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -179,6 +180,32 @@ class TestEnergyLedger:
         other = build_weights(TimeGrid.uniform(2.0, 32), kernel_sec6)
         with pytest.raises(ValueError, match="weight table"):
             energy_ledger(hist, sys_, other)
+
+    def test_free_dof_mismatch_raises(self, homogeneous_run, mesh8,
+                                      elastic_soft):
+        sys_, grid, table, hist = homogeneous_run
+        other = assemble(mesh8, elastic_soft,
+                         extra_fixed_dofs=[int(sys_.free_dofs[0])])
+        assert other.n_dofs == sys_.n_dofs
+        with pytest.raises(ValueError, match="free dofs"):
+            energy_ledger(hist, other, table)
+
+    def test_readers_do_not_expand(self, mesh8, elastic_soft, kernel_sec6,
+                                   downward_traction):
+        # probe traces, the ledger and the tail mean all read the free-dof
+        # arrays; none of them fills the lazy full-size U1/U2
+        sys_ = assemble(mesh8, elastic_soft, traction=downward_traction)
+        grid = TimeGrid.uniform(2.0, 32)
+        table = build_weights(grid, kernel_sec6)
+        z = np.zeros(sys_.n_dofs)
+        hist = run(sys_, grid, table, z, z)
+        vertex = mesh8.nearest_vertex((1.0, 1.0))
+        hist.probe_trace(vertex)
+        energy_ledger(hist, sys_, table)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            long_time_limit(hist, vertex)
+        assert "U1" not in vars(hist) and "U2" not in vars(hist)
 
     def test_residual_tracks_solve_error(self, mesh8, elastic_soft,
                                          kernel_sec6, downward_traction,

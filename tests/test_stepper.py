@@ -293,3 +293,43 @@ class TestRun:
         hc = run(sys_, grid, table, z, z, solver="cg", rtol=1e-12)
         assert np.max(np.abs(hd.U1[-1] - hc.U1[-1])) <= 1e-9 * (
             np.max(np.abs(hd.U1[-1])) + 1e-30)
+
+
+class TestSolutionHistory:
+    @staticmethod
+    def run4(kernel, elastic, traction):
+        mesh = build_rect_mesh(4, 4)
+        sys_ = assemble(mesh, elastic, traction=traction)
+        grid = TimeGrid.uniform(1.0, 12)
+        z = np.zeros(sys_.n_dofs)
+        return mesh, sys_, run(sys_, grid, build_weights(grid, kernel), z, z)
+
+    def test_lazy_expansion_bitwise(self, kernel_sec6, elastic_soft,
+                                    downward_traction):
+        _, sys_, hist = self.run4(kernel_sec6, elastic_soft,
+                                  downward_traction)
+        assert hist.u1f.shape == hist.u2f.shape == (13, sys_.free_dofs.size)
+        assert np.array_equal(hist.free_dofs, sys_.free_dofs)
+        assert hist.n_dofs == sys_.n_dofs
+        assert "U1" not in vars(hist) and "U2" not in vars(hist)
+        u1, u2 = hist.U1, hist.U2
+        assert np.array_equal(u1, sys_.expand(hist.u1f))
+        assert np.array_equal(u2, sys_.expand(hist.u2f))
+        assert hist.U1 is u1 and hist.U2 is u2      # expanded once, cached
+
+    def test_probe_trace_equals_full_columns(self, kernel_sec6, elastic_soft,
+                                             downward_traction):
+        mesh, _, hist = self.run4(kernel_sec6, elastic_soft,
+                                  downward_traction)
+        clamped = np.flatnonzero(mesh.vertices[:, 0] == 0.0)
+        assert clamped.size == 5
+        for vertex in range(mesh.vertices.shape[0]):
+            i = 2 * vertex
+            full = np.column_stack([hist.U1[:, i], hist.U1[:, i + 1],
+                                    hist.U2[:, i], hist.U2[:, i + 1]])
+            trace = hist.probe_trace(vertex)
+            assert np.array_equal(trace, full)
+            if vertex in clamped:
+                assert np.all(trace == 0.0)
+            else:
+                assert np.any(trace != 0.0)
