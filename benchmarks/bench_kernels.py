@@ -86,15 +86,13 @@ def ledger_row(nx, n_steps, ker, repeat):
     """energy_ledger on an nx-by-nx mesh and N steps; the cost does not
     depend on the values, so the history is random."""
     sys_ = assemble(build_rect_mesh(nx, nx), ElasticParams(1.0, 1.0, 3000.0))
-    grid = TimeGrid.uniform(8.0, n_steps)
-    table = build_weights(grid, ker)
+    table = build_weights(TimeGrid.uniform(8.0, n_steps), ker)
     nf = sys_.free_dofs.size
     rng = np.random.default_rng(5)
     hist = stepper.SolutionHistory(
         u1f=rng.standard_normal((n_steps + 1, nf)),
-        u2f=rng.standard_normal((n_steps + 1, nf)),
-        free_dofs=sys_.free_dofs, n_dofs=sys_.n_dofs, grid=grid)
-    t, _ = timed(lambda: energy_ledger(hist, sys_, table), repeat)
+        u2f=rng.standard_normal((n_steps + 1, nf)), system=sys_, table=table)
+    t, _ = timed(lambda: energy_ledger(hist), repeat)
     return (f"ledger[N={n_steps},nf={nf}]", t)
 
 

@@ -45,18 +45,16 @@ def _setup(cfg):
     volume = constant_volume(cfg.f) if any(cfg.f) else None
     sys_ = assemble(mesh, ep, volume=volume, traction=traction,
                     lumped=cfg.mass_lumping)
-    grid = TimeGrid.uniform(cfg.t_final, cfg.steps)
-    table = build_weights(grid, ker, mode=cfg.weights_mode)
-    return mesh, ep, ker, sys_, grid, table
+    table = build_weights(TimeGrid.uniform(cfg.t_final, cfg.steps), ker,
+                          mode=cfg.weights_mode)
+    return mesh, ep, ker, sys_, table
 
 
 def cmd_simulate(args):
     cfg = _load_config(args.config)
-    mesh, ep, ker, sys_, grid, table = _setup(cfg)
-    ndof = sys_.n_dofs
-    zero = np.zeros(ndof)
-    hist = run(sys_, grid, table, zero, zero, solver=cfg.method,
-               rtol=cfg.cg_tol)
+    mesh, ep, ker, sys_, table = _setup(cfg)
+    zero = np.zeros(sys_.n_dofs)
+    hist = run(sys_, table, zero, zero, solver=cfg.method, rtol=cfg.cg_tol)
     out = _out_dir(cfg)
     paths = []
     times = hist.times.tolist()
@@ -76,7 +74,7 @@ def cmd_simulate(args):
 
 def cmd_energy_check(args):
     cfg = _load_config(args.config)
-    mesh, ep, ker, sys_, grid, table = _setup(cfg)
+    mesh, ep, ker, sys_, table = _setup(cfg)
     ndof = sys_.n_dofs
     if sys_.volume is None and sys_.traction is None:
         # homogeneous: start from the relaxed static shape of the default
@@ -86,9 +84,9 @@ def cmd_energy_check(args):
         u0 = quasi_static_solve(loaded, scale=max(1.0 - ker.gamma, 1e-8))
     else:
         u0 = np.zeros(ndof)
-    hist = run(sys_, grid, table, u0, np.zeros(ndof), solver=cfg.method,
+    hist = run(sys_, table, u0, np.zeros(ndof), solver=cfg.method,
                rtol=cfg.cg_tol)
-    led = energy_ledger(hist, sys_, table)
+    led = energy_ledger(hist)
     out = _out_dir(cfg)
     path = out / "energy_ledger.csv"
     path.write_text(led.csv(), encoding="utf-8")

@@ -14,7 +14,9 @@ with W_nj = U1_n - U1_j, d_n the backward difference, a(.,.) the stiffness
 inner product and |.|_M^2 the rho-weighted mass inner product.  The balance
 holds to solver-residual accuracy because eta_n is derived from the weight
 row sums; it is asserted by tests only in the homogeneous case, with the
-load work 2 sum_n k_n (Fbar_n + Gbar_n, U2_n) reported otherwise.
+load work 2 sum_n k_n (Fbar_n + Gbar_n, U2_n) reported otherwise.  A history
+carries the system and weight table of its run, so the ledger takes nothing
+else, and its loads come from ``stepper.step_loads`` as the run's did.
 
 No Gram matrix a(U1_i, U1_j) is formed.  Expanding a(W_nj, W_nj) reduces
 the memory double sum to per-step scalars: a(U1_n, U1_n), a(U1_n, U1_{n-1}),
@@ -41,7 +43,7 @@ import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 
 from .fem import AssembledSystem
-from .stepper import SolutionHistory, time_average_load
+from .stepper import SolutionHistory, step_loads
 from .weights import WeightTable
 
 __all__ = ["EnergyLedger", "energy_ledger", "long_time_limit", "TailReport"]
@@ -104,22 +106,16 @@ class EnergyLedger:
         return "\n".join(lines) + "\n"
 
 
-def energy_ledger(history: SolutionHistory, sys: AssembledSystem,
-                  table: WeightTable):
+def energy_ledger(history: SolutionHistory):
     """Evaluate the balance terms on a computed history.
 
-    The history must come from the same weight table (same grid and kernel)
-    and the same system (same free dofs); a mismatch raises.  The terms are
-    read off the history's free-dof arrays as they are.  The initial energy
+    The system, weight table and grid are those the history carries, and the
+    terms are read off its free-dof arrays as they are.  The initial energy
     is that of the stored initial row.
     """
-    grid = history.grid
+    sys, table = history.system, history.table
+    grid = table.grid
     n = grid.n_steps
-    if table.n_steps < n or not np.array_equal(
-            table.grid.nodes[:n + 1], grid.nodes):
-        raise ValueError("history grid does not match the weight table")
-    if not np.array_equal(history.free_dofs, sys.free_dofs):
-        raise ValueError("history free dofs do not match the system")
     k = grid.steps
     eta = table.eta_bar
     u2f = history.u2f
@@ -159,14 +155,7 @@ def energy_ledger(history: SolutionHistory, sys: AssembledSystem,
 
     load_work = 0.0
     if sys.volume is not None or sys.traction is not None:
-        def load(step):
-            fbar, gbar = time_average_load(sys, grid, step)
-            return sys.restrict(fbar + gbar)
-        if sys.loads_constant_in_time:
-            power = u2f[1:] @ load(1)
-        else:
-            power = np.array([load(step) @ u2f[step]
-                              for step in range(1, n + 1)])
+        power = [f @ u2 for f, u2 in zip(step_loads(sys, grid), u2f[1:])]
         load_work = 2.0 * float(k @ power)
 
     return EnergyLedger(final_elastic=float(final_elastic),

@@ -27,7 +27,6 @@ __all__ = [
     "traction_load",
     "volume_load",
     "apply_dirichlet",
-    "expand_free",
     "quasi_static_solve",
     "side_traction",
     "constant_volume",
@@ -214,7 +213,6 @@ class AssembledSystem:
     """Stiffness, mass and constraint data for one mesh/material pair."""
 
     mesh: Mesh
-    elastic: ElasticParams
     K: sp.csr_matrix
     M: sp.csr_matrix
     constrained_dofs: np.ndarray
@@ -222,7 +220,6 @@ class AssembledSystem:
     volume: object = None     # f(points(m,2), t) -> (m,2), or None
     traction: object = None   # g(points(m,2), t, side(m,)) -> (m,2), or None
     # A load callable with a true ``constant_in_time`` attribute ignores t.
-    lumped: bool = False
     _kff: sp.csr_matrix = field(default=None, repr=False)
     _mff: sp.csr_matrix = field(default=None, repr=False)
 
@@ -252,7 +249,11 @@ class AssembledSystem:
         return np.asarray(full)[..., self.free_dofs]
 
     def expand(self, reduced):
-        return expand_free(reduced, self.free_dofs, self.n_dofs)
+        """Scatter free-dof values (last axis) into zero-filled full vectors."""
+        reduced = np.asarray(reduced)
+        full = np.zeros(reduced.shape[:-1] + (self.n_dofs,))
+        full[..., self.free_dofs] = reduced
+        return full
 
     def volume_load(self, t):
         if self.volume is None:
@@ -285,9 +286,8 @@ def assemble(mesh, ep, volume=None, traction=None, lumped=False,
     fixed = np.unique(fixed)
     ndof = 2 * mesh.n_vertices
     free = np.setdiff1d(np.arange(ndof), fixed)
-    return AssembledSystem(mesh=mesh, elastic=ep, K=K, M=M,
-                           constrained_dofs=fixed, free_dofs=free,
-                           volume=volume, traction=traction, lumped=lumped)
+    return AssembledSystem(mesh=mesh, K=K, M=M, constrained_dofs=fixed,
+                           free_dofs=free, volume=volume, traction=traction)
 
 
 def apply_dirichlet(sys: AssembledSystem, obj):
@@ -295,14 +295,6 @@ def apply_dirichlet(sys: AssembledSystem, obj):
     if sp.issparse(obj):
         return obj[sys.free_dofs][:, sys.free_dofs].tocsr()
     return np.asarray(obj)[sys.free_dofs]
-
-
-def expand_free(reduced, free_dofs, n_dofs):
-    """Scatter free-dof values (last axis) into zero-filled full vectors."""
-    reduced = np.asarray(reduced)
-    full = np.zeros(reduced.shape[:-1] + (n_dofs,))
-    full[..., free_dofs] = reduced
-    return full
 
 
 def traction_load(mesh, g, t=0.0):

@@ -82,10 +82,10 @@ class ReferenceTrace:
         return float(self.u[-1])
 
 
-def scalar_dg0(model: ScalarModel, grid: TimeGrid, table: WeightTable = None):
-    """dG(0) trajectory of the scalar model; one scalar solve per step."""
-    if table is None:
-        table = build_weights(grid, model.kernel)
+def scalar_dg0(model: ScalarModel, table: WeightTable):
+    """dG(0) trajectory of the scalar model on the grid of ``table``; one
+    scalar solve per step."""
+    grid = table.grid
     n_steps = grid.n_steps
     k = grid.steps
     u1 = np.empty(n_steps + 1)
@@ -194,16 +194,9 @@ def _reference_sweep(model, t_final, k_ref, m_g, startup_steps):
 
     agr = np.zeros(M + 1)
     if m_g > 0:
-        targets = nodes[m_g + 1:]
-        lag_hi = targets[None, :] - graded[:-1, None]   # (m_g, M - m_g)
-        lag_lo = targets[None, :] - graded[1:, None]
-        bb = beta_primitive(p, lag_hi)
-        ba = beta_primitive(p, lag_lo)
-        cb = beta_double_primitive(p, lag_hi)
-        ca = beta_double_primitive(p, lag_lo)
-        h_i = np.diff(graded)[:, None]
-        w_lo = (h_i * bb - (cb - ca)) / h_i
-        w_hi = ((cb - ca) - h_i * ba) / h_i
+        # (m_g, M - m_g) blocks: graded interval i seen from each target
+        w_lo, w_hi = _pl_weights(p, nodes[None, m_g + 1:], graded[:-1, None],
+                                 graded[1:, None])
         agr[m_g + 1:] = u[:m_g] @ w_lo + u[1:m_g + 1] @ w_hi
     cn_sweep(u, v, ivals, fvals, agr, pw, qw, k_ref, rho, kappa, m_g)
     return nodes, u, v
@@ -273,8 +266,9 @@ def _step_grid(t_final, k):
 
 def _dg0_study(model, k_list, grids, u_ref):
     """dG(0) final-value errors against u_ref and the observed orders."""
-    errors = [float(abs(scalar_dg0(model, grid).u1[-1] - u_ref))
+    finals = [scalar_dg0(model, build_weights(grid, model.kernel)).u1[-1]
               for grid in grids]
+    errors = [float(abs(u - u_ref)) for u in finals]
     rows = [ConvergenceRow(k=float(k_list[0]), error=errors[0],
                            order=float("nan"))]
     for i in range(1, len(k_list)):
@@ -311,5 +305,6 @@ def self_convergence_study(model: ScalarModel, k_list, t_final, k_fine):
     if k_fine >= min(k_list):
         raise ValueError("k_fine must be below every entry of k_list")
     grids = [_step_grid(t_final, k) for k in k_list]
-    u_ref = float(scalar_dg0(model, _step_grid(t_final, k_fine)).u1[-1])
+    fine = build_weights(_step_grid(t_final, k_fine), model.kernel)
+    u_ref = float(scalar_dg0(model, fine).u1[-1])
     return _dg0_study(model, k_list, grids, u_ref)

@@ -15,8 +15,10 @@ reuse one factorization across steps that share k_n and omega_nn (all of
 them, on uniform grids).
 
 The whole computation lives on the free dofs, and so does the history that
-``run`` returns: full-size nodal vectors (constrained entries zero) are
-expanded only when a reader asks for ``SolutionHistory.U1``/``U2``.
+``run`` returns, together with the system and weight table that produced it:
+the table carries the time grid and the system the free dofs.  Full-size
+nodal vectors (constrained entries zero) are expanded only when a reader asks
+for ``SolutionHistory.U1``/``U2``.
 """
 
 from __future__ import annotations
@@ -27,12 +29,12 @@ from functools import cached_property
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 
-from .fem import AssembledSystem, expand_free
+from .fem import AssembledSystem
 from .solvers import SolverError, make_spd_solver
 from .weights import TimeGrid, WeightTable
 
-__all__ = ["SolutionHistory", "history_sums", "time_average_load", "advance",
-           "run"]
+__all__ = ["SolutionHistory", "history_sums", "time_average_load",
+           "step_loads", "advance", "run"]
 
 # Square blocks of history_sums with sides up to this many steps are dense
 # products; larger ones (uniform grids only) go through real FFTs.  Dense
@@ -46,38 +48,43 @@ FFT_CHUNK = 1 << 18
 
 @dataclass
 class SolutionHistory:
-    """Per-step displacement/velocity coefficients on the free dofs.
+    """The record of one run: per-step coefficients on the free dofs, with
+    the system and weight table that produced them.
 
-    u1f[n], u2f[n] hold U1, U2 at t_n on the free dofs ``free_dofs`` (of
-    ``n_dofs`` nodal dofs); row 0 holds the initial data.  The full-size
-    nodal histories ``U1``/``U2`` (constrained entries exactly zero) are
-    expanded on first access and cached; ``dof_history`` and
-    ``probe_trace`` read single dofs without expanding anything.
+    u1f[n], u2f[n] hold U1, U2 at t_n on ``system.free_dofs``, for the nodes
+    t_n of ``table.grid``; row 0 holds the initial data.  The full-size nodal
+    histories ``U1``/``U2`` (constrained entries exactly zero) are expanded
+    on first access and cached; ``dof_history`` and ``probe_trace`` read
+    single dofs without expanding anything.
     """
 
     u1f: np.ndarray
     u2f: np.ndarray
-    free_dofs: np.ndarray
-    n_dofs: int
-    grid: TimeGrid
-    probes: list = field(default_factory=list)  # vertex indices
+    system: AssembledSystem = field(repr=False)
+    table: WeightTable = field(repr=False)
+
+    def __post_init__(self):
+        shape = (self.table.n_steps + 1, self.system.free_dofs.size)
+        if self.u1f.shape != shape or self.u2f.shape != shape:
+            raise ValueError(f"u1f and u2f must have shape {shape}, got "
+                             f"{self.u1f.shape} and {self.u2f.shape}")
 
     @property
     def times(self):
-        return self.grid.nodes
+        return self.table.grid.nodes
 
     @cached_property
     def U1(self):
-        return expand_free(self.u1f, self.free_dofs, self.n_dofs)
+        return self.system.expand(self.u1f)
 
     @cached_property
     def U2(self):
-        return expand_free(self.u2f, self.free_dofs, self.n_dofs)
+        return self.system.expand(self.u2f)
 
     def dof_history(self, dof):
         """Columns ``dof`` of U1 and U2 (N + 1 values each), read from the
         free-dof arrays; exact zeros on a constrained dof."""
-        col = np.flatnonzero(self.free_dofs == dof)
+        col = np.flatnonzero(self.system.free_dofs == dof)
         if col.size == 0:
             zero = np.zeros(self.u1f.shape[0])
             return zero, zero
@@ -155,32 +162,40 @@ def time_average_load(sys: AssembledSystem, grid: TimeGrid, n):
     return sys.volume_load(tm), sys.traction_vector(tm)
 
 
-def advance(u1_prev_f, u2_prev_f, sys, table, n, hist_f, load_f, solver):
-    """One dG(0) step on free dofs; returns (u1_f, u2_f) at step n."""
-    k = table.grid.steps[n - 1]
-    co = k - table.omega[n - 1, n - 1]
+def step_loads(sys: AssembledSystem, grid: TimeGrid):
+    """Yield the free-dof load Fbar_n + Gbar_n for n = 1..N.
+
+    Loads the system marks constant in time are evaluated once (the same
+    array is yielded at every step); any other load once per step.
+    """
+    constant = sys.loads_constant_in_time
+    load = None
+    for n in range(1, grid.n_steps + 1):
+        if load is None or not constant:
+            fbar, gbar = time_average_load(sys, grid, n)
+            load = sys.restrict(fbar + gbar)
+        yield load
+
+
+def advance(u1_prev_f, u2_prev_f, sys, k, co, hist_f, load_f, solver):
+    """One dG(0) step on free dofs with step k and co = k - omega_nn;
+    returns (u1_f, u2_f)."""
     rhs = (sys.Mff @ u2_prev_f + sys.Kff @ (hist_f - co * u1_prev_f)
            + k * load_f)
     u2 = solver.solve(rhs)
     return u1_prev_f + k * u2, u2
 
 
-def run(sys: AssembledSystem, grid: TimeGrid, table: WeightTable, u0, v0,
-        probes=(), solver="direct", rtol=1e-10):
-    """Integrate the full history from initial data (u0, v0).
+def run(sys: AssembledSystem, table: WeightTable, u0, v0, solver="direct",
+        rtol=1e-10):
+    """Integrate from initial data (u0, v0) over the grid of ``table``.
 
-    u0 and v0 must satisfy the Dirichlet constraints.  ``probes`` is a list
-    of vertex indices recorded in the returned history (the whole free-dof
-    history is kept regardless, and returned as it was computed).  Loads the
-    system marks constant in time are evaluated once; any other load once
-    per step.
+    u0 and v0 must satisfy the Dirichlet constraints.  The returned history
+    keeps the whole free-dof history as it was computed, with ``sys`` and
+    ``table``.  Loads come from ``step_loads``.
     """
+    grid = table.grid
     n_steps = grid.n_steps
-    if table.n_steps < n_steps:
-        raise ValueError(
-            f"weight table covers {table.n_steps} steps, grid has {n_steps}")
-    if not np.array_equal(table.grid.nodes[:n_steps + 1], grid.nodes):
-        raise ValueError("weight table was built on a different grid")
     u0 = np.asarray(u0, dtype=np.float64)
     v0 = np.asarray(v0, dtype=np.float64)
     for name, vec in (("u0", u0), ("v0", v0)):
@@ -193,22 +208,17 @@ def run(sys: AssembledSystem, grid: TimeGrid, table: WeightTable, u0, v0,
     u2f[0] = sys.restrict(v0)
     k = grid.steps
     solvers = {}
-    load = None
-    constant_load = sys.loads_constant_in_time
-    for n, hist in enumerate(history_sums(table, u1f), start=1):
+    for n, (hist, load) in enumerate(
+            zip(history_sums(table, u1f), step_loads(sys, grid)), start=1):
         co = k[n - 1] - table.omega[n - 1, n - 1]
         key = (k[n - 1], co)
         if key not in solvers:
             mat = sys.Mff + (k[n - 1] * co) * sys.Kff
             solvers[key] = make_spd_solver(mat, method=solver, rtol=rtol)
-        if load is None or not constant_load:
-            fbar, gbar = time_average_load(sys, grid, n)
-            load = sys.restrict(fbar + gbar)
         try:
-            u1f[n], u2f[n] = advance(u1f[n - 1], u2f[n - 1], sys, table, n,
-                                     hist, load, solvers[key])
+            u1f[n], u2f[n] = advance(u1f[n - 1], u2f[n - 1], sys, k[n - 1],
+                                     co, hist, load, solvers[key])
         except SolverError as err:
             raise SolverError(f"step {n} failed: {err}",
                               residual=err.residual) from err
-    return SolutionHistory(u1f=u1f, u2f=u2f, free_dofs=sys.free_dofs,
-                           n_dofs=sys.n_dofs, grid=grid, probes=list(probes))
+    return SolutionHistory(u1f=u1f, u2f=u2f, system=sys, table=table)

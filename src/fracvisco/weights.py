@@ -105,10 +105,6 @@ class WeightTable:
     def n_steps(self):
         return self.omega.shape[0]
 
-    def row(self, n):
-        """omega_nj for j = 1..n (1-based step index n)."""
-        return self.omega[n - 1, :n]
-
     def beta_cell_averages(self):
         """beta_nj = omega_nj / (k_n k_j), the cell means of the kernel."""
         k = self.grid.steps
@@ -147,22 +143,19 @@ def build_weights(grid: TimeGrid, p: KernelParams, mode="closed_form"):
         eta_bar[1:] = 1.0 - np.cumsum(w_of) / k
         return WeightTable(omega=_toeplitz_view(w_of), eta_bar=eta_bar,
                            mode=mode, grid=grid, params=p, lags=w_of)
-    omega = np.zeros((n, n))
-    if p.gamma > 0.0:
-        if mode == "closed_form":
-            cmat = _pairwise_primitive(beta_double_primitive, p, nodes)
-            for i in range(n):  # i = n-1 (0-based row)
-                jj = np.arange(i)
-                omega[i, :i] = (cmat[i + 1, jj] - cmat[i + 1, jj + 1]
-                                - cmat[i, jj] + cmat[i, jj + 1])
-                omega[i, i] = beta_double_primitive(p, k[i])
-        else:
-            mid = nodes[:-1] + 0.5 * k
-            bmat = _pairwise_primitive(beta_primitive, p, nodes, mid=mid)
-            for i in range(n):
-                jj = np.arange(i)
-                omega[i, :i] = k[i] * (bmat[i, jj] - bmat[i, jj + 1])
-                omega[i, i] = k[i] * beta_primitive(p, 0.5 * k[i])
+    if p.gamma == 0.0:
+        omega = np.zeros((n, n))
+    elif mode == "closed_form":
+        # the pairwise table is zero at lags <= 0, so the diagonal comes out
+        # as C(k_n) and the upper triangle as zeros
+        c = _pairwise_primitive(beta_double_primitive, p, nodes)
+        omega = c[1:, :-1] - c[1:, 1:] - c[:-1, :-1] + c[:-1, 1:]
+    else:
+        b = _pairwise_primitive(beta_primitive, p, nodes,
+                                mid=nodes[:-1] + 0.5 * k)
+        omega = k[:, None] * (b[:, :-1] - b[:, 1:])
+        # the diagonal at the exact half step (mid_n - t_{n-1} may round)
+        omega[np.diag_indices(n)] = k * beta_primitive(p, 0.5 * k)
     row_sums = omega.sum(axis=1)
     eta_bar = np.empty(n + 1)
     eta_bar[0] = 1.0

@@ -45,7 +45,7 @@ def sec6_long_run():
     t0 = time.perf_counter()
     table = build_weights(grid, KernelParams(**SEC6_KERNEL))
     z = np.zeros(sys_.n_dofs)
-    hist = run(sys_, grid, table, z, z)
+    hist = run(sys_, table, z, z)
     elapsed = time.perf_counter() - t0
     return mesh, sys_, grid, hist, elapsed
 
@@ -60,8 +60,8 @@ def test_criterion_1_energy_identity():
     sys_ = assemble(mesh, ep)
     grid = TimeGrid.uniform(1.0, 32)
     table = build_weights(grid, ker)
-    hist = run(sys_, grid, table, u0, np.zeros_like(u0), solver="direct")
-    led = energy_ledger(hist, sys_, table)
+    hist = run(sys_, table, u0, np.zeros_like(u0), solver="direct")
+    led = energy_ledger(hist)
     elapsed = time.perf_counter() - t0
     tol = 1e-12 * led.rhs_total
     diss_ok = (led.eta_dissipation >= -tol
@@ -131,7 +131,7 @@ def test_criterion_4_self_convergence_2d():
         grid = TimeGrid.uniform(t_final, int(round(t_final / k)))
         table = build_weights(grid, ker, mode="midpoint")  # matches the
         # quadrature used by the replicated experiment
-        return run(sys_, grid, table, z, z).U1[-1]
+        return run(sys_, table, z, z).U1[-1]
 
     fine = final_u1(k_min)
     ks = np.array([2.0 ** -2, 2.0 ** -3, 2.0 ** -4, 2.0 ** -5])
@@ -187,7 +187,7 @@ def test_criterion_6_long_time_relaxed_limit(sec6_long_run):
     table0 = build_weights(grid, KernelParams(alpha=ker.alpha, tau=ker.tau,
                                               gamma=0.0))
     z = np.zeros(sys_.n_dofs)
-    hist0 = run(sys_, grid, table0, z, z)
+    hist0 = run(sys_, table0, z, z)
     ref0 = quasi_static_solve(sys_, scale=1.0)[2 * vertex + 1]
     rep0 = long_time_limit(hist0, vertex, component=1, reference=ref0)
     elapsed = elapsed_gamma + time.perf_counter() - t0
@@ -223,14 +223,14 @@ def test_criterion_8_cross_implementation_oracle():
     grid = TimeGrid.uniform(2.0, 100)
     table = build_weights(grid, ker)
     z = np.zeros(sys_.n_dofs)
-    hist = run(sys_, grid, table, z, z)
+    hist = run(sys_, table, z, z)
     model = ScalarModel(
         rho=float(sys_.Mff.toarray()[0, 0]),
         kappa=float(sys_.Kff.toarray()[0, 0]),
         kernel=ker,
         forcing=lambda t: float(sys_.restrict(sys_.traction_vector(t))[0]),
         u0=0.0, v0=0.0)
-    trace = scalar_dg0(model, grid, table)
+    trace = scalar_dg0(model, table)
     err = float(np.max(np.abs(hist.U1[:, 7] - trace.u1)))
     scale = float(np.max(np.abs(trace.u1)))
     ok = err <= 1e-10 * max(scale, 1.0)

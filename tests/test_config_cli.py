@@ -217,14 +217,14 @@ class TestCli:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             conf = cli._load_config(cfg)
-        mesh, _, _, sys_, grid, table = cli._setup(conf)
+        mesh, _, _, sys_, table = cli._setup(conf)
         z = np.zeros(sys_.n_dofs)
-        hist = run(sys_, grid, table, z, z)
+        hist = run(sys_, table, z, z)
         for name, point in (("probe_trace.csv", (1.0, 1.0)),
                             ("probe_trace_2.csv", (0.0, 0.5))):
             i = 2 * mesh.nearest_vertex(point)
             lines = ["t,u1_x,u1_y,u2_x,u2_y"]
-            for n, t in enumerate(grid.nodes):
+            for n, t in enumerate(table.grid.nodes):
                 cells = [t, hist.U1[n, i], hist.U1[n, i + 1],
                          hist.U2[n, i], hist.U2[n, i + 1]]
                 lines.append(",".join(repr(float(x)) for x in cells))

@@ -4,26 +4,23 @@ import warnings
 import numpy as np
 import pytest
 
-from fracvisco import diagnostics
+from fracvisco import diagnostics, stepper
 from fracvisco.diagnostics import EnergyLedger, energy_ledger, long_time_limit
-from fracvisco.fem import (AssembledSystem, ElasticParams, assemble,
-                           build_rect_mesh, quasi_static_solve, side_traction)
+from fracvisco.fem import (ElasticParams, assemble, build_rect_mesh,
+                           quasi_static_solve, side_traction)
 from fracvisco.mlf import KernelParams
 from fracvisco.solvers import SpdSolver
 from fracvisco.stepper import SolutionHistory, run, time_average_load
-from fracvisco.weights import TimeGrid, WeightTable, build_weights
+from fracvisco.weights import TimeGrid, build_weights
 
 
-def gram_ledger(history: SolutionHistory, sys: AssembledSystem,
-                table: WeightTable, u0=None, v0=None, with_loads=True):
+def gram_ledger(history: SolutionHistory, u0=None, v0=None, with_loads=True):
     """The ledger as first written: every term from the (N+1)^2 Gram matrix
     a(U1_i, U1_j), the reordered double sum from the cell means beta_nj.
     Kept verbatim as the oracle of the O(N) per-step-scalar ledger."""
-    grid = history.grid
+    sys, table = history.system, history.table
+    grid = table.grid
     n = grid.n_steps
-    if table.n_steps < n or not np.array_equal(
-            table.grid.nodes[:n + 1], grid.nodes):
-        raise ValueError("history grid does not match the weight table")
     k = grid.steps
     eta = table.eta_bar
     omega = table.omega
@@ -103,7 +100,7 @@ def homogeneous_run(mesh8, elastic_soft, kernel_sec6, downward_traction):
     sys_ = assemble(mesh8, elastic_soft)
     grid = TimeGrid.uniform(1.0, 32)
     table = build_weights(grid, kernel_sec6)
-    hist = run(sys_, grid, table, u0, np.zeros_like(u0))
+    hist = run(sys_, table, u0, np.zeros_like(u0))
     return sys_, grid, table, hist
 
 
@@ -113,21 +110,21 @@ class TestEnergyLedger:
         grid = TimeGrid.uniform(1.0, 8)
         table = build_weights(grid, kernel_sec6)
         z = np.zeros(sys_.n_dofs)
-        hist = run(sys_, grid, table, z, z)
-        led = energy_ledger(hist, sys_, table)
+        hist = run(sys_, table, z, z)
+        led = energy_ledger(hist)
         for name, value in led.rows():
             if name != "residual_rel":
                 assert value == 0.0, name
 
     def test_homogeneous_identity(self, homogeneous_run):
         sys_, grid, table, hist = homogeneous_run
-        led = energy_ledger(hist, sys_, table)
+        led = energy_ledger(hist)
         assert led.residual_rel <= 1e-8
         assert led.load_work == 0.0
 
     def test_dissipation_terms_nonnegative(self, homogeneous_run):
         sys_, grid, table, hist = homogeneous_run
-        led = energy_ledger(hist, sys_, table)
+        led = energy_ledger(hist)
         tol = 1e-12 * led.rhs_total
         assert led.eta_dissipation >= -tol
         assert led.history_dissipation >= -tol
@@ -137,7 +134,7 @@ class TestEnergyLedger:
 
     def test_two_groupings_agree(self, homogeneous_run):
         sys_, grid, table, hist = homogeneous_run
-        led = energy_ledger(hist, sys_, table)
+        led = energy_ledger(hist)
         scale = max(abs(led.history_dissipation), 1e-300)
         assert abs(led.history_dissipation
                    - led.history_dissipation_alt) / scale <= 1e-12
@@ -149,8 +146,8 @@ class TestEnergyLedger:
         sys_ = assemble(mesh8, elastic_soft)
         grid = TimeGrid.uniform(1.0, 16)
         table = build_weights(grid, KernelParams(0.5, 1.0, 0.0))
-        hist = run(sys_, grid, table, u0, np.zeros_like(u0))
-        led = energy_ledger(hist, sys_, table)
+        hist = run(sys_, table, u0, np.zeros_like(u0))
+        led = energy_ledger(hist)
         assert led.history_dissipation == 0.0
         assert led.history_dissipation_alt == 0.0
         # eta_n is constant 1, so only the step-roughness part survives
@@ -170,25 +167,10 @@ class TestEnergyLedger:
         grid = TimeGrid.uniform(1.0, 16)
         table = build_weights(grid, kernel_sec6)
         z = np.zeros(sys_.n_dofs)
-        hist = run(sys_, grid, table, z, z)
-        led = energy_ledger(hist, sys_, table)
+        hist = run(sys_, table, z, z)
+        led = energy_ledger(hist)
         assert led.load_work != 0.0
         assert led.residual_rel <= 1e-8
-
-    def test_grid_mismatch_raises(self, homogeneous_run, kernel_sec6):
-        sys_, grid, table, hist = homogeneous_run
-        other = build_weights(TimeGrid.uniform(2.0, 32), kernel_sec6)
-        with pytest.raises(ValueError, match="weight table"):
-            energy_ledger(hist, sys_, other)
-
-    def test_free_dof_mismatch_raises(self, homogeneous_run, mesh8,
-                                      elastic_soft):
-        sys_, grid, table, hist = homogeneous_run
-        other = assemble(mesh8, elastic_soft,
-                         extra_fixed_dofs=[int(sys_.free_dofs[0])])
-        assert other.n_dofs == sys_.n_dofs
-        with pytest.raises(ValueError, match="free dofs"):
-            energy_ledger(hist, other, table)
 
     def test_readers_do_not_expand(self, mesh8, elastic_soft, kernel_sec6,
                                    downward_traction):
@@ -198,10 +180,10 @@ class TestEnergyLedger:
         grid = TimeGrid.uniform(2.0, 32)
         table = build_weights(grid, kernel_sec6)
         z = np.zeros(sys_.n_dofs)
-        hist = run(sys_, grid, table, z, z)
+        hist = run(sys_, table, z, z)
         vertex = mesh8.nearest_vertex((1.0, 1.0))
         hist.probe_trace(vertex)
-        energy_ledger(hist, sys_, table)
+        energy_ledger(hist)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             long_time_limit(hist, vertex)
@@ -230,23 +212,25 @@ class TestEnergyLedger:
         residuals = []
         for eps in epsilons:
             noise.update(eps=eps, rng=np.random.default_rng(3))
-            hist = run(sys_, grid, table, u0, np.zeros_like(u0))
-            residuals.append(energy_ledger(hist, sys_, table).residual_rel)
+            hist = run(sys_, table, u0, np.zeros_like(u0))
+            residuals.append(energy_ledger(hist).residual_rel)
         assert residuals[0] <= 1e-13
         for eps, res in zip(epsilons[1:], residuals[1:]):
             assert res >= 1e-3 * eps
         assert np.all(np.diff(residuals) > 0.0)
 
     def test_probe_invariance(self, homogeneous_run):
+        # reading probe traces leaves the history, and so the ledger, as is
         sys_, grid, table, hist = homogeneous_run
-        led_a = energy_ledger(hist, sys_, table)
-        hist.probes = [0, 5]
-        led_b = energy_ledger(hist, sys_, table)
+        led_a = energy_ledger(hist)
+        hist.probe_trace(0)
+        hist.probe_trace(5)
+        led_b = energy_ledger(hist)
         assert led_a.lhs_total == led_b.lhs_total
 
     def test_csv_rows(self, homogeneous_run):
         sys_, grid, table, hist = homogeneous_run
-        lines = energy_ledger(hist, sys_, table).csv().strip().splitlines()
+        lines = energy_ledger(hist).csv().strip().splitlines()
         assert lines[0] == "term,value"
         assert any(line.startswith("residual_rel,") for line in lines)
 
@@ -255,7 +239,7 @@ class TestEnergyLedger:
         # so with eta_N >= 1 - gamma the final state is bounded uniformly
         # in N and k
         sys_, grid, table, hist = homogeneous_run
-        led = energy_ledger(hist, sys_, table)
+        led = energy_ledger(hist)
         n = grid.n_steps
         assert table.eta_bar[n] >= 1.0 - kernel_sec6.gamma
         lhs_final = led.final_elastic + led.final_kinetic
@@ -266,10 +250,10 @@ class TestAgainstGramOracle:
     """The per-step-scalar ledger term by term against the Gram oracle."""
 
     @staticmethod
-    def _check(sys_, grid, table, u0):
-        hist = run(sys_, grid, table, u0, np.zeros_like(u0))
-        got = energy_ledger(hist, sys_, table)
-        want = gram_ledger(hist, sys_, table)
+    def _check(sys_, table, u0):
+        hist = run(sys_, table, u0, np.zeros_like(u0))
+        got = energy_ledger(hist)
+        want = gram_ledger(hist)
         tol = 1e-12 * abs(want.rhs_total)
         for (name, a), (_, b) in zip(got.rows(), want.rows()):
             if name != "residual_rel":
@@ -290,7 +274,7 @@ class TestAgainstGramOracle:
             u0 = quasi_static_solve(assemble(mesh8, elastic_soft,
                                              traction=downward_traction),
                                     scale=0.5)
-        led = self._check(sys_, grid, table, u0)
+        led = self._check(sys_, table, u0)
         assert (led.load_work != 0.0) == loaded
 
     def test_small_blocks(self, mesh8, elastic_soft, kernel_sec6,
@@ -300,7 +284,7 @@ class TestAgainstGramOracle:
         sys_ = assemble(mesh8, elastic_soft, traction=downward_traction)
         u0 = quasi_static_solve(sys_, scale=0.5)
         grid = TimeGrid.uniform(1.0, 32)
-        self._check(sys_, grid, build_weights(grid, kernel_sec6), u0)
+        self._check(sys_, build_weights(grid, kernel_sec6), u0)
 
     def test_gamma_zero(self, mesh8, elastic_soft, downward_traction):
         sys_ = assemble(mesh8, elastic_soft)
@@ -308,7 +292,7 @@ class TestAgainstGramOracle:
                                          traction=downward_traction))
         grid = TimeGrid.uniform(1.0, 40)
         table = build_weights(grid, KernelParams(0.5, 1.0, 0.0))
-        led = self._check(sys_, grid, table, u0)
+        led = self._check(sys_, table, u0)
         assert led.history_dissipation == 0.0
 
     def test_nonuniform(self, mesh8, elastic_soft, kernel_sec6,
@@ -319,7 +303,7 @@ class TestAgainstGramOracle:
         assert table.lags is None
         sys_ = assemble(mesh8, elastic_soft, traction=downward_traction)
         u0 = quasi_static_solve(sys_, scale=0.5)
-        led = self._check(sys_, grid, table, u0)
+        led = self._check(sys_, table, u0)
         assert led.residual_rel <= 1e-8
 
     def test_no_quadratic_memory(self, elastic_soft, kernel_sec6,
@@ -332,10 +316,10 @@ class TestAgainstGramOracle:
                                 scale=0.5)
         grid = TimeGrid.uniform(4.0, 4096)
         table = build_weights(grid, kernel_sec6)
-        hist = run(sys_, grid, table, u0, np.zeros_like(u0))
+        hist = run(sys_, table, u0, np.zeros_like(u0))
         tracemalloc.start()
         try:
-            led = energy_ledger(hist, sys_, table)
+            led = energy_ledger(hist)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -355,17 +339,15 @@ class TestAgainstGramOracle:
             calls.append(args[2])
             return time_average_load(*args)
 
-        grid = TimeGrid.uniform(1.0, 24)
-        table = build_weights(grid, kernel_sec6)
-        sys_ = assemble(mesh8, elastic_soft, traction=marked)
-        z = np.zeros(sys_.n_dofs)
-        hist = run(sys_, grid, table, z, z)
-        monkeypatch.setattr(diagnostics, "time_average_load", counted)
+        table = build_weights(TimeGrid.uniform(1.0, 24), kernel_sec6)
+        monkeypatch.setattr(stepper, "time_average_load", counted)
         work = []
         for traction, expect in ((marked, 1), (unmarked, 24)):
-            calls.clear()
             sys_ = assemble(mesh8, elastic_soft, traction=traction)
-            work.append(energy_ledger(hist, sys_, table).load_work)
+            z = np.zeros(sys_.n_dofs)
+            hist = run(sys_, table, z, z)
+            calls.clear()
+            work.append(energy_ledger(hist).load_work)
             assert len(calls) == expect
         assert work[0] != 0.0
         assert work[1] == pytest.approx(work[0], rel=1e-14)
@@ -377,7 +359,7 @@ class TestLongTimeLimit:
         grid = TimeGrid.uniform(4.0, 32)
         table = build_weights(grid, kernel_sec6)
         z = np.zeros(sys_.n_dofs)
-        hist = run(sys_, grid, table, z, z)
+        hist = run(sys_, table, z, z)
         rep = long_time_limit(hist, 0, reference=0.0)
         assert rep.tail_mean == 0.0
         assert rep.rel_gap == 0.0
@@ -392,7 +374,7 @@ class TestLongTimeLimit:
         grid = TimeGrid.uniform(40.0, 1280)
         table = build_weights(grid, KernelParams(2.0 / 3.0, 1.0, 0.0))
         z = np.zeros(sys_.n_dofs)
-        hist = run(sys_, grid, table, z, z)
+        hist = run(sys_, table, z, z)
         vertex = mesh.nearest_vertex((1.0, 1.0))
         ref = quasi_static_solve(sys_, scale=1.0)[2 * vertex + 1]
         rep = long_time_limit(hist, vertex, component=1, reference=ref)
@@ -406,7 +388,7 @@ class TestLongTimeLimit:
         grid = TimeGrid.uniform(4.0, 64)
         table = build_weights(grid, kernel_sec6)
         z = np.zeros(sys_.n_dofs)
-        hist = run(sys_, grid, table, z, z)
+        hist = run(sys_, table, z, z)
         vertex = mesh8.nearest_vertex((1.0, 1.0))
         ref = quasi_static_solve(sys_, scale=0.5)[2 * vertex + 1]
         with pytest.warns(UserWarning, match="not settled"):

@@ -7,7 +7,7 @@ from fracvisco import scalar
 from fracvisco.mlf import KernelParams
 from fracvisco.scalar import (ScalarModel, convergence_study, scalar_dg0,
                               scalar_reference, self_convergence_study)
-from fracvisco.weights import TimeGrid
+from fracvisco.weights import TimeGrid, build_weights
 
 
 @pytest.fixture(scope="module")
@@ -23,7 +23,8 @@ def reference_t4(fractional_model):
 class TestScalarDg0:
     def test_zero_data(self, kernel_sec6):
         m = ScalarModel(rho=1.0, kappa=1.0, kernel=kernel_sec6)
-        trace = scalar_dg0(m, TimeGrid.uniform(2.0, 16))
+        trace = scalar_dg0(m, build_weights(TimeGrid.uniform(2.0, 16),
+                                             m.kernel))
         assert np.all(trace.u1 == 0.0)
         assert np.all(trace.u2 == 0.0)
 
@@ -31,7 +32,8 @@ class TestScalarDg0:
         # gamma = 0, free vibration: |u| stays within the initial energy bound
         m = ScalarModel(rho=2.0, kappa=3.0, kernel=KernelParams(0.5, 1.0, 0.0),
                         u0=0.7, v0=0.2)
-        trace = scalar_dg0(m, TimeGrid.uniform(20.0, 400))
+        trace = scalar_dg0(m, build_weights(TimeGrid.uniform(20.0, 400),
+                                             m.kernel))
         bound = np.sqrt(m.u0 ** 2 + m.rho * m.v0 ** 2 / m.kappa) + 1e-12
         assert np.max(np.abs(trace.u1)) <= bound
 
@@ -70,15 +72,17 @@ class TestScalarReference:
         assert np.isfinite(ref.richardson_order)
 
     def test_row_weights_match_per_pair(self, fractional_model, monkeypatch):
-        # the graded startup takes each row's product weights in one call;
-        # the same sweep with the weights computed one interval at a time
+        # the graded startup takes each row's product weights, and the frozen
+        # startup block all of its weights, in one call; the same sweep with
+        # the weights computed one interval at a time
         want = scalar_reference(fractional_model, 2.0, k_ref=2.0 ** -8,
                                 m_g=24)
         batched = scalar._pl_weights
 
         def per_pair(p, target, s_lo, s_hi):
+            shape = np.broadcast_shapes(np.shape(target), np.shape(s_lo))
             pairs = [batched(p, target, lo, hi) for lo, hi in zip(s_lo, s_hi)]
-            return np.array(pairs).T
+            return [np.reshape(w, shape) for w in zip(*pairs)]
 
         monkeypatch.setattr(scalar, "_pl_weights", per_pair)
         got = scalar_reference(fractional_model, 2.0, k_ref=2.0 ** -8,
