@@ -9,7 +9,9 @@ at three FFT thresholds, the middle one the default ``DIRECT_BLOCK``), one
 direct solve of the dG(0) step matrix by banded Cholesky in reverse
 Cuthill-McKee order (the rows name the half-bandwidth bw) and the energy
 ledger of ``energy-check`` on a stored history.  Times are per call; the
-solve rows are per solve, residual check included.
+solve rows are per solve, residual check included.  The memory rows give the
+tracemalloc peaks of ``stepper.run`` and of ``energy_ledger`` on the 25x25
+mesh with N=2048, next to the two (N+1) x nf histories a run must hold.
 
 Run:  python benchmarks/bench_kernels.py [--quick]
 """
@@ -17,6 +19,7 @@ Run:  python benchmarks/bench_kernels.py [--quick]
 import argparse
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -56,7 +59,7 @@ def online_history(table, u, direct_block):
     saved = stepper.DIRECT_BLOCK
     stepper.DIRECT_BLOCK = direct_block
     try:
-        for h in stepper.history_sums(table, u):
+        for h in stepper.history_sums(table, u, np.zeros_like(u)):
             pass
     finally:
         stepper.DIRECT_BLOCK = saved
@@ -94,6 +97,36 @@ def ledger_row(nx, n_steps, ker, repeat):
         u2f=rng.standard_normal((n_steps + 1, nf)), system=sys_, table=table)
     t, _ = timed(lambda: energy_ledger(hist), repeat)
     return (f"ledger[N={n_steps},nf={nf}]", t)
+
+
+def traced_peak(fn):
+    """fn() and the peak of the memory it allocated (tracemalloc), in MB."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak / 1e6
+
+
+def memory_rows():
+    """Peaks of one run and of its energy ledger on the energy_audit size,
+    beside the size of one history array."""
+    n_steps = 2048
+    ker = KernelParams(alpha=2.0 / 3.0, tau=1.0, gamma=0.5)
+    sys_ = assemble(build_rect_mesh(25, 25), ElasticParams(1.0, 1.0, 3000.0))
+    table = build_weights(TimeGrid.uniform(8.0, n_steps), ker)
+    nf = sys_.free_dofs.size
+    u0 = sys_.expand(np.random.default_rng(9).standard_normal(nf))
+    sys_.Kff, sys_.Mff          # assembled once, outside the peaks
+    hist, run_mb = traced_peak(
+        lambda: stepper.run(sys_, table, u0, np.zeros_like(u0)))
+    _, ledger_mb = traced_peak(lambda: energy_ledger(hist))
+    tag = f"[N={n_steps},nf={nf}]"
+    history_mb = hist.u1f.nbytes / 1e6
+    return [(f"memory{tag},run", run_mb, history_mb),
+            (f"memory{tag},ledger", ledger_mb, history_mb)]
 
 
 def main():
@@ -146,6 +179,12 @@ def main():
     print(f"{'kernel':<{width}}  best time")
     for name, t in rows:
         print(f"{name:<{width}}  {t * 1e3:11.4f} ms")
+
+    mem = memory_rows()
+    width = max(len(name) for name, _, _ in mem)
+    print(f"\n{'memory':<{width}}  tracemalloc peak (one history array)")
+    for name, peak, history_mb in mem:
+        print(f"{name:<{width}}  {peak:8.1f} MB ({history_mb:.1f} MB)")
 
 
 if __name__ == "__main__":

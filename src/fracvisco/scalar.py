@@ -89,11 +89,11 @@ def scalar_dg0(model: ScalarModel, table: WeightTable):
     n_steps = grid.n_steps
     k = grid.steps
     u1 = np.empty(n_steps + 1)
-    u2 = np.empty(n_steps + 1)
+    u2 = np.zeros(n_steps + 1)      # also the history accumulator
     u1[0], u2[0] = model.u0, model.v0
     rho, kappa = model.rho, model.kappa
     omega = table.omega
-    for n, hist in enumerate(history_sums(table, u1), start=1):
+    for n, hist in enumerate(history_sums(table, u1, u2), start=1):
         kn = k[n - 1]
         co = kn - omega[n - 1, n - 1]
         fbar = float(model.f(grid.nodes[n - 1] + 0.5 * kn))

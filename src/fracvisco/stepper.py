@@ -12,7 +12,9 @@ rho-weighted mass, so the density never appears explicitly.  The memory
 terms come from ``history_sums``, an online blocked convolution: O(N log^2 N)
 work per unknown on uniform grids, O(N^2) on nonuniform ones.  The N solves
 reuse one factorization across steps that share k_n and omega_nn (all of
-them, on uniform grids).
+them, on uniform grids).  H_n accumulates in row n of the velocity history,
+which step n then overwrites with U2_n, so a run holds exactly its two
+(N+1) x nf histories and no scratch copy of either.
 
 The whole computation lives on the free dofs, and so does the history that
 ``run`` returns, together with the system and weight table that produced it:
@@ -42,8 +44,8 @@ __all__ = ["SolutionHistory", "history_sums", "time_average_load",
 # of about 1024 on (``benchmarks/bench_kernels.py``, history rows).
 DIRECT_BLOCK = 512
 # An FFT square transforms its columns in blocks of about this many numbers,
-# so its temporaries stay a few MB instead of three (2L x nf) arrays.
-FFT_CHUNK = 1 << 18
+# so its temporaries stay about 1 MB each instead of three (2L x nf) arrays.
+FFT_CHUNK = 1 << 17
 
 
 @dataclass
@@ -97,14 +99,18 @@ class SolutionHistory:
         return np.column_stack([u1_x, u1_y, u2_x, u2_y])
 
 
-def history_sums(table: WeightTable, u):
+def history_sums(table: WeightTable, u, acc):
     """Yield H_n = sum_{1 <= j < n} omega_nj u[j] for n = 1..N, online.
 
     ``u`` has N + 1 rows (row 0 is never read) and is filled by the caller:
-    row n must hold U_n before H_{n+1} is requested, so the loop reads
+    row n must hold U_n before H_{n+1} is requested.  ``acc``, of the shape
+    of ``u``, is the caller's zeroed accumulator: row n of ``acc`` is H_n
+    when it is yielded and is never touched again, so the caller may
+    overwrite it (``run`` writes U2_n there).  Row 0 is never touched.  The
+    loop reads
 
-        for n, h in enumerate(history_sums(table, u), start=1):
-            u[n] = ...  # from h
+        for n, h in enumerate(history_sums(table, u, acc), start=1):
+            u[n] = ...  # from h; acc[n] is free from here on
 
     The triangle {j < n} is tiled by squares (Hairer, Lubich & Schlichte,
     SIAM J. Sci. Stat. Comput. 6 (1985) 532): as soon as u[m] is known, with
@@ -113,10 +119,11 @@ def history_sums(table: WeightTable, u):
     A square is a dense block product when L <= DIRECT_BLOCK or the grid is
     nonuniform, and otherwise a real-FFT convolution of the Toeplitz lags,
     which keeps the weights exact up to roundoff.  The yielded rows are
-    views into the accumulator; each is final when yielded.
+    views into ``acc`` (scalars when ``u`` is one-dimensional).
     """
     n_steps = u.shape[0] - 1
-    acc = np.zeros_like(u, dtype=np.float64)
+    if acc.shape != u.shape:
+        raise ValueError(f"acc must have shape {u.shape}, got {acc.shape}")
     w = table.lags
     blocks = {}     # uniform grids: (L, T) -> dense block or lag spectrum
     for m in range(1, n_steps + 1):
@@ -134,8 +141,8 @@ def history_sums(table: WeightTable, u):
         if span <= DIRECT_BLOCK:
             if key not in blocks:
                 # block[t, s] = omega at lag span + t - s
-                lag = span + np.arange(n_tgt)[:, None] - np.arange(span)
-                blocks[key] = w[lag]
+                blocks[key] = w[span + np.arange(n_tgt)[:, None]
+                                - np.arange(span)]
             acc[m + 1:hi + 1] += blocks[key] @ src
         else:
             # lags 1 .. span + n_tgt - 1 against the sources, one column of
@@ -149,8 +156,13 @@ def history_sums(table: WeightTable, u):
             width = max(1, FFT_CHUNK // size)
             for c in range(0, src2.shape[1], width):
                 cols = slice(c, c + width)
-                conv = irfft(blocks[key] * rfft(src2[:, cols].T, size), size)
+                # in place, operands in the order of blocks[key] * spec
+                spec = rfft(src2[:, cols].T, size)
+                np.multiply(blocks[key], spec, out=spec)
+                conv = irfft(spec, size)
+                del spec
                 tgt[:, cols] += conv[:, span - 1:span - 1 + n_tgt].T
+                del conv        # before the next block's transforms
 
 
 def time_average_load(sys: AssembledSystem, grid: TimeGrid, n):
@@ -203,13 +215,15 @@ def run(sys: AssembledSystem, table: WeightTable, u0, v0, solver="direct",
             raise ValueError(f"{name} violates the Dirichlet constraints")
     nf = sys.free_dofs.size
     u1f = np.empty((n_steps + 1, nf))
-    u2f = np.empty((n_steps + 1, nf))
+    # zeroed: row n accumulates H_n until step n overwrites it with U2_n
+    u2f = np.zeros((n_steps + 1, nf))
     u1f[0] = sys.restrict(u0)
     u2f[0] = sys.restrict(v0)
     k = grid.steps
     solvers = {}
     for n, (hist, load) in enumerate(
-            zip(history_sums(table, u1f), step_loads(sys, grid)), start=1):
+            zip(history_sums(table, u1f, u2f), step_loads(sys, grid)),
+            start=1):
         co = k[n - 1] - table.omega[n - 1, n - 1]
         key = (k[n - 1], co)
         if key not in solvers:

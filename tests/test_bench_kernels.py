@@ -11,3 +11,5 @@ def test_benchmark_script_smoke():
     assert out.returncode == 0, out.stderr
     assert "ml_eval" in out.stdout
     assert "ledger[" in out.stdout
+    assert "memory[N=2048,nf=1300],run" in out.stdout
+    assert "memory[N=2048,nf=1300],ledger" in out.stdout

@@ -1,8 +1,10 @@
+import dataclasses
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from fracvisco import diagnostics, stepper
 from fracvisco.diagnostics import EnergyLedger, energy_ledger, long_time_limit
@@ -325,6 +327,59 @@ class TestAgainstGramOracle:
             tracemalloc.stop()
         assert peak < 16e6
         assert led.residual_rel <= 1e-8
+
+    def test_no_copy_of_the_history(self, elastic_soft, kernel_sec6):
+        # 16x16 with N = 4096: 17.8 MB per history; the ledger reads the
+        # dof windows of its blocks instead of a dof-major copy of u1f
+        sys_ = assemble(build_rect_mesh(16, 16), elastic_soft)
+        table = build_weights(TimeGrid.uniform(4.0, 4096), kernel_sec6)
+        rng = np.random.default_rng(4)
+        v0 = sys_.expand(rng.standard_normal(sys_.free_dofs.size))
+        hist = run(sys_, table, np.zeros_like(v0), v0)
+        assert hist.u1f.nbytes > 17e6
+        tracemalloc.start()
+        try:
+            led = energy_ledger(hist)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+        assert led.residual_rel <= 1e-8
+
+    @pytest.mark.parametrize("chunk", [diagnostics._CHUNK, 2 * 33 * 5])
+    @pytest.mark.parametrize("coupling", ["far_pairs", "permuted"])
+    def test_wide_windows(self, homogeneous_run, monkeypatch, chunk,
+                          coupling):
+        # stiffnesses that couple distant dofs: two far pairs, (0, nf/2) and
+        # (nf/4, nf - 1), so that the window of dof nf/2 reaches back below
+        # what the ring still holds, or a symmetric permutation of the whole
+        # problem (stiffness, mass and history), under which every window
+        # spans nearly all dofs; chunk 330 makes blocks of 5 dofs
+        monkeypatch.setattr(diagnostics, "_CHUNK", chunk)
+        sys_, _, _, hist = homogeneous_run
+        kff, mff = sys_.Kff, sys_.Mff
+        nf = kff.shape[0]
+        u1f, u2f = hist.u1f, hist.u2f
+        if coupling == "far_pairs":
+            i = [0, nf // 2, nf // 4, nf - 1]
+            j = [nf // 2, 0, nf - 1, nf // 4]
+            far = sp.csr_matrix((np.full(4, 0.1 * kff[0, 0]), (i, j)),
+                                shape=kff.shape)
+            kff = (kff + far).tocsr()
+        else:
+            perm = np.random.default_rng(8).permutation(nf)
+            kff, mff = kff[perm][:, perm], mff[perm][:, perm]
+            u1f, u2f = u1f[:, perm], u2f[:, perm]
+        wide_sys = dataclasses.replace(sys_, _kff=kff.tocsr(),
+                                       _mff=mff.tocsr())
+        wide_hist = SolutionHistory(u1f=u1f, u2f=u2f, system=wide_sys,
+                                    table=hist.table)
+        got = energy_ledger(wide_hist)
+        want = gram_ledger(wide_hist)
+        tol = 1e-12 * abs(want.rhs_total)
+        for (name, a), (_, b) in zip(got.rows(), want.rows()):
+            if name != "residual_rel":
+                assert abs(a - b) <= tol, (name, a, b)
 
     def test_constant_load_evaluated_once(self, mesh8, elastic_soft,
                                           kernel_sec6, monkeypatch):

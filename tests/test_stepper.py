@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,18 @@ def dense_history(table, u):
                      for n in range(1, u.shape[0])])
 
 
+def poisoned_sums(table, u):
+    """history_sums(table, u, acc) with row n of acc set to NaN right after
+    H_n is yielded, as ``run`` overwrites it with U2_n: a later H that read
+    row n again would come out NaN."""
+    acc = np.zeros_like(u)
+    got = []
+    for m, h in enumerate(history_sums(table, u, acc), start=1):
+        got.append(np.array(h, copy=True))
+        acc[m] = np.nan
+    return np.array(got)
+
+
 class TestHistorySums:
     @pytest.mark.parametrize("n", [1, 2, 3, 64, 65, 1000])
     @pytest.mark.parametrize("mode", ["closed_form", "midpoint"])
@@ -27,7 +41,7 @@ class TestHistorySums:
         monkeypatch.setattr(stepper, "DIRECT_BLOCK", direct_block)
         table = build_weights(TimeGrid.uniform(3.0, n), kernel_sec6, mode)
         u = rng.standard_normal((n + 1, 5))
-        got = np.array([h.copy() for h in history_sums(table, u)])
+        got = poisoned_sums(table, u)
         want = dense_history(table, u)
         scale = max(np.max(np.abs(want)), 1e-300)
         assert got.shape == want.shape
@@ -40,7 +54,7 @@ class TestHistorySums:
         table = build_weights(grid, kernel_sec6)
         assert (table.lags is None) == (n > 1)  # one step is uniform
         u = rng.standard_normal((n + 1, 3))
-        got = np.array([h.copy() for h in history_sums(table, u)])
+        got = poisoned_sums(table, u)
         want = dense_history(table, u)
         scale = max(np.max(np.abs(want)), 1e-300)
         assert np.max(np.abs(got - want)) <= 1e-13 * scale
@@ -49,7 +63,7 @@ class TestHistorySums:
         monkeypatch.setattr(stepper, "DIRECT_BLOCK", 2)
         table = build_weights(TimeGrid.uniform(1.0, 40), kernel_sec6)
         u = rng.standard_normal(41)
-        got = np.array([float(h) for h in history_sums(table, u)])
+        got = poisoned_sums(table, u)
         want = dense_history(table, u)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -62,9 +76,15 @@ class TestHistorySums:
         sums = []
         for chunk in (1 << 30, 1024, 1):    # FFT sizes here are <= 512
             monkeypatch.setattr(stepper, "FFT_CHUNK", chunk)
-            sums.append(np.array([h.copy() for h in history_sums(table, u)]))
+            sums.append(np.array([
+                h.copy() for h in history_sums(table, u, np.zeros_like(u))]))
         assert np.array_equal(sums[0], sums[1])
         assert np.array_equal(sums[0], sums[2])
+
+    def test_accumulator_shape_checked(self, kernel_sec6):
+        table = build_weights(TimeGrid.uniform(1.0, 4), kernel_sec6)
+        with pytest.raises(ValueError, match="acc"):
+            next(history_sums(table, np.zeros((5, 2)), np.zeros((5, 3))))
 
     def test_reads_only_known_rows(self, kernel_sec6):
         # row n may be filled after H_n is taken: a NaN placed in row n
@@ -72,7 +92,8 @@ class TestHistorySums:
         n = 40
         table = build_weights(TimeGrid.uniform(1.0, n), kernel_sec6)
         u = np.full((n + 1, 2), np.nan)
-        for m, h in enumerate(history_sums(table, u), start=1):
+        acc = np.zeros(u.shape)
+        for m, h in enumerate(history_sums(table, u, acc), start=1):
             assert np.all(np.isfinite(h)), m
             u[m] = 1.0
 
@@ -283,6 +304,22 @@ class TestRun:
         hc = run(sys_, table, z, z, solver="cg", rtol=1e-12)
         assert np.max(np.abs(hd.U1[-1] - hc.U1[-1])) <= 1e-9 * (
             np.max(np.abs(hd.U1[-1])) + 1e-30)
+
+    def test_holds_only_its_two_histories(self, kernel_sec6, elastic_soft):
+        # 16x16 with N = 4096: 17.8 MB per history; the history sums add up
+        # in the velocity rows, so no third array of that size is built
+        sys_ = assemble(build_rect_mesh(16, 16), elastic_soft)
+        table = build_weights(TimeGrid.uniform(4.0, 4096), kernel_sec6)
+        rng = np.random.default_rng(2)
+        v0 = sys_.expand(rng.standard_normal(sys_.free_dofs.size))
+        tracemalloc.start()
+        try:
+            hist = run(sys_, table, np.zeros_like(v0), v0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert hist.u1f.nbytes > 17e6
+        assert peak < 2 * hist.u1f.nbytes + 8e6
 
 
 class TestSolutionHistory:
