@@ -220,58 +220,28 @@ def verify_sign_structure(table: WeightTable):
     """Check d_n eta_n < 0 and d_n beta_nj < 0 (j < n-1), d_n the backward difference.
 
     Intended for closed_form tables; midpoint tables can violate the signs
-    within quadrature error.  On uniform grids d_n beta_nj depends on the
-    lag n - j alone, so the lag differences are tested in O(N) and a lag
-    that fails is expanded into its (n, j) entries; nonuniform tables are
-    walked entry by entry.  Returns a report, never raises.
+    within quadrature error.  Returns a report, never raises.
     """
     k = table.grid.steps
+    n = table.n_steps
     if table.params.gamma == 0.0:
         return SignStructureReport([], [], degenerate=True)
+    eta_viol = []
     deta = np.diff(table.eta_bar) / k
-    eta_viol = [(int(i) + 1, float(deta[i]))
-                for i in np.flatnonzero(~(deta < 0.0))]
-    if table.lags is None:
-        beta_viol = _beta_violations_dense(table)
-    else:
-        beta_viol = _beta_violations_lags(table)
-    return SignStructureReport(eta_viol, beta_viol, degenerate=False)
-
-
-def _beta_violations_dense(table: WeightTable):
-    """(n, j, d_n beta_nj) for every j < n - 1 with d_n beta_nj not < 0,
-    row by row from the N x N cell means."""
-    k = table.grid.steps
+    for i, v in enumerate(deta, start=1):
+        if not v < 0.0:
+            eta_viol.append((i, float(v)))
+    beta_viol = []
     bmat = table.beta_cell_averages()
-    viol = []
-    for row in range(2, table.n_steps + 1):  # step n = row, needs n - 1
+    for row in range(2, n + 1):  # step index n = row, needs beta_{n-1,j}
         j = np.arange(1, row - 1)  # j < n-1
         if j.size == 0:
             continue
         d = (bmat[row - 1, j - 1] - bmat[row - 2, j - 1]) / k[row - 1]
         bad = ~(d < 0.0)
         for jj, val in zip(j[bad], d[bad]):
-            viol.append((row, int(jj), float(val)))
-    return viol
-
-
-def _beta_violations_lags(table: WeightTable):
-    """The entries of ``_beta_violations_dense`` from the lags: lag d = n - j
-    (2 <= d < N) fails when lags[d] - lags[d-1] is not < 0, and then each
-    of its entries is reported with d_n beta_nj formed as the dense walk
-    forms it."""
-    k = table.grid.steps
-    lags = table.lags
-    n = table.n_steps
-    viol = []
-    for d in np.flatnonzero(~(np.diff(lags[1:]) < 0.0)) + 2:
-        rows = np.arange(d + 1, n + 1)
-        j = rows - d
-        vals = (lags[d] / (k[rows - 1] * k[j - 1])
-                - lags[d - 1] / (k[rows - 2] * k[j - 1])) / k[rows - 1]
-        viol += [(int(r), int(jj), float(v))
-                 for r, jj, v in zip(rows, j, vals)]
-    return sorted(viol)
+            beta_viol.append((row, int(jj), float(val)))
+    return SignStructureReport(eta_viol, beta_viol, degenerate=False)
 
 
 _GL32 = np.polynomial.legendre.leggauss(32)

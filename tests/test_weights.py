@@ -3,10 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fracvisco import weights
 from fracvisco.mlf import KernelParams
-from fracvisco.weights import (TimeGrid, WeightTable, build_weights,
-                               omega_by_quadrature, verify_sign_structure)
+from fracvisco.weights import (TimeGrid, build_weights, omega_by_quadrature,
+                               verify_sign_structure)
 
 
 def random_nonuniform_grid(rng, n=20, t_final=2.0, ratio=4.0):
@@ -187,56 +186,3 @@ class TestSignStructure:
         assert rep.degenerate
         assert rep.ok
         assert "degenerate" in rep.summary()
-
-    @staticmethod
-    def _with_lags(table, lags):
-        lags = np.array(lags, dtype=np.float64)
-        return WeightTable(omega=weights._toeplitz_view(lags),
-                           eta_bar=table.eta_bar, mode=table.mode,
-                           grid=table.grid, params=table.params, lags=lags)
-
-    @staticmethod
-    def _assert_same_violations(got, want):
-        assert [e[:2] for e in got] == [e[:2] for e in want]
-        if want:
-            scale = max(abs(e[2]) for e in want)
-            for (_, _, a), (_, _, b) in zip(got, want):
-                assert abs(a - b) <= 1e-12 * scale
-
-    @pytest.mark.parametrize("mode", ["closed_form", "midpoint"])
-    @pytest.mark.parametrize("bad", [None, (5,), (2, 17, 39)])
-    def test_lags_match_dense_walk(self, kernel_sec6, mode, bad):
-        # 40 steps of 0.1: the steps differ in their last bits, so the dense
-        # walk divides by per-entry steps that the lag test never sees
-        table = build_weights(TimeGrid.uniform(4.0, 40), kernel_sec6, mode)
-        if bad is not None:
-            lags = table.lags.copy()
-            for d in bad:
-                lags[d] = lags[d - 1] * (1.0 + 1e-3)    # lag d now fails
-            table = self._with_lags(table, lags)
-        got = weights._beta_violations_lags(table)
-        want = weights._beta_violations_dense(table)
-        self._assert_same_violations(got, want)
-        assert got == verify_sign_structure(table).beta_violations
-        if bad is not None:
-            # lag d fails in each of its N - d entries
-            assert len(got) == sum(40 - d for d in bad)
-            assert not verify_sign_structure(table).ok
-
-    def test_lags_one_and_two_steps(self, kernel_sec6):
-        for n in (1, 2):
-            table = build_weights(TimeGrid.uniform(1.0, n), kernel_sec6)
-            assert weights._beta_violations_lags(table) == []
-            assert weights._beta_violations_dense(table) == []
-
-    def test_uniform_check_is_linear(self, kernel_sec6):
-        # the dense walk held N x N cell means: 134 MB each at N = 4096
-        table = build_weights(TimeGrid.uniform(40.0, 4096), kernel_sec6)
-        tracemalloc.start()
-        try:
-            rep = verify_sign_structure(table)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert rep.ok
-        assert peak < 1e6
