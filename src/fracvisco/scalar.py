@@ -10,8 +10,9 @@ Two deliberately different discretizations live here:
 * ``scalar_reference`` is a second-order scheme from a different family:
   Crank-Nicolson for the motion, product integration for the memory term
   (the kernel integrated exactly against the piecewise-linear interpolant of
-  u, using the closed-form primitives B and C for the moments), on a grid
-  with a quadratically graded startup section that resolves the weak kernel
+  u, using the closed-form primitives B and C for the moments, each
+  evaluated once per node seen from a target), on a grid with a
+  quadratically graded startup section that resolves the weak kernel
   singularity.  A Richardson pair at 2x and 4x the step confirms its error
   estimate; ``convergence_study`` measures observed orders of the dG(0)
   scheme against it.
@@ -109,17 +110,24 @@ def _graded_nodes(t_g, m_g):
     return t_g * (i / m_g) ** 2
 
 
-def _pl_weights(p, target, s_lo, s_hi):
-    """Product weights of (u_lo, u_hi) for intervals [s_lo, s_hi] seen from
-    time ``target``: the kernel integrated exactly against the linear
-    interpolant, via the primitives B and C.  s_lo and s_hi may be arrays."""
-    a = target - s_hi
-    b = target - s_lo
-    h = s_hi - s_lo
-    ba, bb = beta_primitive(p, a), beta_primitive(p, b)
-    ca, cb = beta_double_primitive(p, a), beta_double_primitive(p, b)
-    w_lo = (h * bb - (cb - ca)) / h
-    w_hi = ((cb - ca) - h * ba) / h
+def _pl_weights(p, lags, h):
+    """Product weights of (u_lo, u_hi) for the intervals between consecutive
+    nodes, seen from one target: the kernel integrated exactly against the
+    linear interpolant, via the primitives B and C.
+
+    ``lags`` holds the lags from the target to the nodes along axis 0 (so
+    decreasing), ``h`` the interval lengths (broadcast against
+    ``lags[:-1]``).  B and C are evaluated once per node; neighbouring
+    values give both weights of every interval.
+    """
+    if p.gamma == 0.0:
+        zero = np.zeros(np.broadcast_shapes(lags[:-1].shape, np.shape(h)))
+        return zero, zero
+    bl = beta_primitive(p, lags)
+    cl = beta_double_primitive(p, lags)
+    dc = cl[:-1] - cl[1:]
+    w_lo = (h * bl[:-1] - dc) / h
+    w_hi = (dc - h * bl[1:]) / h
     return w_lo, w_hi
 
 
@@ -165,38 +173,25 @@ def _reference_sweep(model, t_final, k_ref, m_g, startup_steps):
     u[0], v[0] = model.u0, model.v0
     fvals = model.f(nodes)
 
-    if p.gamma == 0.0:
-        # pure elastic limit: all memory weights vanish
-        zero = np.zeros(M + 1)
-        for m in range(m_g):
-            h = nodes[m + 1] - nodes[m]
-            _cn_step(u, v, ivals, fvals, m, h, 0.0, 0.0, rho, kappa)
-        cn_sweep(u, v, ivals, fvals, zero, zero, zero, k_ref, rho, kappa, m_g)
-        return nodes, u, v
-
     # graded startup: each step's product weights over all earlier
     # intervals in one call; the last interval's upper weight is implicit
     for m in range(m_g):
-        target = nodes[m + 1]
-        h = nodes[m + 1] - nodes[m]
-        w_lo, w_hi = _pl_weights(p, target, nodes[:m + 1], nodes[1:m + 2])
+        h = np.diff(nodes[:m + 2])
+        w_lo, w_hi = _pl_weights(p, nodes[m + 1] - nodes[:m + 2], h)
         hist = u[:m + 1] @ w_lo + u[1:m + 1] @ w_hi[:m]
-        _cn_step(u, v, ivals, fvals, m, h, hist, w_hi[m], rho, kappa)
+        _cn_step(u, v, ivals, fvals, m, h[m], hist, w_hi[m], rho, kappa)
 
     # uniform continuation: lag-indexed weights plus the frozen graded part
-    d = np.arange(M - m_g + 1, dtype=np.float64)
-    bu = beta_primitive(p, d * k_ref)
-    cu = beta_double_primitive(p, d * k_ref)
+    d = np.arange(M - m_g, -1, -1, dtype=np.float64)
     pw = np.zeros(M - m_g + 1)
     qw = np.zeros(M - m_g + 1)
-    pw[1:] = (k_ref * bu[1:] - (cu[1:] - cu[:-1])) / k_ref
-    qw[1:] = ((cu[1:] - cu[:-1]) - k_ref * bu[:-1]) / k_ref
+    pw[:0:-1], qw[:0:-1] = _pl_weights(p, d * k_ref, k_ref)
 
     agr = np.zeros(M + 1)
     if m_g > 0:
         # (m_g, M - m_g) blocks: graded interval i seen from each target
-        w_lo, w_hi = _pl_weights(p, nodes[None, m_g + 1:], graded[:-1, None],
-                                 graded[1:, None])
+        w_lo, w_hi = _pl_weights(p, nodes[None, m_g + 1:] - graded[:, None],
+                                 np.diff(graded)[:, None])
         agr[m_g + 1:] = u[:m_g] @ w_lo + u[1:m_g + 1] @ w_hi
     cn_sweep(u, v, ivals, fvals, agr, pw, qw, k_ref, rho, kappa, m_g)
     return nodes, u, v

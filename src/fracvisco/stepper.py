@@ -116,16 +116,17 @@ def history_sums(table: WeightTable, u, acc):
     SIAM J. Sci. Stat. Comput. 6 (1985) 532): as soon as u[m] is known, with
     L the lowest set bit of m, the sources j in (m - L, m] are added into the
     targets n in (m, m + L].  Every pair (n, j) falls in exactly one square.
-    A square is a dense block product when L <= DIRECT_BLOCK or the grid is
-    nonuniform, and otherwise a real-FFT convolution of the Toeplitz lags,
-    which keeps the weights exact up to roundoff.  The yielded rows are
-    views into ``acc`` (scalars when ``u`` is one-dimensional).
+    A square is a dense product with its slice of ``table.omega`` when
+    L <= DIRECT_BLOCK or the grid is nonuniform, and otherwise a real-FFT
+    convolution of the Toeplitz lags, which keeps the weights exact up to
+    roundoff.  The yielded rows are views into ``acc`` (scalars when ``u``
+    is one-dimensional).
     """
     n_steps = u.shape[0] - 1
     if acc.shape != u.shape:
         raise ValueError(f"acc must have shape {u.shape}, got {acc.shape}")
     w = table.lags
-    blocks = {}     # uniform grids: (L, T) -> dense block or lag spectrum
+    spectra = {}    # uniform grids: (L, T) -> lag spectrum of an FFT square
     for m in range(1, n_steps + 1):
         yield acc[m]
         if m == n_steps:
@@ -133,36 +134,31 @@ def history_sums(table: WeightTable, u, acc):
         span = m & -m
         hi = min(m + span, n_steps)
         src = u[m - span + 1:m + 1]
-        if w is None:
-            acc[m + 1:hi + 1] += table.omega[m:hi, m - span:m] @ src
+        if w is None or span <= DIRECT_BLOCK:
+            # copied first: the Toeplitz view has a negative row stride
+            block = np.ascontiguousarray(table.omega[m:hi, m - span:m])
+            acc[m + 1:hi + 1] += block @ src
             continue
         n_tgt = hi - m
         key = (span, n_tgt)
-        if span <= DIRECT_BLOCK:
-            if key not in blocks:
-                # block[t, s] = omega at lag span + t - s
-                blocks[key] = w[span + np.arange(n_tgt)[:, None]
-                                - np.arange(span)]
-            acc[m + 1:hi + 1] += blocks[key] @ src
-        else:
-            # lags 1 .. span + n_tgt - 1 against the sources, one column of
-            # u per row of the transform; no wrap-around reaches the
-            # targets, which sit at offsets span - 1 .. span + n_tgt - 2
-            size = next_fast_len(span + n_tgt - 1, real=True)
-            if key not in blocks:
-                blocks[key] = rfft(w[1:span + n_tgt], size)
-            src2 = src.reshape(span, -1)
-            tgt = acc[m + 1:hi + 1].reshape(n_tgt, -1)     # a view
-            width = max(1, FFT_CHUNK // size)
-            for c in range(0, src2.shape[1], width):
-                cols = slice(c, c + width)
-                # in place, operands in the order of blocks[key] * spec
-                spec = rfft(src2[:, cols].T, size)
-                np.multiply(blocks[key], spec, out=spec)
-                conv = irfft(spec, size)
-                del spec
-                tgt[:, cols] += conv[:, span - 1:span - 1 + n_tgt].T
-                del conv        # before the next block's transforms
+        # lags 1 .. span + n_tgt - 1 against the sources, one column of
+        # u per row of the transform; no wrap-around reaches the
+        # targets, which sit at offsets span - 1 .. span + n_tgt - 2
+        size = next_fast_len(span + n_tgt - 1, real=True)
+        if key not in spectra:
+            spectra[key] = rfft(w[1:span + n_tgt], size)
+        src2 = src.reshape(span, -1)
+        tgt = acc[m + 1:hi + 1].reshape(n_tgt, -1)     # a view
+        width = max(1, FFT_CHUNK // size)
+        for c in range(0, src2.shape[1], width):
+            cols = slice(c, c + width)
+            # in place, operands in the order of spectra[key] * spec
+            spec = rfft(src2[:, cols].T, size)
+            np.multiply(spectra[key], spec, out=spec)
+            conv = irfft(spec, size)
+            del spec
+            tgt[:, cols] += conv[:, span - 1:span - 1 + n_tgt].T
+            del conv        # before the next block's transforms
 
 
 def time_average_load(sys: AssembledSystem, grid: TimeGrid, n):

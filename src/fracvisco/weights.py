@@ -223,24 +223,16 @@ def verify_sign_structure(table: WeightTable):
     within quadrature error.  Returns a report, never raises.
     """
     k = table.grid.steps
-    n = table.n_steps
     if table.params.gamma == 0.0:
         return SignStructureReport([], [], degenerate=True)
-    eta_viol = []
     deta = np.diff(table.eta_bar) / k
-    for i, v in enumerate(deta, start=1):
-        if not v < 0.0:
-            eta_viol.append((i, float(v)))
-    beta_viol = []
-    bmat = table.beta_cell_averages()
-    for row in range(2, n + 1):  # step index n = row, needs beta_{n-1,j}
-        j = np.arange(1, row - 1)  # j < n-1
-        if j.size == 0:
-            continue
-        d = (bmat[row - 1, j - 1] - bmat[row - 2, j - 1]) / k[row - 1]
-        bad = ~(d < 0.0)
-        for jj, val in zip(j[bad], d[bad]):
-            beta_viol.append((row, int(jj), float(val)))
+    eta_viol = [(int(i) + 1, float(deta[i]))
+                for i in np.flatnonzero(~(deta < 0.0))]
+    d = np.diff(table.beta_cell_averages(), axis=0) / k[1:, None]
+    # d[r, c] is d_n beta_nj for n = r + 2, j = c + 1; j < n - 1 is c < r
+    rows, cols = np.nonzero(np.tril(~(d < 0.0), -1))
+    beta_viol = [(int(r) + 2, int(c) + 1, float(d[r, c]))
+                 for r, c in zip(rows, cols)]
     return SignStructureReport(eta_viol, beta_viol, degenerate=False)
 
 

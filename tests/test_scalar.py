@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fracvisco import scalar
+from fracvisco import mlf, scalar
 from fracvisco.mlf import KernelParams
 from fracvisco.scalar import (ScalarModel, convergence_study, scalar_dg0,
                               scalar_reference, self_convergence_study)
@@ -72,23 +72,63 @@ class TestScalarReference:
         assert np.isfinite(ref.richardson_order)
 
     def test_row_weights_match_per_pair(self, fractional_model, monkeypatch):
-        # the graded startup takes each row's product weights, and the frozen
-        # startup block all of its weights, in one call; the same sweep with
-        # the weights computed one interval at a time
+        # every call takes B and C once per node and differences neighbours;
+        # the same sweep with the two-endpoint formula, one interval at a
+        # time, must give the same bits
         want = scalar_reference(fractional_model, 2.0, k_ref=2.0 ** -8,
                                 m_g=24)
-        batched = scalar._pl_weights
 
-        def per_pair(p, target, s_lo, s_hi):
-            shape = np.broadcast_shapes(np.shape(target), np.shape(s_lo))
-            pairs = [batched(p, target, lo, hi) for lo, hi in zip(s_lo, s_hi)]
-            return [np.reshape(w, shape) for w in zip(*pairs)]
+        def per_interval(p, lags, h):
+            h = np.broadcast_to(h, np.broadcast_shapes(lags[:-1].shape,
+                                                       np.shape(h)))
+            w_lo, w_hi = np.empty(h.shape), np.empty(h.shape)
+            for i in range(h.shape[0]):
+                a, b = lags[i + 1], lags[i]
+                ba, bb = mlf.beta_primitive(p, a), mlf.beta_primitive(p, b)
+                ca = mlf.beta_double_primitive(p, a)
+                cb = mlf.beta_double_primitive(p, b)
+                w_lo[i] = (h[i] * bb - (cb - ca)) / h[i]
+                w_hi[i] = ((cb - ca) - h[i] * ba) / h[i]
+            return w_lo, w_hi
 
-        monkeypatch.setattr(scalar, "_pl_weights", per_pair)
+        monkeypatch.setattr(scalar, "_pl_weights", per_interval)
         got = scalar_reference(fractional_model, 2.0, k_ref=2.0 ** -8,
                                m_g=24)
-        scale = np.max(np.abs(want.u))
-        assert np.max(np.abs(got.u - want.u)) <= 1e-13 * scale
+        assert np.array_equal(got.u, want.u)
+        assert np.array_equal(got.v, want.v)
+
+    @staticmethod
+    def _count_primitive_points(monkeypatch):
+        points = {}
+        for name in ("beta_primitive", "beta_double_primitive"):
+            def counted(p, t, _fn=getattr(scalar, name), _name=name):
+                points[_name] = points.get(_name, 0) + np.size(t)
+                return _fn(p, t)
+            monkeypatch.setattr(scalar, name, counted)
+        return points
+
+    @pytest.mark.parametrize("m_g,startup_steps", [(24, 8), (64, 32),
+                                                   (8, 1)])
+    def test_primitives_once_per_node(self, fractional_model, monkeypatch,
+                                      m_g, startup_steps):
+        # one sweep: m + 2 nodes per graded step, the M - m_g + 1 uniform
+        # lags, and the (m_g + 1) x (M - m_g) frozen startup block
+        points = self._count_primitive_points(monkeypatch)
+        nodes, _, _ = scalar._reference_sweep(fractional_model, 1.0,
+                                              2.0 ** -8, m_g, startup_steps)
+        big_m = nodes.size - 1
+        want = (sum(m + 2 for m in range(m_g)) + (big_m - m_g + 1)
+                + (m_g + 1) * (big_m - m_g))
+        assert points == {"beta_primitive": want,
+                          "beta_double_primitive": want}
+
+    def test_elastic_limit_evaluates_no_primitive(self, monkeypatch):
+        points = self._count_primitive_points(monkeypatch)
+        m = ScalarModel(rho=1.0, kappa=1.0, u0=1.0,
+                        kernel=KernelParams(alpha=0.5, tau=1.0, gamma=0.0))
+        ref = scalar_reference(m, 1.0, k_ref=2.0 ** -8)
+        assert points == {}
+        assert np.all(np.isfinite(ref.u))
 
     def test_forced_problem_runs(self, kernel_sec6):
         m = ScalarModel(rho=1.0, kappa=2.0, kernel=kernel_sec6,

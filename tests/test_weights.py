@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from fracvisco.mlf import KernelParams
-from fracvisco.weights import (TimeGrid, build_weights, omega_by_quadrature,
-                               verify_sign_structure)
+from fracvisco.weights import (TimeGrid, WeightTable, build_weights,
+                               omega_by_quadrature, verify_sign_structure)
 
 
 def random_nonuniform_grid(rng, n=20, t_final=2.0, ratio=4.0):
@@ -186,3 +186,30 @@ class TestSignStructure:
         assert rep.degenerate
         assert rep.ok
         assert "degenerate" in rep.summary()
+
+    def test_injected_violations_match_per_entry_loop(self, kernel_sec6):
+        rng = np.random.default_rng(11)
+        table = build_weights(random_nonuniform_grid(rng, n=40, ratio=4.0),
+                              kernel_sec6)
+        omega = table.omega * (1.0 + 0.3 * rng.standard_normal((40, 40)))
+        eta_bar = table.eta_bar + 0.01 * rng.standard_normal(41)
+        bad = WeightTable(omega=omega, eta_bar=eta_bar, mode=table.mode,
+                          grid=table.grid, params=kernel_sec6)
+        k = bad.grid.steps
+        bmat = bad.beta_cell_averages()
+        want_eta = []
+        for n in range(1, 41):
+            v = (eta_bar[n] - eta_bar[n - 1]) / k[n - 1]
+            if not v < 0.0:
+                want_eta.append((n, float(v)))
+        want_beta = []
+        for n in range(2, 41):
+            for j in range(1, n - 1):
+                v = (bmat[n - 1, j - 1] - bmat[n - 2, j - 1]) / k[n - 1]
+                if not v < 0.0:
+                    want_beta.append((n, j, float(v)))
+        rep = verify_sign_structure(bad)
+        assert want_eta and want_beta
+        assert rep.eta_violations == want_eta
+        assert rep.beta_violations == want_beta
+        assert not rep.ok
