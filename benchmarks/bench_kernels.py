@@ -1,7 +1,10 @@
 #!/usr/bin/env python3
 """Time the numeric kernels that dominate runtime.
 
-They are batched Mittag-Leffler evaluation (feeds every weight table),
+They are batched Mittag-Leffler evaluation (feeds every weight table; one
+row over all three branches, one over the ascending series alone, and the
+uniform weight table of the long-memory run, N=8192 steps over 40 relaxation
+times, whose lags fall mostly in the spectral branch),
 weight-table construction on a nonuniform grid (O(N^2) distinct lags), the
 product-integration sweep of the scalar reference solver (O(M^2) memory work),
 the dG(0) history sum (dense row products against ``stepper.history_sums``
@@ -27,7 +30,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from fracvisco import stepper  # noqa: E402
-from fracvisco._kernels import eval_ml_neg  # noqa: E402
+from fracvisco._kernels import S_SERIES, eval_ml_neg  # noqa: E402
 from fracvisco.diagnostics import energy_ledger  # noqa: E402
 from fracvisco.fem import (ElasticParams, assemble,  # noqa: E402
                            build_rect_mesh)
@@ -143,8 +146,16 @@ def main():
     xs = np.geomspace(1e-4, 60.0, n_ml)
     t, _ = timed(lambda: eval_ml_neg(2.0 / 3.0, 2.0, xs), repeat)
     rows.append((f"ml_eval[{n_ml}]", t))
+    n_ser = 20_000 if args.quick else 1_000_000
+    xs = np.random.default_rng(11).uniform(0.0, S_SERIES ** (2.0 / 3.0), n_ser)
+    t, _ = timed(lambda: eval_ml_neg(2.0 / 3.0, 2.0, xs), repeat)
+    rows.append((f"ml_series[{n_ser}]", t))
 
     ker = KernelParams(alpha=2.0 / 3.0, tau=1.0, gamma=0.5)
+    t, _ = timed(lambda: build_weights(TimeGrid.uniform(40.0, 8192), ker),
+                 repeat)
+    rows.append(("ml_weights[N=8192,T=40]", t))
+
     rng = np.random.default_rng(7)
     steps = rng.uniform(0.5, 2.0, n_grid)
     steps *= 4.0 / steps.sum()

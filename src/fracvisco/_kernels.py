@@ -14,6 +14,13 @@ evaluation branches are selected by s = x**(1/alpha):
 The windows and node counts were calibrated against a 140-digit series
 oracle: each branch stays within ~3e-11 relative over its window for
 alpha in [0.25, 0.999], and well under 1e-12 for alpha in [0.3, 0.99].
+
+Every branch is pointwise, so the series and spectral branches run on
+blocks of SERIES_BLOCK and SPECTRAL_BLOCK points that keep their working
+arrays in cache.  A spectral block works in place in three (points x nodes)
+buffers; next to the allocate-per-operation formulas only the operand order
+of commutative operations differs.  Neither blocking nor the in-place panels
+change a bit: a point's value does not depend on the batch it is in.
 """
 
 from __future__ import annotations
@@ -27,7 +34,8 @@ from scipy.special import gammaln
 S_SERIES = 5.0
 S_ASYM = 40.0
 U_CUT = 64.0  # exp(-u) is below double rounding past this
-SPECTRAL_BLOCK = 1024  # points per _spectral call
+SPECTRAL_BLOCK = 256  # points per _spectral call
+SERIES_BLOCK = 16384  # points per _series call
 _LN_PI = math.log(math.pi)
 _LOG_STOP = math.log(1e-18)
 
@@ -147,13 +155,52 @@ def _asymptotic(x, lenv, lmag, sgn):
     return acc
 
 
-def _g_of(b, u, x):
-    if b == 1.0:
-        return np.exp(-u)
+def _g(b, u, x, out):
+    # the spectral integrand's g(u) into out, u kept: exp(-u) for b = 1,
+    # -expm1(-u) / u (1 - u/2 where u <= 1e-8) for b = 2, u exp(-u) / x
+    # for b = alpha
+    np.negative(u, out=out)
     if b == 2.0:
-        safe = np.where(u == 0.0, 1.0, u)
-        return np.where(u > 1e-8, -np.expm1(-u) / safe, 1.0 - 0.5 * u)
-    return u * np.exp(-u) / x
+        np.expm1(out, out=out)
+        np.negative(out, out=out)
+        big = u > 1e-8
+        np.divide(out, u, out=out, where=big)
+        small = ~big
+        if small.any():
+            out[small] = 1.0 - 0.5 * u[small]
+        return out
+    np.exp(out, out=out)
+    if b != 1.0:
+        out *= u
+        out /= x
+    return out
+
+
+def _panel(alpha, b, x, lo, hi, nodes, weights, work):
+    # hw * sum_i weights_i g(u_i) / cosh(y_i) at y_i = mid + hw nodes_i on
+    # each point's panel (lo, hi), in place in the three flat buffers of
+    # work; only the operand order of commutative operations differs from
+    # the elementwise formulas, so every bit is theirs
+    w = math.sin(math.pi * alpha)
+    vstar = -math.cos(math.pi * alpha)
+    hw = 0.5 * (hi - lo)
+    mid = 0.5 * (hi + lo)
+    shape = (x.size, nodes.size)
+    y, u, g = (buf[:x.size * nodes.size].reshape(shape) for buf in work)
+    np.multiply(hw[:, None], nodes, out=y)
+    y += mid[:, None]
+    np.sinh(y, out=u)
+    u *= w
+    u += vstar
+    np.maximum(u, 0.0, out=u)      # a no-op on the tail, where v > 1
+    u *= x[:, None]
+    u **= 1.0 / alpha
+    _g(b, u, x[:, None], g)
+    g /= np.cosh(y, out=y)
+    # einsum sums each row on its own; a BLAS matrix-vector product rounds
+    # rows differently by their position in the call, which would make a
+    # point's value depend on the block it is evaluated in
+    return hw * np.einsum("ij,j->i", g, weights)
 
 
 def _spectral(alpha, b, x):
@@ -170,26 +217,24 @@ def _spectral(alpha, b, x):
     ym = np.arcsinh((v_exp - vstar) / w)
     yt = np.arcsinh((v_top - vstar) / w)
     ym = np.minimum(ym, yt)
-    hw = 0.5 * (ym - y0)
-    mid = 0.5 * (ym + y0)
-    y = mid[:, None] + hw[:, None] * _DE_X[None, :]
-    v = np.maximum(vstar + w * np.sinh(y), 0.0)
-    u = (v * x[:, None]) ** ia
-    g = _g_of(b, u, x[:, None])
-    # einsum sums each row on its own; a BLAS matrix-vector product rounds
-    # rows differently by their position in the call, which would make a
-    # point's value depend on the block it is evaluated in
-    acc = hw * np.einsum("ij,j->i", g / np.cosh(y), _DE_W)
+    work = np.empty((3, x.size * _DE_X.size))
+    acc = _panel(alpha, b, x, y0, ym, _DE_X, _DE_W, work)
     tail = yt > ym
     if np.any(tail):
-        hw2 = 0.5 * (yt[tail] - ym[tail])
-        mid2 = 0.5 * (yt[tail] + ym[tail])
-        y2 = mid2[:, None] + hw2[:, None] * _GL_X[None, :]
-        v2 = vstar + w * np.sinh(y2)
-        u2 = (v2 * x[tail][:, None]) ** ia
-        g2 = _g_of(b, u2, x[tail][:, None])
-        acc[tail] += hw2 * np.einsum("ij,j->i", g2 / np.cosh(y2), _GL_W)
+        acc[tail] += _panel(alpha, b, x[tail], ym[tail], yt[tail],
+                            _GL_X, _GL_W, work)
     return acc * (1.0 / (alpha * math.pi))
+
+
+def _in_blocks(fn, x, size):
+    # fn on consecutive blocks of at most size points: every branch is
+    # pointwise, so blocks bound the working set and never change a bit
+    if x.size <= size:
+        return fn(x)
+    out = np.empty_like(x)
+    for i in range(0, x.size, size):
+        out[i:i + size] = fn(x[i:i + size])
+    return out
 
 
 def eval_ml_neg(alpha, b, xs):
@@ -214,15 +259,11 @@ def eval_ml_neg(alpha, b, xs):
     out = np.empty_like(xs)
     out[zero] = st0
     if np.any(ser):
-        out[ser] = _series(xs[ser], srat, st0)
+        out[ser] = _in_blocks(lambda xb: _series(xb, srat, st0), xs[ser],
+                              SERIES_BLOCK)
     if np.any(asy):
         out[asy] = _asymptotic(xs[asy], *asym_coefficients(alpha, b))
     if np.any(bri):
-        # point blocks bound the (points x nodes) quadrature temporaries
-        xb = xs[bri]
-        vals = np.empty_like(xb)
-        for i in range(0, xb.size, SPECTRAL_BLOCK):
-            vals[i:i + SPECTRAL_BLOCK] = _spectral(alpha, b,
-                                                   xb[i:i + SPECTRAL_BLOCK])
-        out[bri] = vals
+        out[bri] = _in_blocks(lambda xb: _spectral(alpha, b, xb), xs[bri],
+                              SPECTRAL_BLOCK)
     return out

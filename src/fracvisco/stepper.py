@@ -135,8 +135,11 @@ def history_sums(table: WeightTable, u, acc):
         hi = min(m + span, n_steps)
         src = u[m - span + 1:m + 1]
         if w is None or span <= DIRECT_BLOCK:
-            # copied first: the Toeplitz view has a negative row stride
-            block = np.ascontiguousarray(table.omega[m:hi, m - span:m])
+            block = table.omega[m:hi, m - span:m]
+            if w is not None:
+                # copied first: the Toeplitz view has a negative row stride;
+                # a slice of a dense table goes to BLAS as it is
+                block = np.ascontiguousarray(block)
             acc[m + 1:hi + 1] += block @ src
             continue
         n_tgt = hi - m

@@ -10,6 +10,8 @@ def test_benchmark_script_smoke():
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert "ml_eval" in out.stdout
+    assert "ml_series[" in out.stdout
+    assert "ml_weights[N=8192,T=40]" in out.stdout
     assert "scalar_reference[" in out.stdout
     assert "ledger[" in out.stdout
     assert "memory[N=2048,nf=1300],run" in out.stdout

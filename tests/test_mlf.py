@@ -104,7 +104,9 @@ class TestMlE:
                 want = self._masked_series(xs, srat, st0)
                 assert np.array_equal(_kernels._series(xs, srat, st0), want)
 
-    @pytest.mark.parametrize("n_points", [1, 1024, 1025, 5000])
+    @pytest.mark.parametrize(
+        "n_points", sorted({1, 1024, 1025, 5000, _kernels.SPECTRAL_BLOCK,
+                            _kernels.SPECTRAL_BLOCK + 1}))
     def test_spectral_blocks_bitwise_equal_to_one_call(self, n_points):
         for alpha in (0.3, 2.0 / 3.0, 0.9):
             # interior of the spectral window, so every point takes it
@@ -113,6 +115,88 @@ class TestMlE:
             for b in (1.0, 2.0, alpha):
                 assert np.array_equal(_kernels.eval_ml_neg(alpha, b, xs),
                                       _kernels._spectral(alpha, b, xs))
+
+    @pytest.mark.parametrize(
+        "n_points", sorted({1, 2, 5000, _kernels.SERIES_BLOCK,
+                            _kernels.SERIES_BLOCK + 1}))
+    def test_series_blocks_bitwise_equal_to_one_call(self, n_points):
+        for alpha in (0.3, 2.0 / 3.0, 0.9):
+            # interior of the series window, zero excluded
+            xs = np.linspace(0.0, _kernels.S_SERIES ** alpha,
+                             n_points + 2)[1:-1]
+            for b in (1.0, 2.0, alpha):
+                srat, st0 = _kernels.series_coefficients(alpha, b)
+                assert np.array_equal(_kernels.eval_ml_neg(alpha, b, xs),
+                                      _kernels._series(xs, srat, st0))
+
+    @staticmethod
+    def _allocating_g_of(b, u, x):
+        # the spectral branch as first written: a fresh (points x nodes)
+        # array for every operation, np.where over both b = 2 branches
+        if b == 1.0:
+            return np.exp(-u)
+        if b == 2.0:
+            safe = np.where(u == 0.0, 1.0, u)
+            return np.where(u > 1e-8, -np.expm1(-u) / safe, 1.0 - 0.5 * u)
+        return u * np.exp(-u) / x
+
+    @classmethod
+    def _allocating_spectral(cls, alpha, b, x):
+        K = _kernels
+        ia = 1.0 / alpha
+        w = math.sin(math.pi * alpha)
+        vstar = -math.cos(math.pi * alpha)
+        y0 = math.asinh(-vstar / w)
+        v_exp = K.U_CUT ** alpha / x
+        if b == 2.0:
+            v_alg = (x ** (-ia) / (1.0 + ia) * 1e16) ** (alpha / (1.0 + alpha))
+            v_top = np.maximum(np.maximum(v_exp, v_alg), vstar + 4.0 * w)
+        else:
+            v_top = v_exp
+        ym = np.arcsinh((v_exp - vstar) / w)
+        yt = np.arcsinh((v_top - vstar) / w)
+        ym = np.minimum(ym, yt)
+        hw = 0.5 * (ym - y0)
+        mid = 0.5 * (ym + y0)
+        y = mid[:, None] + hw[:, None] * K._DE_X[None, :]
+        v = np.maximum(vstar + w * np.sinh(y), 0.0)
+        u = (v * x[:, None]) ** ia
+        g = cls._allocating_g_of(b, u, x[:, None])
+        acc = hw * np.einsum("ij,j->i", g / np.cosh(y), K._DE_W)
+        tail = yt > ym
+        if np.any(tail):
+            hw2 = 0.5 * (yt[tail] - ym[tail])
+            mid2 = 0.5 * (yt[tail] + ym[tail])
+            y2 = mid2[:, None] + hw2[:, None] * K._GL_X[None, :]
+            v2 = vstar + w * np.sinh(y2)
+            u2 = (v2 * x[tail][:, None]) ** ia
+            g2 = cls._allocating_g_of(b, u2, x[tail][:, None])
+            acc[tail] += hw2 * np.einsum("ij,j->i", g2 / np.cosh(y2), K._GL_W)
+        return acc * (1.0 / (alpha * math.pi))
+
+    @pytest.mark.parametrize("alpha", [0.3, 2.0 / 3.0, 0.9, 0.99])
+    def test_spectral_bitwise_equal_to_allocating_oracle(self, alpha,
+                                                         monkeypatch):
+        seen = {"tail": 0, "u_zero": 0}
+        g_in_place = _kernels._g
+
+        def spy(b, u, x, out):
+            seen["tail"] += u.shape[1] == _kernels._GL_X.size
+            seen["u_zero"] += int(np.count_nonzero(u == 0.0))
+            return g_in_place(b, u, x, out)
+
+        monkeypatch.setattr(_kernels, "_g", spy)
+        lo, hi = _kernels.S_SERIES ** alpha, _kernels.S_ASYM ** alpha
+        # a generator of its own: the session rng's later draws stay put
+        xs = np.concatenate([np.linspace(lo, hi, 300),
+                             np.random.default_rng(11).uniform(lo, hi, 700)])
+        for b in (1.0, 2.0, alpha):
+            want = self._allocating_spectral(alpha, b, xs)
+            assert np.array_equal(_kernels._spectral(alpha, b, xs), want)
+        assert seen["tail"] > 0     # b = 2 runs the Gauss-Legendre tail
+        if alpha == 0.3:
+            # nodes clamped to v = 0 give u = 0, the 1 - u/2 patch of b = 2
+            assert seen["u_zero"] > 0
 
 
 class TestKernelQuantities:
