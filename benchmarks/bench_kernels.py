@@ -2,8 +2,9 @@
 """Time the numeric kernels that dominate runtime.
 
 They are batched Mittag-Leffler evaluation (feeds every weight table; one
-row over all three branches, one over the ascending series alone, and the
-uniform weight table of the long-memory run, N=8192 steps over 40 relaxation
+row over all three branches, one over the ascending series alone, one over
+the descending asymptotic series alone (s in [40, 400]), and the uniform
+weight table of the long-memory run, N=8192 steps over 40 relaxation
 times, whose lags fall mostly in the spectral branch),
 weight-table construction on a nonuniform grid (O(N^2) distinct lags), the
 product-integration sweep of the scalar reference solver (O(M^2) memory work),
@@ -30,7 +31,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from fracvisco import stepper  # noqa: E402
-from fracvisco._kernels import S_SERIES, eval_ml_neg  # noqa: E402
+from fracvisco._kernels import S_ASYM, S_SERIES, eval_ml_neg  # noqa: E402
 from fracvisco.diagnostics import energy_ledger  # noqa: E402
 from fracvisco.fem import (ElasticParams, assemble,  # noqa: E402
                            build_rect_mesh)
@@ -150,6 +151,10 @@ def main():
     xs = np.random.default_rng(11).uniform(0.0, S_SERIES ** (2.0 / 3.0), n_ser)
     t, _ = timed(lambda: eval_ml_neg(2.0 / 3.0, 2.0, xs), repeat)
     rows.append((f"ml_series[{n_ser}]", t))
+    xs = np.random.default_rng(12).uniform(S_ASYM, 10.0 * S_ASYM,
+                                           n_ser) ** (2.0 / 3.0)
+    t, _ = timed(lambda: eval_ml_neg(2.0 / 3.0, 2.0, xs), repeat)
+    rows.append((f"ml_asym[{n_ser}]", t))
 
     ker = KernelParams(alpha=2.0 / 3.0, tau=1.0, gamma=0.5)
     t, _ = timed(lambda: build_weights(TimeGrid.uniform(40.0, 8192), ker),

@@ -15,12 +15,13 @@ The windows and node counts were calibrated against a 140-digit series
 oracle: each branch stays within ~3e-11 relative over its window for
 alpha in [0.25, 0.999], and well under 1e-12 for alpha in [0.3, 0.99].
 
-Every branch is pointwise, so the series and spectral branches run on
-blocks of SERIES_BLOCK and SPECTRAL_BLOCK points that keep their working
-arrays in cache.  A spectral block works in place in three (points x nodes)
-buffers; next to the allocate-per-operation formulas only the operand order
-of commutative operations differs.  Neither blocking nor the in-place panels
-change a bit: a point's value does not depend on the batch it is in.
+Every branch is pointwise, so all three run on blocks that keep their
+working arrays in cache: SERIES_BLOCK points for the series and asymptotic
+branches, SPECTRAL_BLOCK points for the spectral one.  A spectral block
+works in place in three (points x nodes) buffers; next to the
+allocate-per-operation formulas only the operand order of commutative
+operations differs.  Neither blocking nor the in-place panels change a bit:
+a point's value does not depend on the batch it is in.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ S_SERIES = 5.0
 S_ASYM = 40.0
 U_CUT = 64.0  # exp(-u) is below double rounding past this
 SPECTRAL_BLOCK = 256  # points per _spectral call
-SERIES_BLOCK = 16384  # points per _series call
+SERIES_BLOCK = 16384  # points per _series and _asymptotic call
 _LN_PI = math.log(math.pi)
 _LOG_STOP = math.log(1e-18)
 
@@ -262,7 +263,9 @@ def eval_ml_neg(alpha, b, xs):
         out[ser] = _in_blocks(lambda xb: _series(xb, srat, st0), xs[ser],
                               SERIES_BLOCK)
     if np.any(asy):
-        out[asy] = _asymptotic(xs[asy], *asym_coefficients(alpha, b))
+        coef = asym_coefficients(alpha, b)
+        out[asy] = _in_blocks(lambda xb: _asymptotic(xb, *coef), xs[asy],
+                              SERIES_BLOCK)
     if np.any(bri):
         out[bri] = _in_blocks(lambda xb: _spectral(alpha, b, xb), xs[bri],
                               SPECTRAL_BLOCK)

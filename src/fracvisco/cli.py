@@ -54,7 +54,7 @@ def cmd_simulate(args):
     cfg = _load_config(args.config)
     mesh, ep, ker, sys_, table = _setup(cfg)
     zero = np.zeros(sys_.n_dofs)
-    hist = run(sys_, table, zero, zero, solver=cfg.method, rtol=cfg.cg_tol)
+    hist = run(sys_, table, zero, zero, rtol=cfg.cg_tol)
     out = _out_dir(cfg)
     paths = []
     times = hist.times.tolist()
@@ -84,8 +84,7 @@ def cmd_energy_check(args):
         u0 = quasi_static_solve(loaded, scale=max(1.0 - ker.gamma, 1e-8))
     else:
         u0 = np.zeros(ndof)
-    hist = run(sys_, table, u0, np.zeros(ndof), solver=cfg.method,
-               rtol=cfg.cg_tol)
+    hist = run(sys_, table, u0, np.zeros(ndof), rtol=cfg.cg_tol)
     led = energy_ledger(hist)
     out = _out_dir(cfg)
     path = out / "energy_ledger.csv"

@@ -92,9 +92,8 @@ class RunConfig:
             errors.append(("t_final", "t_final must be positive"))
         if self.steps < 1:
             errors.append(("steps", "steps must be >= 1"))
-        if self.method not in ("direct", "cg"):
-            errors.append(("method",
-                           f"method must be direct or cg, got {self.method}"))
+        if self.method != "direct":
+            errors.append(("method", f"method must be direct, got {self.method}"))
         if self.weights_mode not in ("closed_form", "midpoint"):
             errors.append(("weights_mode",
                            "weights_mode must be closed_form or midpoint"))

@@ -102,23 +102,6 @@ class Mesh:
                 f"distance {d[idx]:.3e}", stacklevel=2)
         return idx
 
-    def vertices_csv(self):
-        lines = ["index,x,y"]
-        lines += [f"{i},{x!r},{y!r}" for i, (x, y) in enumerate(self.vertices)]
-        return "\n".join(lines) + "\n"
-
-    def triangles_csv(self):
-        lines = ["index,v0,v1,v2"]
-        lines += [f"{i},{a},{b},{c}" for i, (a, b, c) in enumerate(self.triangles)]
-        return "\n".join(lines) + "\n"
-
-    def boundary_csv(self):
-        lines = ["index,v0,v1,tag,side"]
-        for i, ((a, b), t, s) in enumerate(
-                zip(self.boundary_edges, self.edge_tags, self.edge_sides)):
-            lines.append(f"{i},{a},{b},{t},{s}")
-        return "\n".join(lines) + "\n"
-
 
 def build_rect_mesh(nx, ny, lx=1.0, ly=1.0):
     """Uniform nx-by-ny grid on [0,lx]x[0,ly], cells split along one diagonal.
@@ -373,5 +356,5 @@ def quasi_static_solve(sys: AssembledSystem, scale=1.0, t=0.0, rtol=1e-12):
     if not scale > 0.0:
         raise ValueError("scale must be positive")
     rhs = sys.restrict(sys.volume_load(t) + sys.traction_vector(t))
-    solver = make_spd_solver(scale * sys.Kff, method="direct", rtol=rtol)
+    solver = make_spd_solver(scale * sys.Kff, rtol=rtol)
     return sys.expand(solver.solve(rhs))

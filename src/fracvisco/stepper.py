@@ -197,8 +197,7 @@ def advance(u1_prev_f, u2_prev_f, sys, k, co, hist_f, load_f, solver):
     return u1_prev_f + k * u2, u2
 
 
-def run(sys: AssembledSystem, table: WeightTable, u0, v0, solver="direct",
-        rtol=1e-10):
+def run(sys: AssembledSystem, table: WeightTable, u0, v0, rtol=1e-10):
     """Integrate from initial data (u0, v0) over the grid of ``table``.
 
     u0 and v0 must satisfy the Dirichlet constraints.  The returned history
@@ -227,7 +226,7 @@ def run(sys: AssembledSystem, table: WeightTable, u0, v0, solver="direct",
         key = (k[n - 1], co)
         if key not in solvers:
             mat = sys.Mff + (k[n - 1] * co) * sys.Kff
-            solvers[key] = make_spd_solver(mat, method=solver, rtol=rtol)
+            solvers[key] = make_spd_solver(mat, rtol=rtol)
         try:
             u1f[n], u2f[n] = advance(u1f[n - 1], u2f[n - 1], sys, k[n - 1],
                                      co, hist, load, solvers[key])

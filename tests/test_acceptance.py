@@ -60,7 +60,7 @@ def test_criterion_1_energy_identity():
     sys_ = assemble(mesh, ep)
     grid = TimeGrid.uniform(1.0, 32)
     table = build_weights(grid, ker)
-    hist = run(sys_, table, u0, np.zeros_like(u0), solver="direct")
+    hist = run(sys_, table, u0, np.zeros_like(u0))
     led = energy_ledger(hist)
     elapsed = time.perf_counter() - t0
     tol = 1e-12 * led.rhs_total

@@ -11,6 +11,7 @@ def test_benchmark_script_smoke():
     assert out.returncode == 0, out.stderr
     assert "ml_eval" in out.stdout
     assert "ml_series[" in out.stdout
+    assert "ml_asym[" in out.stdout
     assert "ml_weights[N=8192,T=40]" in out.stdout
     assert "scalar_reference[" in out.stdout
     assert "ledger[" in out.stdout

@@ -105,12 +105,18 @@ class TestParse:
         cfg = RunConfig(alpha=0.31, tau=2.5, gamma=0.25, mu=7.0, lam=3.0,
                         rho=10.0, nx=3, ny=4, lx=2.0, ly=0.5, t_final=3.0,
                         steps=7, f=(0.1, 0.2), g_left=(1.0, 0.0),
-                        probes=((2.0, 0.5), (1.0, 0.25)), method="cg",
+                        probes=((2.0, 0.5), (1.0, 0.25)), method="direct",
                         cg_tol=1e-9, weights_mode="midpoint",
                         mass_lumping=True, out_dir="elsewhere")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             assert parse_config(serialize_config(cfg)) == cfg
+
+    def test_cg_method_rejected_with_line(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config("[solver]\nmethod = cg\ncg_tol = 1e-10\n")
+        assert any(e.startswith("line 2:") and "method must be direct" in e
+                   for e in err.value.errors)
 
 
 def run_cli(args, tmp_path, monkeypatch):

@@ -120,14 +120,20 @@ class TestMlE:
         "n_points", sorted({1, 2, 5000, _kernels.SERIES_BLOCK,
                             _kernels.SERIES_BLOCK + 1}))
     def test_series_blocks_bitwise_equal_to_one_call(self, n_points):
+        # both branches that run in SERIES_BLOCK blocks: the interiors of
+        # the series window (zero excluded) and of s in [S_ASYM, 10 S_ASYM]
         for alpha in (0.3, 2.0 / 3.0, 0.9):
-            # interior of the series window, zero excluded
-            xs = np.linspace(0.0, _kernels.S_SERIES ** alpha,
-                             n_points + 2)[1:-1]
+            series = np.linspace(0.0, _kernels.S_SERIES ** alpha,
+                                 n_points + 2)[1:-1]
+            asym = np.linspace(_kernels.S_ASYM, 10.0 * _kernels.S_ASYM,
+                               n_points + 2)[1:-1] ** alpha
             for b in (1.0, 2.0, alpha):
                 srat, st0 = _kernels.series_coefficients(alpha, b)
-                assert np.array_equal(_kernels.eval_ml_neg(alpha, b, xs),
-                                      _kernels._series(xs, srat, st0))
+                assert np.array_equal(_kernels.eval_ml_neg(alpha, b, series),
+                                      _kernels._series(series, srat, st0))
+                coef = _kernels.asym_coefficients(alpha, b)
+                assert np.array_equal(_kernels.eval_ml_neg(alpha, b, asym),
+                                      _kernels._asymptotic(asym, *coef))
 
     @staticmethod
     def _allocating_g_of(b, u, x):

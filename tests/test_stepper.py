@@ -294,17 +294,6 @@ class TestRun:
         hist = run(sys_, table, z, z)
         assert np.all(np.isfinite(hist.U1))
 
-    def test_cg_solver_matches_direct(self, mesh8, elastic_soft, kernel_sec6,
-                                      downward_traction):
-        sys_ = assemble(mesh8, elastic_soft, traction=downward_traction)
-        grid = TimeGrid.uniform(1.0, 8)
-        table = build_weights(grid, kernel_sec6)
-        z = np.zeros(sys_.n_dofs)
-        hd = run(sys_, table, z, z, solver="direct")
-        hc = run(sys_, table, z, z, solver="cg", rtol=1e-12)
-        assert np.max(np.abs(hd.U1[-1] - hc.U1[-1])) <= 1e-9 * (
-            np.max(np.abs(hd.U1[-1])) + 1e-30)
-
     def test_holds_only_its_two_histories(self, kernel_sec6, elastic_soft):
         # 16x16 with N = 4096: 17.8 MB per history; the history sums add up
         # in the velocity rows, so no third array of that size is built
