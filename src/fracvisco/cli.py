@@ -9,6 +9,7 @@ Errors exit nonzero after printing one machine-readable line
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, parse_config
-from .diagnostics import energy_ledger, long_time_limit
+from .diagnostics import energy_ledger
 from .fem import (ElasticParams, assemble, build_rect_mesh, constant_volume,
                   quasi_static_solve, side_traction)
 from .mlf import KernelParams, ml_e
@@ -43,16 +44,14 @@ def _setup(cfg):
           for name in ("left", "right", "bottom", "top")}
     traction = side_traction(tr) if any(any(v) for v in tr.values()) else None
     volume = constant_volume(cfg.f) if any(cfg.f) else None
-    sys_ = assemble(mesh, ep, volume=volume, traction=traction,
-                    lumped=cfg.mass_lumping)
-    table = build_weights(TimeGrid.uniform(cfg.t_final, cfg.steps), ker,
-                          mode=cfg.weights_mode)
-    return mesh, ep, ker, sys_, table
+    sys_ = assemble(mesh, ep, volume=volume, traction=traction)
+    table = build_weights(TimeGrid.uniform(cfg.t_final, cfg.steps), ker)
+    return mesh, ker, sys_, table
 
 
 def cmd_simulate(args):
     cfg = _load_config(args.config)
-    mesh, ep, ker, sys_, table = _setup(cfg)
+    mesh, ker, sys_, table = _setup(cfg)
     zero = np.zeros(sys_.n_dofs)
     hist = run(sys_, table, zero, zero, rtol=cfg.cg_tol)
     out = _out_dir(cfg)
@@ -74,13 +73,13 @@ def cmd_simulate(args):
 
 def cmd_energy_check(args):
     cfg = _load_config(args.config)
-    mesh, ep, ker, sys_, table = _setup(cfg)
+    _, ker, sys_, table = _setup(cfg)
     ndof = sys_.n_dofs
     if sys_.volume is None and sys_.traction is None:
         # homogeneous: start from the relaxed static shape of the default
         # unit traction so the ledger exercises a nontrivial balance
-        loaded = assemble(mesh, ep, traction=side_traction(
-            {"right": (0.0, -1.0)}), lumped=cfg.mass_lumping)
+        loaded = dataclasses.replace(sys_, traction=side_traction(
+            {"right": (0.0, -1.0)}))
         u0 = quasi_static_solve(loaded, scale=max(1.0 - ker.gamma, 1e-8))
     else:
         u0 = np.zeros(ndof)
@@ -113,7 +112,7 @@ def cmd_weights_dump(args):
     cfg = _load_config(args.config)
     ker = KernelParams(alpha=cfg.alpha, tau=cfg.tau, gamma=cfg.gamma)
     grid = TimeGrid.uniform(cfg.t_final, cfg.steps)
-    table = build_weights(grid, ker, mode=cfg.weights_mode)
+    table = build_weights(grid, ker)
     lines = ["n,j,omega_nj,eta_n"]
     eta = table.eta_bar.tolist()
     for n in range(1, table.n_steps + 1):

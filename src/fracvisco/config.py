@@ -10,6 +10,8 @@ Grammar (documented in the README):
 * ``probe`` may repeat inside ``[probes]``; every other key is single-valued,
 * numbers must be finite, and ``dt`` (an alternative to ``steps``) must
   divide ``t_final`` to 1e-9 relative,
+* the retired ``[solver]`` keys of removed code paths parse only at the one
+  value the program still implements and set nothing,
 * unknown sections or keys are errors; all errors are collected with their
   line numbers before parsing fails.
 
@@ -62,11 +64,8 @@ class RunConfig:
     g_top: tuple = (0.0, 0.0)
     # probes
     probes: tuple = ((1.0, 1.0),)
-    # solver / modes
-    method: str = "direct"
+    # solver
     cg_tol: float = 1e-10
-    weights_mode: str = "closed_form"
-    mass_lumping: bool = False
     # output
     out_dir: str = "out"
 
@@ -92,11 +91,6 @@ class RunConfig:
             errors.append(("t_final", "t_final must be positive"))
         if self.steps < 1:
             errors.append(("steps", "steps must be >= 1"))
-        if self.method != "direct":
-            errors.append(("method", f"method must be direct, got {self.method}"))
-        if self.weights_mode not in ("closed_form", "midpoint"):
-            errors.append(("weights_mode",
-                           "weights_mode must be closed_form or midpoint"))
         if not self.cg_tol > 0.0:
             errors.append(("cg_tol", "cg_tol must be positive"))
         return errors
@@ -116,6 +110,11 @@ _SCHEMA = {
 }
 
 _FIELD_OF = {("elastic", "lambda"): "lam", ("output", "dir"): "out_dir"}
+
+# [solver] keys whose alternative code paths were removed: the one value each
+# still accepts
+_RETIRED = {"method": "direct", "weights_mode": "closed_form",
+            "mass_lumping": False}
 
 
 def _parse_value(kind, raw, where, errors):
@@ -194,11 +193,16 @@ def parse_config(text):
         if section == "time" and key == "steps":
             saw_steps = True
         fname = _FIELD_OF.get((section, key), key)
-        if fname in assigned:
+        if fname in line_of:
             errors.append(f"line {lineno}: duplicate key {key!r}")
             continue
-        assigned[fname] = value
         line_of[fname] = lineno
+        if key in _RETIRED:
+            if value != _RETIRED[key]:
+                errors.append(f"line {lineno}: {key} must be "
+                              f"{str(_RETIRED[key]).lower()}, got {raw.strip()}")
+            continue
+        assigned[fname] = value
 
     cfg = RunConfig()
     defaulted = [f for f in cfg.__dataclass_fields__
@@ -267,10 +271,7 @@ def serialize_config(cfg: RunConfig):
     lines += [f"probe = {vec(p)}" for p in cfg.probes]
     lines += [
         "[solver]",
-        f"method = {cfg.method}",
         f"cg_tol = {cfg.cg_tol!r}",
-        f"weights_mode = {cfg.weights_mode}",
-        f"mass_lumping = {str(cfg.mass_lumping).lower()}",
         "[output]",
         f"dir = {cfg.out_dir}",
     ]

@@ -149,7 +149,7 @@ def build_rect_mesh(nx, ny, lx=1.0, ly=1.0):
                 edge_sides=np.asarray(sides, dtype=np.int8))
 
 
-def _element_matrices(mesh, ep, lumped):
+def _element_matrices(mesh, ep):
     v = mesh.vertices[mesh.triangles]            # (nt, 3, 2)
     x, y = v[..., 0], v[..., 1]
     area = 0.5 * ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
@@ -171,8 +171,6 @@ def _element_matrices(mesh, ep, lumped):
                      [0.0, 0.0, mu]])
     ke = np.einsum("tia,ij,tjb,t->tab", bmat, dmat, bmat, area, optimize=True)
     m_scalar = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
-    if lumped:
-        m_scalar = np.diag(m_scalar.sum(axis=1))
     me = np.zeros((nt, 6, 6))
     for comp in range(2):
         me[:, comp::2, comp::2] = (ep.rho * area)[:, None, None] * m_scalar
@@ -249,14 +247,13 @@ class AssembledSystem:
         return traction_load(self.mesh, self.traction, t)
 
 
-def assemble(mesh, ep, volume=None, traction=None, lumped=False,
-             extra_fixed_dofs=None):
+def assemble(mesh, ep, volume=None, traction=None, extra_fixed_dofs=None):
     """Assemble stiffness and mass; Dirichlet set from mesh tags.
 
     ``extra_fixed_dofs`` pins additional dof indices (used to cut a system
     down to a small number of unknowns in verification setups).
     """
-    ke, me = _element_matrices(mesh, ep, lumped)
+    ke, me = _element_matrices(mesh, ep)
     K = _scatter(mesh, ke)
     M = _scatter(mesh, me)
     dv = mesh.dirichlet_vertices()
@@ -347,7 +344,7 @@ def constant_volume(vec):
     return f
 
 
-def quasi_static_solve(sys: AssembledSystem, scale=1.0, t=0.0, rtol=1e-12):
+def quasi_static_solve(sys: AssembledSystem, scale=1.0):
     """Solve scale * a(u, v) = (f, v) + (g, v) for the static displacement.
 
     With scale = 1 - gamma this is the fully relaxed long-time limit of the
@@ -355,6 +352,6 @@ def quasi_static_solve(sys: AssembledSystem, scale=1.0, t=0.0, rtol=1e-12):
     """
     if not scale > 0.0:
         raise ValueError("scale must be positive")
-    rhs = sys.restrict(sys.volume_load(t) + sys.traction_vector(t))
-    solver = make_spd_solver(scale * sys.Kff, rtol=rtol)
+    rhs = sys.restrict(sys.volume_load(0.0) + sys.traction_vector(0.0))
+    solver = make_spd_solver(scale * sys.Kff, rtol=1e-12)
     return sys.expand(solver.solve(rhs))

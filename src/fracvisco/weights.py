@@ -10,8 +10,7 @@ In closed form this telescopes through the double primitive C:
     omega_nj = C(t_n - t_{j-1}) - C(t_n - t_j) - C(t_{n-1} - t_{j-1}) + C(t_{n-1} - t_j)
     omega_nn = C(k_n)
 
-A midpoint mode replaces the outer t-integral with a one-point midpoint rule
-over I_n applied to the (exact) inner primitive difference.  In both modes
+The relaxation average
 
     eta_n = 1 - (sum_j omega_nj) / k_n
 
@@ -28,8 +27,9 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+# beta_primitive is unused here; perfbench wraps it under this module's name
 from .mlf import (KernelParams, beta_double_primitive, beta_primitive,
-                  kernel_beta, ml_e_array)
+                  ml_e_array)
 
 __all__ = [
     "TimeGrid",
@@ -96,7 +96,6 @@ class WeightTable:
 
     omega: np.ndarray
     eta_bar: np.ndarray
-    mode: str
     grid: TimeGrid
     params: KernelParams = field(repr=False)
     lags: np.ndarray = field(default=None, repr=False)
@@ -111,56 +110,42 @@ class WeightTable:
         return self.omega / np.outer(k, k)
 
 
-def build_weights(grid: TimeGrid, p: KernelParams, mode="closed_form"):
-    """Build the weight table on ``grid`` for kernel ``p``.
+def build_weights(grid: TimeGrid, p: KernelParams):
+    """Build the exact weight table on ``grid`` for kernel ``p``.
 
-    closed_form evaluates the exact cell integrals through C; midpoint
-    applies a one-point midpoint rule in t to the inner primitive difference.
     Uniform grids store only the O(N) distinct lags; ``omega`` is then a
     read-only Toeplitz view of them, not an O(N^2) table.
     """
-    if mode not in ("closed_form", "midpoint"):
-        raise ValueError(f"unknown mode {mode!r}")
     nodes = grid.nodes
     k = grid.steps
     n = grid.n_steps
     if grid.is_uniform:
         h = k[0]
         w_of = np.zeros(n)  # w_of[d] = omega_{j+d, j}, d = 0 the diagonal
-        if p.gamma > 0.0 and mode == "closed_form":
+        if p.gamma > 0.0:
             cl = beta_double_primitive(p, np.arange(n + 1) * h)
             # second difference in the lag index; row-independent
             w_of[0] = cl[1]  # C(k): diagonal entry
             d = np.arange(1, n)
             w_of[1:] = cl[d + 1] - 2.0 * cl[d] + cl[d - 1]
-        elif p.gamma > 0.0:
-            bl = beta_primitive(p, (np.arange(n) + 0.5) * h)
-            w_of[0] = h * bl[0]
-            w_of[1:] = h * (bl[1:] - bl[:-1])
         w_of.flags.writeable = False  # omega is a view of a copy of it
         eta_bar = np.empty(n + 1)
         eta_bar[0] = 1.0
         eta_bar[1:] = 1.0 - np.cumsum(w_of) / k
         return WeightTable(omega=_toeplitz_view(w_of), eta_bar=eta_bar,
-                           mode=mode, grid=grid, params=p, lags=w_of)
+                           grid=grid, params=p, lags=w_of)
     if p.gamma == 0.0:
         omega = np.zeros((n, n))
-    elif mode == "closed_form":
+    else:
         # the pairwise table is zero at lags <= 0, so the diagonal comes out
         # as C(k_n) and the upper triangle as zeros
-        c = _pairwise_primitive(beta_double_primitive, p, nodes)
+        c = _pairwise_primitive(p, nodes)
         omega = c[1:, :-1] - c[1:, 1:] - c[:-1, :-1] + c[:-1, 1:]
-    else:
-        b = _pairwise_primitive(beta_primitive, p, nodes,
-                                mid=nodes[:-1] + 0.5 * k)
-        omega = k[:, None] * (b[:, :-1] - b[:, 1:])
-        # the diagonal at the exact half step (mid_n - t_{n-1} may round)
-        omega[np.diag_indices(n)] = k * beta_primitive(p, 0.5 * k)
     row_sums = omega.sum(axis=1)
     eta_bar = np.empty(n + 1)
     eta_bar[0] = 1.0
     eta_bar[1:] = 1.0 - row_sums / k
-    return WeightTable(omega=omega, eta_bar=eta_bar, mode=mode, grid=grid, params=p)
+    return WeightTable(omega=omega, eta_bar=eta_bar, grid=grid, params=p)
 
 
 def _toeplitz_view(w_of):
@@ -172,20 +157,12 @@ def _toeplitz_view(w_of):
     return sliding_window_view(padded, n)[::-1]
 
 
-def _pairwise_primitive(fn, p, nodes, mid=None):
-    """fn(p, lag) over all needed (row, node) lags, one vectorized call.
-
-    With mid=None returns P[a, b] = fn(t_a - t_b) for a >= b (zeros elsewhere);
-    with mid given returns P[i, b] = fn(mid_i - t_b) for t_b < mid_i.
-    """
-    if mid is None:
-        rows = nodes
-    else:
-        rows = mid
-    lag = rows[:, None] - nodes[None, :]
+def _pairwise_primitive(p, nodes):
+    """C[a, b] = C(t_a - t_b) for a > b, zeros elsewhere; one vectorized call."""
+    lag = nodes[:, None] - nodes[None, :]
     mask = lag > 0.0
     vals = np.zeros_like(lag)
-    vals[mask] = fn(p, lag[mask])
+    vals[mask] = beta_double_primitive(p, lag[mask])
     return vals
 
 
@@ -219,8 +196,7 @@ class SignStructureReport:
 def verify_sign_structure(table: WeightTable):
     """Check d_n eta_n < 0 and d_n beta_nj < 0 (j < n-1), d_n the backward difference.
 
-    Intended for closed_form tables; midpoint tables can violate the signs
-    within quadrature error.  Returns a report, never raises.
+    Returns a report, never raises.
     """
     k = table.grid.steps
     if table.params.gamma == 0.0:

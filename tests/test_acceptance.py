@@ -129,8 +129,7 @@ def test_criterion_4_self_convergence_2d():
 
     def final_u1(k):
         grid = TimeGrid.uniform(t_final, int(round(t_final / k)))
-        table = build_weights(grid, ker, mode="midpoint")  # matches the
-        # quadrature used by the replicated experiment
+        table = build_weights(grid, ker)
         return run(sys_, table, z, z).U1[-1]
 
     fine = final_u1(k_min)

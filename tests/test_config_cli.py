@@ -13,9 +13,17 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 class TestParse:
     def test_shipped_benchmark_config(self):
+        text = (CONFIG_DIR / "paper_sec6.cfg").read_text()
+        retired = ("method = direct\n", "weights_mode = closed_form\n",
+                   "mass_lumping = false\n")
+        without = text
+        for line in retired:
+            assert line in text  # as perfbench writes them too
+            without = without.replace(line, "")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # unset sides default to zero
-            cfg = parse_config((CONFIG_DIR / "paper_sec6.cfg").read_text())
+            cfg = parse_config(text)
+            assert parse_config(without) == cfg
         assert cfg.gamma == 0.5
         assert cfg.tau == 1.0
         assert cfg.alpha == pytest.approx(2.0 / 3.0)
@@ -105,18 +113,21 @@ class TestParse:
         cfg = RunConfig(alpha=0.31, tau=2.5, gamma=0.25, mu=7.0, lam=3.0,
                         rho=10.0, nx=3, ny=4, lx=2.0, ly=0.5, t_final=3.0,
                         steps=7, f=(0.1, 0.2), g_left=(1.0, 0.0),
-                        probes=((2.0, 0.5), (1.0, 0.25)), method="direct",
-                        cg_tol=1e-9, weights_mode="midpoint",
-                        mass_lumping=True, out_dir="elsewhere")
+                        probes=((2.0, 0.5), (1.0, 0.25)), cg_tol=1e-9,
+                        out_dir="elsewhere")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             assert parse_config(serialize_config(cfg)) == cfg
 
-    def test_cg_method_rejected_with_line(self):
+    @pytest.mark.parametrize("line,message", [
+        ("method = cg", "method must be direct, got cg"),
+        ("weights_mode = midpoint", "weights_mode must be closed_form, got midpoint"),
+        ("mass_lumping = true", "mass_lumping must be false, got true"),
+    ], ids=["method", "weights_mode", "mass_lumping"])
+    def test_retired_key_rejected_with_line(self, line, message):
         with pytest.raises(ConfigError) as err:
-            parse_config("[solver]\nmethod = cg\ncg_tol = 1e-10\n")
-        assert any(e.startswith("line 2:") and "method must be direct" in e
-                   for e in err.value.errors)
+            parse_config(f"[solver]\ncg_tol = 1e-10\n\n{line}\n")
+        assert err.value.errors == [f"line 4: {message}"]
 
 
 def run_cli(args, tmp_path, monkeypatch):
@@ -223,7 +234,7 @@ class TestCli:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             conf = cli._load_config(cfg)
-        mesh, _, _, sys_, table = cli._setup(conf)
+        mesh, _, sys_, table = cli._setup(conf)
         z = np.zeros(sys_.n_dofs)
         hist = run(sys_, table, z, z)
         for name, point in (("probe_trace.csv", (1.0, 1.0)),

@@ -114,18 +114,6 @@ class TestAssembly:
         assert np.array_equal(a.K.data, b.K.data)
         assert np.array_equal(a.M.data, b.M.data)
 
-    def test_lumped_mass_total_preserved(self, mesh8, elastic_soft):
-        sys_ = assemble(mesh8, elastic_soft, lumped=True)
-        ones = np.zeros(sys_.n_dofs)
-        ones[1::2] = 1.0
-        assert ones @ (sys_.M @ ones) == pytest.approx(elastic_soft.rho,
-                                                       rel=1e-12)
-        # lumped mass is diagonal
-        off = sys_.M - (
-            __import__("scipy.sparse", fromlist=["diags"]).diags(
-                sys_.M.diagonal()))
-        assert abs(off).max() == 0.0
-
 
 class TestLoads:
     def test_traction_total_force(self, mesh8, downward_traction):
@@ -240,23 +228,21 @@ class TestSolvers:
         x = make_spd_solver(a).solve(b)
         assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b)
 
-    @pytest.mark.parametrize("nx,ny,lumped", [(1, 1, False), (2, 2, False),
-                                              (8, 8, False), (16, 16, False),
-                                              (25, 25, False), (40, 3, False),
-                                              (16, 16, True)])
-    def test_banded_matches_dense(self, nx, ny, lumped):
+    @pytest.mark.parametrize("nx,ny", [(1, 1), (2, 2), (8, 8), (16, 16),
+                                       (25, 25), (40, 3)])
+    def test_banded_matches_dense(self, nx, ny):
         # the dG(0) step matrix M + k (k - omega_nn) K of the sec6 physics
         from fracvisco.mlf import KernelParams, beta_double_primitive
 
         sys_ = assemble(build_rect_mesh(nx, ny),
-                        ElasticParams(1e5, 1e5, 3000.0), lumped=lumped)
+                        ElasticParams(1e5, 1e5, 3000.0))
         k = 40.0 / 2560
         co = k - beta_double_primitive(KernelParams(2.0 / 3.0, 1.0, 0.5), k)
         _assert_matches_dense(sys_.Mff + (k * co) * sys_.Kff, seed=nx * ny)
 
     @pytest.mark.parametrize("diag", [[2.5], [1.0, 3.0, 0.5, 7.0, 2.0]])
     def test_banded_matches_dense_diagonal(self, diag):
-        # one unknown, and the half-bandwidth 0 of a lumped mass matrix
+        # one unknown, and half-bandwidth 0
         import scipy.sparse as sp
 
         _assert_matches_dense(sp.diags(diag, format="csr"), seed=len(diag))

@@ -33,13 +33,12 @@ def poisoned_sums(table, u):
 
 class TestHistorySums:
     @pytest.mark.parametrize("n", [1, 2, 3, 64, 65, 1000])
-    @pytest.mark.parametrize("mode", ["closed_form", "midpoint"])
     @pytest.mark.parametrize("direct_block", [stepper.DIRECT_BLOCK, 2])
     def test_matches_dense_uniform(self, kernel_sec6, rng, monkeypatch, n,
-                                   mode, direct_block):
+                                   direct_block):
         # direct_block = 2 sends every square with side > 2 through the FFT
         monkeypatch.setattr(stepper, "DIRECT_BLOCK", direct_block)
-        table = build_weights(TimeGrid.uniform(3.0, n), kernel_sec6, mode)
+        table = build_weights(TimeGrid.uniform(3.0, n), kernel_sec6)
         u = rng.standard_normal((n + 1, 5))
         got = poisoned_sums(table, u)
         want = dense_history(table, u)

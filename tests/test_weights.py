@@ -58,10 +58,9 @@ class TestBuildWeights:
 
     def test_nonnegative_and_row_bound(self, kernel_sec6, rng):
         grid = random_nonuniform_grid(rng)
-        for mode in ("closed_form", "midpoint"):
-            table = build_weights(grid, kernel_sec6, mode=mode)
-            assert np.all(table.omega >= 0.0)
-            assert np.all(table.omega.sum(axis=1) <= kernel_sec6.gamma * grid.steps)
+        table = build_weights(grid, kernel_sec6)
+        assert np.all(table.omega >= 0.0)
+        assert np.all(table.omega.sum(axis=1) <= kernel_sec6.gamma * grid.steps)
 
     def test_uniform_path_matches_per_entry_formula(self, kernel_sec6):
         # the uniform-grid fast path reuses lags; check it against the
@@ -96,28 +95,19 @@ class TestBuildWeights:
         assert peak < 32e6
 
     @pytest.mark.parametrize("n", [1, 2, 7, 300])
-    @pytest.mark.parametrize("mode", ["closed_form", "midpoint"])
-    def test_uniform_toeplitz_view_equals_dense_table(self, kernel_sec6, n,
-                                                      mode):
+    def test_uniform_toeplitz_view_equals_dense_table(self, kernel_sec6, n):
         # the dense N x N construction the lag view replaced, row by row
-        from fracvisco.mlf import beta_double_primitive, beta_primitive
+        from fracvisco.mlf import beta_double_primitive
 
         grid = TimeGrid.uniform(2.0, n)
         h = grid.steps[0]
         dense = np.zeros((n, n))
-        if mode == "closed_form":
-            cl = beta_double_primitive(kernel_sec6, np.arange(n + 1) * h)
-            for i in range(n):
-                d = i - np.arange(i)
-                dense[i, i] = cl[1]
-                dense[i, :i] = cl[d + 1] - 2.0 * cl[d] + cl[d - 1]
-        else:
-            bl = beta_primitive(kernel_sec6, (np.arange(n) + 0.5) * h)
-            for i in range(n):
-                d = i - np.arange(i)
-                dense[i, i] = h * bl[0]
-                dense[i, :i] = h * (bl[d] - bl[d - 1])
-        table = build_weights(grid, kernel_sec6, mode=mode)
+        cl = beta_double_primitive(kernel_sec6, np.arange(n + 1) * h)
+        for i in range(n):
+            d = i - np.arange(i)
+            dense[i, i] = cl[1]
+            dense[i, :i] = cl[d + 1] - 2.0 * cl[d] + cl[d - 1]
+        table = build_weights(grid, kernel_sec6)
         assert isinstance(table.omega, np.ndarray)
         assert np.array_equal(table.omega, dense)
         assert np.array_equal(table.lags, dense[:, 0])
@@ -141,29 +131,12 @@ class TestBuildWeights:
                 q = omega_by_quadrature(grid, kernel_sec6, n, j)
                 assert table.omega[n - 1, j - 1] == pytest.approx(q, abs=1e-8)
 
-    def test_midpoint_matches_quadrature_to_first_order(self, kernel_sec6):
-        # max closed-vs-midpoint discrepancy at least halves when k halves
-        diffs = []
-        for n in (8, 16, 32):
-            grid = TimeGrid.uniform(2.0, n)
-            wc = build_weights(grid, kernel_sec6, mode="closed_form")
-            wm = build_weights(grid, kernel_sec6, mode="midpoint")
-            off = np.abs(wc.omega - wm.omega)
-            np.fill_diagonal(off, 0.0)  # diagonal cell is the singular one
-            diffs.append(off.max())
-        assert diffs[1] <= 0.55 * diffs[0]
-        assert diffs[2] <= 0.55 * diffs[1]
-
     def test_omega_decreasing_in_n_uniform(self, kernel_sec6):
         grid = TimeGrid.uniform(2.0, 16)
         table = build_weights(grid, kernel_sec6)
         for j in range(1, 15):
             col = table.omega[j:, j - 1]  # entries n = j+1..N at fixed j
             assert np.all(np.diff(col) < 0.0)
-
-    def test_unknown_mode(self, kernel_sec6):
-        with pytest.raises(ValueError):
-            build_weights(TimeGrid.uniform(1.0, 4), kernel_sec6, mode="exact")
 
 
 class TestSignStructure:
@@ -193,8 +166,7 @@ class TestSignStructure:
                               kernel_sec6)
         omega = table.omega * (1.0 + 0.3 * rng.standard_normal((40, 40)))
         eta_bar = table.eta_bar + 0.01 * rng.standard_normal(41)
-        bad = WeightTable(omega=omega, eta_bar=eta_bar, mode=table.mode,
-                          grid=table.grid, params=kernel_sec6)
+        bad = WeightTable(omega=omega, eta_bar=eta_bar, grid=table.grid, params=kernel_sec6)
         k = bad.grid.steps
         bmat = bad.beta_cell_averages()
         want_eta = []
