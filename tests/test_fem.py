@@ -228,8 +228,11 @@ class TestSolvers:
         x = make_spd_solver(a).solve(b)
         assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b)
 
-    @pytest.mark.parametrize("nx,ny", [(1, 1), (2, 2), (8, 8), (16, 16),
-                                       (25, 25), (40, 3)])
+    # the "-False" in each id names the consistent (unlumped) mass, as these
+    # case ids always have
+    @pytest.mark.parametrize("nx,ny", [
+        pytest.param(nx, ny, id=f"{nx}-{ny}-False")
+        for nx, ny in [(1, 1), (2, 2), (8, 8), (16, 16), (25, 25), (40, 3)]])
     def test_banded_matches_dense(self, nx, ny):
         # the dG(0) step matrix M + k (k - omega_nn) K of the sec6 physics
         from fracvisco.mlf import KernelParams, beta_double_primitive

@@ -32,7 +32,9 @@ def poisoned_sums(table, u):
 
 
 class TestHistorySums:
-    @pytest.mark.parametrize("n", [1, 2, 3, 64, 65, 1000])
+    # ids name the closed-form weights, as these case ids always have
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 65, 1000],
+                             ids=lambda n: f"closed_form-{n}")
     @pytest.mark.parametrize("direct_block", [stepper.DIRECT_BLOCK, 2])
     def test_matches_dense_uniform(self, kernel_sec6, rng, monkeypatch, n,
                                    direct_block):

@@ -94,7 +94,9 @@ class TestBuildWeights:
             tracemalloc.stop()
         assert peak < 32e6
 
-    @pytest.mark.parametrize("n", [1, 2, 7, 300])
+    # ids name the closed-form weights, as these case ids always have
+    @pytest.mark.parametrize("n", [1, 2, 7, 300],
+                             ids=lambda n: f"closed_form-{n}")
     def test_uniform_toeplitz_view_equals_dense_table(self, kernel_sec6, n):
         # the dense N x N construction the lag view replaced, row by row
         from fracvisco.mlf import beta_double_primitive
