@@ -36,6 +36,19 @@ def _out_dir(cfg):
     return path
 
 
+def _cell(x):
+    if isinstance(x, str):
+        return x
+    return repr(x.item() if isinstance(x, np.generic) else x)
+
+
+def _write_csv(path, header, rows):
+    """Write ``header`` and one line per row: a string cell as it is, a
+    number as the repr of a Python int or float, never of a numpy scalar."""
+    lines = [header] + [",".join(map(_cell, row)) for row in rows]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def _setup(cfg):
     mesh = build_rect_mesh(cfg.nx, cfg.ny, cfg.lx, cfg.ly)
     ep = ElasticParams(mu=cfg.mu, lam=cfg.lam, rho=cfg.rho)
@@ -53,7 +66,7 @@ def cmd_simulate(args):
     cfg = _load_config(args.config)
     mesh, ker, sys_, table = _setup(cfg)
     zero = np.zeros(sys_.n_dofs)
-    hist = run(sys_, table, zero, zero, rtol=cfg.cg_tol)
+    hist = run(sys_, table, zero, zero)
     out = _out_dir(cfg)
     paths = []
     times = hist.times.tolist()
@@ -61,11 +74,9 @@ def cmd_simulate(args):
         vertex = mesh.nearest_vertex(point)
         trace = hist.probe_trace(vertex).tolist()
         name = "probe_trace.csv" if i == 0 else f"probe_trace_{i + 1}.csv"
-        lines = ["t,u1_x,u1_y,u2_x,u2_y"]
-        lines += [",".join(map(repr, [t] + row))
-                  for t, row in zip(times, trace)]
         path = out / name
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write_csv(path, "t,u1_x,u1_y,u2_x,u2_y",
+                   ([t] + row for t, row in zip(times, trace)))
         paths.append(path)
     print("wrote " + ", ".join(str(p) for p in paths))
     return 0
@@ -83,11 +94,11 @@ def cmd_energy_check(args):
         u0 = quasi_static_solve(loaded, scale=max(1.0 - ker.gamma, 1e-8))
     else:
         u0 = np.zeros(ndof)
-    hist = run(sys_, table, u0, np.zeros(ndof), rtol=cfg.cg_tol)
+    hist = run(sys_, table, u0, np.zeros(ndof))
     led = energy_ledger(hist)
     out = _out_dir(cfg)
     path = out / "energy_ledger.csv"
-    path.write_text(led.csv(), encoding="utf-8")
+    _write_csv(path, "term,value", led.rows())
     print(f"wrote {path} (residual_rel = {led.residual_rel:.3e})")
     return 0
 
@@ -101,7 +112,8 @@ def cmd_converge_time(args):
     study = convergence_study(model, k_list, args.t_final)
     out = _out_dir(cfg)
     path = out / "convergence.csv"
-    path.write_text(study.csv(), encoding="utf-8")
+    _write_csv(path, "k,error,order",
+               ((r.k, r.error, r.order) for r in study.rows))
     print(f"wrote {path}")
     for row in study.rows:
         print(f"  k={row.k:<12g} error={row.error:.6e} order={row.order:.3f}")
@@ -113,15 +125,12 @@ def cmd_weights_dump(args):
     ker = KernelParams(alpha=cfg.alpha, tau=cfg.tau, gamma=cfg.gamma)
     grid = TimeGrid.uniform(cfg.t_final, cfg.steps)
     table = build_weights(grid, ker)
-    lines = ["n,j,omega_nj,eta_n"]
     eta = table.eta_bar.tolist()
-    for n in range(1, table.n_steps + 1):
-        row, eta_n = table.omega[n - 1, :n].tolist(), repr(eta[n])
-        lines += [f"{n},{j},{w!r},{eta_n}"
-                  for j, w in enumerate(row, start=1)]
+    rows = ((n, j, w, eta[n]) for n in range(1, table.n_steps + 1)
+            for j, w in enumerate(table.omega[n - 1, :n].tolist(), start=1))
     out = _out_dir(cfg)
     path = out / "weights.csv"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_csv(path, "n,j,omega_nj,eta_n", rows)
     print(f"wrote {path}")
     return 0
 

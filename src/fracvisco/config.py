@@ -10,8 +10,8 @@ Grammar (documented in the README):
 * ``probe`` may repeat inside ``[probes]``; every other key is single-valued,
 * numbers must be finite, and ``dt`` (an alternative to ``steps``) must
   divide ``t_final`` to 1e-9 relative,
-* the retired ``[solver]`` keys of removed code paths parse only at the one
-  value the program still implements and set nothing,
+* every ``[solver]`` key is retired: each parses only at the one value the
+  program still implements and sets nothing,
 * unknown sections or keys are errors; all errors are collected with their
   line numbers before parsing fails.
 
@@ -64,8 +64,6 @@ class RunConfig:
     g_top: tuple = (0.0, 0.0)
     # probes
     probes: tuple = ((1.0, 1.0),)
-    # solver
-    cg_tol: float = 1e-10
     # output
     out_dir: str = "out"
 
@@ -91,8 +89,6 @@ class RunConfig:
             errors.append(("t_final", "t_final must be positive"))
         if self.steps < 1:
             errors.append(("steps", "steps must be >= 1"))
-        if not self.cg_tol > 0.0:
-            errors.append(("cg_tol", "cg_tol must be positive"))
         return errors
 
 
@@ -109,12 +105,14 @@ _SCHEMA = {
     "output": {"dir": str},
 }
 
-_FIELD_OF = {("elastic", "lambda"): "lam", ("output", "dir"): "out_dir"}
+_FIELD_OF = {("elastic", "lambda"): "lam", ("probes", "probe"): "probes",
+             ("output", "dir"): "out_dir"}
 
-# [solver] keys whose alternative code paths were removed: the one value each
-# still accepts
-_RETIRED = {"method": "direct", "weights_mode": "closed_form",
-            "mass_lumping": False}
+# [solver] keys that no longer select anything: the one value each still
+# accepts.  cg_tol is the relative residual bound every solve is checked
+# against (``solvers.SpdSolver``'s default); the others named removed paths.
+_RETIRED = {"method": "direct", "cg_tol": 1e-10,
+            "weights_mode": "closed_form", "mass_lumping": False}
 
 
 def _parse_value(kind, raw, where, errors):
@@ -239,40 +237,22 @@ def parse_config(text):
     return cfg
 
 
-def serialize_config(cfg: RunConfig):
-    def vec(v):
-        return f"({v[0]!r}, {v[1]!r})"
+def _format(kind, value):
+    if kind == "vec":
+        return f"({value[0]!r}, {value[1]!r})"
+    return value if kind is str else repr(value)
 
-    lines = [
-        "[kernel]",
-        f"alpha = {cfg.alpha!r}",
-        f"tau = {cfg.tau!r}",
-        f"gamma = {cfg.gamma!r}",
-        "[elastic]",
-        f"mu = {cfg.mu!r}",
-        f"lambda = {cfg.lam!r}",
-        f"rho = {cfg.rho!r}",
-        "[mesh]",
-        f"nx = {cfg.nx}",
-        f"ny = {cfg.ny}",
-        f"lx = {cfg.lx!r}",
-        f"ly = {cfg.ly!r}",
-        "[time]",
-        f"t_final = {cfg.t_final!r}",
-        f"steps = {cfg.steps}",
-        "[loads]",
-        f"f = {vec(cfg.f)}",
-        f"g_left = {vec(cfg.g_left)}",
-        f"g_right = {vec(cfg.g_right)}",
-        f"g_bottom = {vec(cfg.g_bottom)}",
-        f"g_top = {vec(cfg.g_top)}",
-        "[probes]",
-    ]
-    lines += [f"probe = {vec(p)}" for p in cfg.probes]
-    lines += [
-        "[solver]",
-        f"cg_tol = {cfg.cg_tol!r}",
-        "[output]",
-        f"dir = {cfg.out_dir}",
-    ]
+
+def serialize_config(cfg: RunConfig):
+    """The keys of ``_SCHEMA`` in order, each formatted by its kind; ``dt``
+    (``steps`` is written instead) and the retired keys are left out."""
+    lines = []
+    for section, keys in _SCHEMA.items():
+        live = [key for key in keys if key != "dt" and key not in _RETIRED]
+        if live:
+            lines.append(f"[{section}]")
+        for key in live:
+            value = getattr(cfg, _FIELD_OF.get((section, key), key))
+            values = value if key == "probe" else (value,)
+            lines += [f"{key} = {_format(keys[key], v)}" for v in values]
     return "\n".join(lines) + "\n"

@@ -104,11 +104,6 @@ class EnergyLedger:
             ("residual_rel", self.residual_rel),
         ]
 
-    def csv(self):
-        lines = ["term,value"]
-        lines += [f"{name},{value!r}" for name, value in self.rows()]
-        return "\n".join(lines) + "\n"
-
 
 def energy_ledger(history: SolutionHistory):
     """Evaluate the balance terms on a computed history.

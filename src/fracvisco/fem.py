@@ -152,8 +152,7 @@ def build_rect_mesh(nx, ny, lx=1.0, ly=1.0):
 def _element_matrices(mesh, ep):
     v = mesh.vertices[mesh.triangles]            # (nt, 3, 2)
     x, y = v[..., 0], v[..., 1]
-    area = 0.5 * ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
-                  - (x[:, 2] - x[:, 0]) * (y[:, 1] - y[:, 0]))
+    area = mesh.signed_areas()
     # gradients of the barycentric basis
     bx = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]],
                   axis=1) / (2.0 * area)[:, None]

@@ -244,12 +244,6 @@ class ConvergenceStudy:
     def orders(self):
         return [r.order for r in self.rows]
 
-    def csv(self):
-        lines = ["k,error,order"]
-        for r in self.rows:
-            lines.append(f"{r.k!r},{r.error!r},{r.order!r}")
-        return "\n".join(lines) + "\n"
-
 
 def _step_grid(t_final, k):
     """Uniform grid of step k on [0, t_final]; k must divide t_final."""

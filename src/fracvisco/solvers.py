@@ -4,10 +4,11 @@ The unknowns are ordered once by reverse Cuthill-McKee, which gives the P1
 matrices of ``fem.build_rect_mesh`` meshes a half-bandwidth of about
 2 (min(nx, ny) + 1) (17 at 8x8, 35 at 16x16, 53 at 25x25, 201 at 100x100),
 and LAPACK ``pbtrf``/``pbtrs`` factor and solve in that order.  Every solve
-is verified against the requested relative residual on the original matrix;
-violations raise ``SolverError`` carrying the achieved residual, and a
-non-finite right-hand side is refused before solving.  A matrix that is not
-finite or not positive definite is refused at factorization.
+is verified by its relative residual on the original matrix, against 1e-10
+unless the caller sets another bound; violations raise ``SolverError``
+carrying the achieved residual, and a non-finite right-hand side is refused
+before solving.  A matrix that is not finite or not positive definite is
+refused at factorization.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ class SolverError(RuntimeError):
 
 
 class SpdSolver:
-    """Banded Cholesky factor of a fixed SPD matrix, solved with a residual
-    check on every solve."""
+    """Banded Cholesky factor of a fixed SPD matrix, solved with a check of
+    the relative residual against ``rtol`` on every solve."""
 
     def __init__(self, a_csr, rtol=1e-10):
         self.a = sp.csr_matrix(a_csr)

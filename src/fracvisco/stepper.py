@@ -12,9 +12,10 @@ rho-weighted mass, so the density never appears explicitly.  The memory
 terms come from ``history_sums``, an online blocked convolution: O(N log^2 N)
 work per unknown on uniform grids, O(N^2) on nonuniform ones.  The N solves
 reuse one factorization across steps that share k_n and omega_nn (all of
-them, on uniform grids).  H_n accumulates in row n of the velocity history,
-which step n then overwrites with U2_n, so a run holds exactly its two
-(N+1) x nf histories and no scratch copy of either.
+them on a uniform grid, whose ``TimeGrid.steps`` are exactly equal).  H_n
+accumulates in row n of the velocity history, which step n then overwrites
+with U2_n, so a run holds exactly its two (N+1) x nf histories and no
+scratch copy of either.
 
 The whole computation lives on the free dofs, and so does the history that
 ``run`` returns, together with the system and weight table that produced it:
@@ -197,12 +198,13 @@ def advance(u1_prev_f, u2_prev_f, sys, k, co, hist_f, load_f, solver):
     return u1_prev_f + k * u2, u2
 
 
-def run(sys: AssembledSystem, table: WeightTable, u0, v0, rtol=1e-10):
+def run(sys: AssembledSystem, table: WeightTable, u0, v0):
     """Integrate from initial data (u0, v0) over the grid of ``table``.
 
     u0 and v0 must satisfy the Dirichlet constraints.  The returned history
     keeps the whole free-dof history as it was computed, with ``sys`` and
-    ``table``.  Loads come from ``step_loads``.
+    ``table``.  Loads come from ``step_loads``.  Every solve is checked
+    against a relative residual of 1e-10 (the ``SpdSolver`` default).
     """
     grid = table.grid
     n_steps = grid.n_steps
@@ -226,7 +228,7 @@ def run(sys: AssembledSystem, table: WeightTable, u0, v0, rtol=1e-10):
         key = (k[n - 1], co)
         if key not in solvers:
             mat = sys.Mff + (k[n - 1] * co) * sys.Kff
-            solvers[key] = make_spd_solver(mat, rtol=rtol)
+            solvers[key] = make_spd_solver(mat)
         try:
             u1f[n], u2f[n] = advance(u1f[n - 1], u2f[n - 1], sys, k[n - 1],
                                      co, hist, load, solvers[key])

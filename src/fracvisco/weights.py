@@ -66,7 +66,11 @@ class TimeGrid:
 
     @cached_property
     def steps(self):
+        """The k_n; on a uniform grid (differences equal to 1e-12 relative)
+        every entry is exactly k_1, the step ``build_weights`` uses."""
         k = np.diff(self.nodes)
+        if np.all(np.abs(k - k[0]) <= 1e-12 * k[0]):
+            k[:] = k[0]
         k.flags.writeable = False
         return k
 
@@ -81,7 +85,7 @@ class TimeGrid:
     @property
     def is_uniform(self):
         k = self.steps
-        return bool(np.all(np.abs(k - k[0]) <= 1e-12 * k[0]))
+        return bool(np.all(k == k[0]))
 
 
 @dataclass

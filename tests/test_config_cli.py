@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 from pathlib import Path
@@ -113,21 +114,28 @@ class TestParse:
         cfg = RunConfig(alpha=0.31, tau=2.5, gamma=0.25, mu=7.0, lam=3.0,
                         rho=10.0, nx=3, ny=4, lx=2.0, ly=0.5, t_final=3.0,
                         steps=7, f=(0.1, 0.2), g_left=(1.0, 0.0),
-                        probes=((2.0, 0.5), (1.0, 0.25)), cg_tol=1e-9,
-                        out_dir="elsewhere")
+                        probes=((2.0, 0.5), (1.0, 0.25)), out_dir="elsewhere")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             assert parse_config(serialize_config(cfg)) == cfg
 
     @pytest.mark.parametrize("line,message", [
         ("method = cg", "method must be direct, got cg"),
+        ("cg_tol = 1e-9", "cg_tol must be 1e-10, got 1e-9"),
         ("weights_mode = midpoint", "weights_mode must be closed_form, got midpoint"),
         ("mass_lumping = true", "mass_lumping must be false, got true"),
-    ], ids=["method", "weights_mode", "mass_lumping"])
+    ], ids=["method", "cg_tol", "weights_mode", "mass_lumping"])
     def test_retired_key_rejected_with_line(self, line, message):
         with pytest.raises(ConfigError) as err:
-            parse_config(f"[solver]\ncg_tol = 1e-10\n\n{line}\n")
+            parse_config(f"[solver]\n# retired keys only\n\n{line}\n")
         assert err.value.errors == [f"line 4: {message}"]
+
+    def test_retired_cg_tol_parses_to_default(self):
+        # the residual bound perfbench writes, which every solve is held to
+        with pytest.warns(UserWarning, match="using defaults for"):
+            cfg = parse_config("[solver]\ncg_tol = 1e-10\n")
+        assert cfg == RunConfig()
+        assert "cg_tol" not in serialize_config(cfg)
 
 
 def run_cli(args, tmp_path, monkeypatch):
@@ -220,9 +228,11 @@ class TestCli:
         assert "error: simulate:" in capsys.readouterr().err
 
     def test_csv_cells_are_float_reprs(self, tmp_path, monkeypatch):
-        # simulate and weights-dump format rows of Python floats; the bytes
-        # must equal repr(float(x)) cell by cell, as the CSVs always read
+        # every CSV cell of a number must read repr(float(x)), byte for byte;
+        # the ledger and the convergence rows are handed to the writer as
+        # numpy scalars, whose repr is not a float's under numpy 2
         from fracvisco import cli
+        from fracvisco.scalar import ConvergenceRow
         from fracvisco.stepper import run
 
         cfg = tmp_path / "f.cfg"
@@ -253,6 +263,43 @@ class TestCli:
                 lines.append(f"{n},{j},{repr(float(table.omega[n - 1, j - 1]))},"
                              f"{repr(float(table.eta_bar[n]))}")
         assert ((tmp_path / "weights.csv").read_bytes()
+                == ("\n".join(lines) + "\n").encode())
+
+        written = {}
+
+        def as_numpy(fn, convert):
+            def wrapped(*args, **kwargs):
+                written[fn.__name__] = convert(fn(*args, **kwargs))
+                return written[fn.__name__]
+            return wrapped
+
+        def ledger64(led):
+            return dataclasses.replace(led, **{
+                f.name: np.float64(getattr(led, f.name))
+                for f in dataclasses.fields(led)})
+
+        def study64(study):
+            return dataclasses.replace(study, rows=[
+                ConvergenceRow(*map(np.float64, (r.k, r.error, r.order)))
+                for r in study.rows])
+
+        monkeypatch.setattr(cli, "energy_ledger",
+                            as_numpy(cli.energy_ledger, ledger64))
+        monkeypatch.setattr(cli, "convergence_study",
+                            as_numpy(cli.convergence_study, study64))
+        assert run_cli(["energy-check", str(CONFIG_DIR / "homogeneous.cfg")],
+                       tmp_path, monkeypatch) == 0
+        assert run_cli(["converge-time", str(cfg), "--k-list",
+                        "0.25,0.125,0.0625", "--t-final", "2.0"],
+                       tmp_path, monkeypatch) == 0
+        lines = ["term,value"] + [f"{name},{repr(float(x))}" for name, x
+                                  in written["energy_ledger"].rows()]
+        assert ((tmp_path / "energy_ledger.csv").read_bytes()
+                == ("\n".join(lines) + "\n").encode())
+        lines = ["k,error,order"] + [
+            ",".join(repr(float(x)) for x in (r.k, r.error, r.order))
+            for r in written["convergence_study"].rows]
+        assert ((tmp_path / "convergence.csv").read_bytes()
                 == ("\n".join(lines) + "\n").encode())
 
     def test_outputs_bitwise_reproducible(self, tmp_path, monkeypatch):

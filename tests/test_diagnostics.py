@@ -230,12 +230,6 @@ class TestEnergyLedger:
         led_b = energy_ledger(hist)
         assert led_a.lhs_total == led_b.lhs_total
 
-    def test_csv_rows(self, homogeneous_run):
-        sys_, grid, table, hist = homogeneous_run
-        lines = energy_ledger(hist).csv().strip().splitlines()
-        assert lines[0] == "term,value"
-        assert any(line.startswith("residual_rel,") for line in lines)
-
     def test_stability_estimate(self, homogeneous_run, kernel_sec6):
         # unloaded runs: eta_N a(U1_N,U1_N) + |U2_N|_M^2 <= initial energy,
         # so with eta_N >= 1 - gamma the final state is bounded uniformly

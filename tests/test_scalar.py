@@ -177,10 +177,3 @@ class TestConvergence:
                                        k_fine=2.0 ** -9)
         orders = study.orders()[1:]
         assert all(0.7 <= o <= 1.3 for o in orders), orders
-
-    def test_csv_shape(self, fractional_model, reference_t4):
-        study = convergence_study(fractional_model, [0.25, 0.125], 4.0,
-                                  reference=reference_t4)
-        lines = study.csv().strip().splitlines()
-        assert lines[0] == "k,error,order"
-        assert len(lines) == 3

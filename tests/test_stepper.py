@@ -161,6 +161,26 @@ class TestTimeAverageLoad:
 
 
 class TestRun:
+    def test_uniform_grid_factors_once(self, elastic_soft, kernel_sec6,
+                                       monkeypatch):
+        # k = 10/3000 is not dyadic: the node differences take several
+        # rounded values, yet every step shares one matrix
+        grid = TimeGrid.uniform(10.0, 3000)
+        assert np.unique(np.diff(grid.nodes)).size > 1
+        table = build_weights(grid, kernel_sec6)
+        sys_ = assemble(build_rect_mesh(4, 4), elastic_soft,
+                        traction=side_traction({"right": (0.0, -1.0)}))
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return make_spd_solver(*args, **kwargs)
+
+        monkeypatch.setattr(stepper, "make_spd_solver", counted)
+        z = np.zeros(sys_.n_dofs)
+        run(sys_, table, z, z)
+        assert len(calls) == 1
+
     def test_zero_data_zero_loads(self, mesh8, elastic_soft, kernel_sec6):
         sys_ = assemble(mesh8, elastic_soft)
         grid = TimeGrid.uniform(1.0, 8)
