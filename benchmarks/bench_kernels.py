@@ -123,7 +123,6 @@ def memory_rows():
     table = build_weights(TimeGrid.uniform(8.0, n_steps), ker)
     nf = sys_.free_dofs.size
     u0 = sys_.expand(np.random.default_rng(9).standard_normal(nf))
-    sys_.Kff, sys_.Mff          # assembled once, outside the peaks
     hist, run_mb = traced_peak(
         lambda: stepper.run(sys_, table, u0, np.zeros_like(u0)))
     _, ledger_mb = traced_peak(lambda: energy_ledger(hist))

@@ -18,10 +18,9 @@ and convergence harnesses), cli (CSV-emitting command line).
 
 from .config import ConfigError, RunConfig, parse_config, serialize_config
 from .diagnostics import EnergyLedger, energy_ledger, long_time_limit
-from .fem import (AssembledSystem, ElasticParams, Mesh, apply_dirichlet,
-                  assemble, build_rect_mesh, constant_volume,
-                  quasi_static_solve, side_traction, traction_load,
-                  volume_load)
+from .fem import (AssembledSystem, ElasticParams, Mesh, assemble,
+                  build_rect_mesh, constant_volume, quasi_static_solve,
+                  side_traction, traction_load, volume_load)
 from .mlf import (KernelParams, beta_double_primitive, beta_primitive, eta_fn,
                   kernel_beta, ml_e, ml_e_array, ml_e_reference)
 from .scalar import (ScalarModel, convergence_study, scalar_dg0,

@@ -49,22 +49,30 @@ def _write_csv(path, header, rows):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _kernel(cfg):
+    return KernelParams(alpha=cfg.alpha, tau=cfg.tau, gamma=cfg.gamma)
+
+
+def _table(cfg):
+    """The weight table of the configured kernel on the uniform grid."""
+    return build_weights(TimeGrid.uniform(cfg.t_final, cfg.steps),
+                         _kernel(cfg))
+
+
 def _setup(cfg):
     mesh = build_rect_mesh(cfg.nx, cfg.ny, cfg.lx, cfg.ly)
     ep = ElasticParams(mu=cfg.mu, lam=cfg.lam, rho=cfg.rho)
-    ker = KernelParams(alpha=cfg.alpha, tau=cfg.tau, gamma=cfg.gamma)
     tr = {name: getattr(cfg, f"g_{name}")
           for name in ("left", "right", "bottom", "top")}
     traction = side_traction(tr) if any(any(v) for v in tr.values()) else None
     volume = constant_volume(cfg.f) if any(cfg.f) else None
     sys_ = assemble(mesh, ep, volume=volume, traction=traction)
-    table = build_weights(TimeGrid.uniform(cfg.t_final, cfg.steps), ker)
-    return mesh, ker, sys_, table
+    return mesh, sys_, _table(cfg)
 
 
 def cmd_simulate(args):
     cfg = _load_config(args.config)
-    mesh, ker, sys_, table = _setup(cfg)
+    mesh, sys_, table = _setup(cfg)
     zero = np.zeros(sys_.n_dofs)
     hist = run(sys_, table, zero, zero)
     out = _out_dir(cfg)
@@ -84,14 +92,15 @@ def cmd_simulate(args):
 
 def cmd_energy_check(args):
     cfg = _load_config(args.config)
-    _, ker, sys_, table = _setup(cfg)
+    _, sys_, table = _setup(cfg)
     ndof = sys_.n_dofs
     if sys_.volume is None and sys_.traction is None:
         # homogeneous: start from the relaxed static shape of the default
         # unit traction so the ledger exercises a nontrivial balance
         loaded = dataclasses.replace(sys_, traction=side_traction(
             {"right": (0.0, -1.0)}))
-        u0 = quasi_static_solve(loaded, scale=max(1.0 - ker.gamma, 1e-8))
+        u0 = quasi_static_solve(loaded,
+                                scale=max(1.0 - table.params.gamma, 1e-8))
     else:
         u0 = np.zeros(ndof)
     hist = run(sys_, table, u0, np.zeros(ndof))
@@ -105,9 +114,8 @@ def cmd_energy_check(args):
 
 def cmd_converge_time(args):
     cfg = _load_config(args.config)
-    ker = KernelParams(alpha=cfg.alpha, tau=cfg.tau, gamma=cfg.gamma)
     k_list = [float(s) for s in args.k_list.split(",")]
-    model = ScalarModel(rho=args.rho, kappa=args.kappa, kernel=ker,
+    model = ScalarModel(rho=args.rho, kappa=args.kappa, kernel=_kernel(cfg),
                         u0=args.u0, v0=args.v0)
     study = convergence_study(model, k_list, args.t_final)
     out = _out_dir(cfg)
@@ -122,9 +130,7 @@ def cmd_converge_time(args):
 
 def cmd_weights_dump(args):
     cfg = _load_config(args.config)
-    ker = KernelParams(alpha=cfg.alpha, tau=cfg.tau, gamma=cfg.gamma)
-    grid = TimeGrid.uniform(cfg.t_final, cfg.steps)
-    table = build_weights(grid, ker)
+    table = _table(cfg)
     eta = table.eta_bar.tolist()
     rows = ((n, j, w, eta[n]) for n in range(1, table.n_steps + 1)
             for j, w in enumerate(table.omega[n - 1, :n].tolist(), start=1))

@@ -24,12 +24,12 @@ the row sums R_n = sum_{j<n} omega_nj, Z_n = sum_{j<n} omega_nj a(U1_j, U1_j),
 and a(U1_n, H_n), a(U1_{n-1}, H_n) with H_n = sum_{j<n} omega_nj U1_j.  On
 uniform grids K H_n (in blocks of free dofs) and Z_n are real-FFT
 convolutions of the weight lags, so the ledger costs O(N log N * nf) work;
-nonuniform grids use their dense table.  Each block of free dofs reads only
-the band window of history columns that its stiffness rows touch, so beyond
-the history the ledger holds a few blocks of about _CHUNK numbers.  The ledger
-does not call ``stepper.history_sums``, so it stays an independent check of
-the stepper.  Its terms agree with the Gram-matrix sums to about 1e-13 of
-the energy.
+nonuniform grids use their dense table.  Each block of free dofs copies
+dof-major only the band window of history columns that its stiffness rows
+touch, so beyond the history the ledger holds a few blocks of about _CHUNK
+numbers.  The ledger does not call ``stepper.history_sums``, so it stays an
+independent check of the stepper.  Its terms agree with the Gram-matrix sums
+to about 1e-13 of the energy.
 
 The memory double sum is also reported in a second grouping (summation by
 parts in n) as an internal algebra check.
@@ -219,64 +219,38 @@ def _stiffness_products(u1f, sys: AssembledSystem, weigh):
     Returns diag[n] = a(U_n, U_n), sub[n] = a(U_n, U_{n-1}), p[n] =
     a(U_n, H_n) and q[n] = a(U_{n-1}, H_n) with H_n = weigh(U)[n], each of
     length N + 1 (sub[0], p[0], q[0], p[1], q[1] zero).  The free dofs are
-    processed in blocks (``_dof_blocks``), so beyond the history only the
-    blocks' band windows and O(_CHUNK) numbers are held at a time.
+    processed in blocks of ``width``.  A block's rows of ``Kff`` touch only
+    the dofs of its band window lo..hi, so only that window of the history
+    is copied dof-major; the block's CSR rows, with columns shifted by lo,
+    multiply it: the same terms, added in the same order, as
+    ``Kff[c:e] @ u1f.T``.
     """
-    n_cols = u1f.shape[0]
+    n_cols, nf = u1f.shape
+    kff = sys.Kff
+    ptr, idx = kff.indptr, kff.indices
     diag = np.zeros(n_cols)
     sub = np.zeros(n_cols)
     p = np.zeros(n_cols)
     q = np.zeros(n_cols)
     width = max(1, _CHUNK // (2 * n_cols))
-    for u, ku in _dof_blocks(u1f, sys.Kff, width):
+    for c in range(0, nf, width):
+        e = min(c + width, nf)
+        cols = idx[ptr[c]:ptr[e]]
+        lo = min(c, cols.min(initial=c))
+        hi = max(e, cols.max(initial=c) + 1)
+        window = u1f[:, lo:hi].T.copy()
+        block = sparse.csr_matrix(
+            (kff.data[ptr[c]:ptr[e]], cols - lo, ptr[c:e + 1] - ptr[c]),
+            shape=(e - c, hi - lo))
+        u = window[c - lo:e - lo]
+        ku = block @ window
         diag += np.einsum("in,in->n", u, ku)
         sub[1:] += np.einsum("in,in->n", u[:, 1:], ku[:, :-1])
         kh = weigh(ku)
         p += np.einsum("in,in->n", u, kh)
         q[1:] += np.einsum("in,in->n", u[:, :-1], kh[:, 1:])
-        del kh          # before the next block's weigh
+        del window, u, ku, kh       # before the next block's copy
     return diag, sub, p, q
-
-
-def _dof_blocks(u1f, kff, width):
-    """Yield (u, ku) for the blocks of ``width`` free dofs c, c + 1, ...:
-    u = u1f[:, c:c + width].T and ku = kff[c:c + width] @ u1f.T, dof-major.
-
-    A block's rows of ``kff`` touch only the dofs of its band window, so the
-    dof-major history is held only for those, in a ring of ``cap`` rows that
-    keeps dof d in row d % cap.  Consecutive windows overlap, and each dof is
-    gathered from ``u1f`` once unless a window reaches back below what the
-    ring still holds.  The block's CSR rows multiply the ring with their
-    column indices taken mod cap: the same terms, added in the same order,
-    as ``kff[c:c + width] @ u1f.T``.
-    """
-    n_cols, nf = u1f.shape
-    ptr, idx = kff.indptr, kff.indices
-    blocks = []                 # (first dof, end, window lo, window hi)
-    for c in range(0, nf, width):
-        e = min(c + width, nf)
-        cols = idx[ptr[c]:ptr[e]]
-        blocks.append((c, e, min(c, cols.min(initial=c)),
-                       max(e, cols.max(initial=c) + 1)))
-    # a multiple of width, so that no block's own rows wrap around the ring
-    cap = width * -(-max((hi - lo for *_, lo, hi in blocks), default=0)
-                    // width)
-    ring = np.empty((cap, n_cols))
-    held_lo = held_hi = 0                     # dofs the ring holds
-    for c, e, lo, hi in blocks:
-        if not held_lo <= lo <= held_hi:
-            held_lo = held_hi = lo
-        d = held_hi
-        while d < hi:                   # the new dofs, split where cap wraps
-            at = d % cap
-            top = min(hi, d + cap - at)
-            ring[at:at + top - d] = u1f[:, d:top].T
-            d = top
-        held_lo, held_hi = max(held_lo, hi - cap), max(held_hi, hi)
-        block = sparse.csr_matrix(
-            (kff.data[ptr[c]:ptr[e]], idx[ptr[c]:ptr[e]] % cap,
-             ptr[c:e + 1] - ptr[c]), shape=(e - c, cap))
-        yield ring[c % cap:c % cap + e - c], block @ ring
 
 
 @dataclass

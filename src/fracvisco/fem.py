@@ -3,13 +3,15 @@
 Assembles the linear-elasticity stiffness a(v,w) = int 2 mu eps(v):eps(w)
 + lambda tr eps(v) tr eps(w) and the rho-weighted consistent mass on
 piecewise-linear triangles, with Dirichlet handling by symmetric elimination
-so the reduced operators stay SPD.  Degrees of freedom interleave as
-(ux_0, uy_0, ux_1, uy_1, ...).
+so the reduced operators stay SPD.  ``assemble`` forms the free-dof operators
+``Kff``/``Mff`` once, next to the full ``K``/``M``; ``restrict`` and
+``expand`` move vectors between the two sizes.  Degrees of freedom interleave
+as (ux_0, uy_0, ux_1, uy_1, ...).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -26,7 +28,6 @@ __all__ = [
     "assemble",
     "traction_load",
     "volume_load",
-    "apply_dirichlet",
     "quasi_static_solve",
     "side_traction",
     "constant_volume",
@@ -116,37 +117,28 @@ def build_rect_mesh(nx, ny, lx=1.0, ly=1.0):
     ys = np.linspace(0.0, ly, ny + 1)
     xx, yy = np.meshgrid(xs, ys, indexing="xy")
     vertices = np.column_stack([xx.ravel(), yy.ravel()])
-
-    def vid(i, jj):
-        return jj * (nx + 1) + i
-
-    tris = []
-    for jj in range(ny):
-        for i in range(nx):
-            v00, v10 = vid(i, jj), vid(i + 1, jj)
-            v01, v11 = vid(i, jj + 1), vid(i + 1, jj + 1)
-            tris.append((v00, v10, v11))
-            tris.append((v00, v11, v01))
-    edges, tags, sides = [], [], []
-    for jj in range(ny):  # vertical sides
-        edges.append((vid(0, jj), vid(0, jj + 1)))
-        tags.append(DIRICHLET)
-        sides.append(SIDE_LEFT)
-        edges.append((vid(nx, jj), vid(nx, jj + 1)))
-        tags.append(NEUMANN)
-        sides.append(SIDE_RIGHT)
-    for i in range(nx):  # horizontal sides
-        edges.append((vid(i, 0), vid(i + 1, 0)))
-        tags.append(NEUMANN)
-        sides.append(SIDE_BOTTOM)
-        edges.append((vid(i, ny), vid(i + 1, ny)))
-        tags.append(NEUMANN)
-        sides.append(SIDE_TOP)
+    # vertex (i, j) is j * (nx + 1) + i; cell (i, j), row by row, gives the
+    # triangles (v00, v10, v11) and (v00, v11, v01)
+    row = nx + 1
+    v00 = (np.arange(ny)[:, None] * row + np.arange(nx)).ravel()
+    triangles = np.column_stack([v00, v00 + 1, v00 + row + 1,
+                                 v00, v00 + row + 1, v00 + row]).reshape(-1, 3)
+    # the left and right edge of each row of cells, then the bottom and top
+    # edge of each column
+    left = np.arange(ny) * row
+    bottom = np.arange(nx)
+    starts = np.concatenate([np.column_stack([left, left + nx]).ravel(),
+                             np.column_stack([bottom, bottom + ny * row]).ravel()])
+    steps = np.repeat([row, 1], [2 * ny, 2 * nx])
+    sides = np.concatenate([np.tile([SIDE_LEFT, SIDE_RIGHT], ny),
+                            np.tile([SIDE_BOTTOM, SIDE_TOP], nx)])
     return Mesh(vertices=vertices,
-                triangles=np.asarray(tris, dtype=np.int32),
-                boundary_edges=np.asarray(edges, dtype=np.int32),
-                edge_tags=np.asarray(tags, dtype=np.int8),
-                edge_sides=np.asarray(sides, dtype=np.int8))
+                triangles=triangles.astype(np.int32),
+                boundary_edges=np.column_stack(
+                    [starts, starts + steps]).astype(np.int32),
+                edge_tags=np.where(sides == SIDE_LEFT, DIRICHLET,
+                                   NEUMANN).astype(np.int8),
+                edge_sides=sides.astype(np.int8))
 
 
 def _element_matrices(mesh, ep):
@@ -197,27 +189,15 @@ class AssembledSystem:
     M: sp.csr_matrix
     constrained_dofs: np.ndarray
     free_dofs: np.ndarray
+    Kff: sp.csr_matrix        # K and M with both indices on the free dofs
+    Mff: sp.csr_matrix
     volume: object = None     # f(points(m,2), t) -> (m,2), or None
     traction: object = None   # g(points(m,2), t, side(m,)) -> (m,2), or None
     # A load callable with a true ``constant_in_time`` attribute ignores t.
-    _kff: sp.csr_matrix = field(default=None, repr=False)
-    _mff: sp.csr_matrix = field(default=None, repr=False)
 
     @property
     def n_dofs(self):
         return self.K.shape[0]
-
-    @property
-    def Kff(self):
-        if self._kff is None:
-            self._kff = apply_dirichlet(self, self.K)
-        return self._kff
-
-    @property
-    def Mff(self):
-        if self._mff is None:
-            self._mff = apply_dirichlet(self, self.M)
-        return self._mff
 
     @property
     def loads_constant_in_time(self):
@@ -226,6 +206,7 @@ class AssembledSystem:
                    for f in (self.volume, self.traction))
 
     def restrict(self, full):
+        """Free-dof values (last axis) of full-size vectors."""
         return np.asarray(full)[..., self.free_dofs]
 
     def expand(self, reduced):
@@ -266,14 +247,9 @@ def assemble(mesh, ep, volume=None, traction=None, extra_fixed_dofs=None):
     ndof = 2 * mesh.n_vertices
     free = np.setdiff1d(np.arange(ndof), fixed)
     return AssembledSystem(mesh=mesh, K=K, M=M, constrained_dofs=fixed,
-                           free_dofs=free, volume=volume, traction=traction)
-
-
-def apply_dirichlet(sys: AssembledSystem, obj):
-    """Symmetric elimination: restrict a matrix or vector to free dofs."""
-    if sp.issparse(obj):
-        return obj[sys.free_dofs][:, sys.free_dofs].tocsr()
-    return np.asarray(obj)[sys.free_dofs]
+                           free_dofs=free, Kff=K[free][:, free].tocsr(),
+                           Mff=M[free][:, free].tocsr(), volume=volume,
+                           traction=traction)
 
 
 def traction_load(mesh, g, t=0.0):

@@ -127,7 +127,6 @@ def history_sums(table: WeightTable, u, acc):
     if acc.shape != u.shape:
         raise ValueError(f"acc must have shape {u.shape}, got {acc.shape}")
     w = table.lags
-    spectra = {}    # uniform grids: (L, T) -> lag spectrum of an FFT square
     for m in range(1, n_steps + 1):
         yield acc[m]
         if m == n_steps:
@@ -144,21 +143,19 @@ def history_sums(table: WeightTable, u, acc):
             acc[m + 1:hi + 1] += block @ src
             continue
         n_tgt = hi - m
-        key = (span, n_tgt)
         # lags 1 .. span + n_tgt - 1 against the sources, one column of
         # u per row of the transform; no wrap-around reaches the
         # targets, which sit at offsets span - 1 .. span + n_tgt - 2
         size = next_fast_len(span + n_tgt - 1, real=True)
-        if key not in spectra:
-            spectra[key] = rfft(w[1:span + n_tgt], size)
+        spectrum = rfft(w[1:span + n_tgt], size)
         src2 = src.reshape(span, -1)
         tgt = acc[m + 1:hi + 1].reshape(n_tgt, -1)     # a view
         width = max(1, FFT_CHUNK // size)
         for c in range(0, src2.shape[1], width):
             cols = slice(c, c + width)
-            # in place, operands in the order of spectra[key] * spec
+            # in place, operands in the order of spectrum * spec
             spec = rfft(src2[:, cols].T, size)
-            np.multiply(spectra[key], spec, out=spec)
+            np.multiply(spectrum, spec, out=spec)
             conv = irfft(spec, size)
             del spec
             tgt[:, cols] += conv[:, span - 1:span - 1 + n_tgt].T

@@ -244,7 +244,7 @@ class TestCli:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             conf = cli._load_config(cfg)
-        mesh, _, sys_, table = cli._setup(conf)
+        mesh, sys_, table = cli._setup(conf)
         z = np.zeros(sys_.n_dofs)
         hist = run(sys_, table, z, z)
         for name, point in (("probe_trace.csv", (1.0, 1.0)),

@@ -58,7 +58,7 @@ def gram_ledger(history: SolutionHistory, u0=None, v0=None, with_loads=True):
 
     # reordered form: sum_j k_j beta_Nj |W_Nj|^2
     #                 - sum_j k_j sum_{n=j+1}^N k_n |W_{n-1,j}|^2 d_n beta_nj
-    bmat = table.beta_cell_averages()[:n, :n]
+    bmat = (omega / np.outer(k, k))[:n, :n]
     alt = 0.0
     for j in range(1, n):
         alt += k[j - 1] * bmat[n - 1, j - 1] * wsq[n, j]
@@ -93,6 +93,24 @@ def gram_ledger(history: SolutionHistory, u0=None, v0=None, with_loads=True):
                         jump_dissipation=float(jump_diss),
                         initial_energy=float(initial),
                         load_work=float(load_work))
+
+
+def blocked_products(u1f, kff, weigh, chunk):
+    """diagnostics._stiffness_products with each block's stiffness product
+    taken on the whole history, ``kff[c:e] @ u1f.T``, in blocks of the same
+    width."""
+    n_cols, nf = u1f.shape
+    diag, sub, p, q = (np.zeros(n_cols) for _ in range(4))
+    width = max(1, chunk // (2 * n_cols))
+    for c in range(0, nf, width):
+        u = np.ascontiguousarray(u1f[:, c:c + width].T)
+        ku = kff[c:c + width] @ u1f.T
+        kh = weigh(ku)
+        diag += np.einsum("in,in->n", u, ku)
+        sub[1:] += np.einsum("in,in->n", u[:, 1:], ku[:, :-1])
+        p += np.einsum("in,in->n", u, kh)
+        q[1:] += np.einsum("in,in->n", u[:, :-1], kh[:, 1:])
+    return diag, sub, p, q
 
 
 @pytest.fixture(scope="module")
@@ -345,8 +363,8 @@ class TestAgainstGramOracle:
     def test_wide_windows(self, homogeneous_run, monkeypatch, chunk,
                           coupling):
         # stiffnesses that couple distant dofs: two far pairs, (0, nf/2) and
-        # (nf/4, nf - 1), so that the window of dof nf/2 reaches back below
-        # what the ring still holds, or a symmetric permutation of the whole
+        # (nf/4, nf - 1), so that the windows of those dofs' blocks span
+        # half the dofs and more, or a symmetric permutation of the whole
         # problem (stiffness, mass and history), under which every window
         # spans nearly all dofs; chunk 330 makes blocks of 5 dofs
         monkeypatch.setattr(diagnostics, "_CHUNK", chunk)
@@ -364,10 +382,15 @@ class TestAgainstGramOracle:
             perm = np.random.default_rng(8).permutation(nf)
             kff, mff = kff[perm][:, perm], mff[perm][:, perm]
             u1f, u2f = u1f[:, perm], u2f[:, perm]
-        wide_sys = dataclasses.replace(sys_, _kff=kff.tocsr(),
-                                       _mff=mff.tocsr())
+        wide_sys = dataclasses.replace(sys_, Kff=kff.tocsr(),
+                                       Mff=mff.tocsr())
         wide_hist = SolutionHistory(u1f=u1f, u2f=u2f, system=wide_sys,
                                     table=hist.table)
+        weigh, _ = diagnostics._lower_weights(hist.table, hist.table.n_steps)
+        got = diagnostics._stiffness_products(u1f, wide_sys, weigh)
+        want = blocked_products(u1f, wide_sys.Kff, weigh, chunk)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
         got = energy_ledger(wide_hist)
         want = gram_ledger(wide_hist)
         tol = 1e-12 * abs(want.rhs_total)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fracvisco.fem import (DIRICHLET, ElasticParams, apply_dirichlet, assemble,
+from fracvisco.fem import (DIRICHLET, ElasticParams, assemble,
                            build_rect_mesh, constant_volume,
                            quasi_static_solve, side_traction, traction_load,
                            volume_load)
@@ -31,6 +31,24 @@ class TestMesh:
         m = build_rect_mesh(3, 5, 2.0, 1.0)
         assert np.all(m.signed_areas() > 0.0)
         assert m.boundary_edges.shape[0] == 2 * (3 + 5)
+
+    def test_2x1_arrays(self):
+        # pins the order of vertices, triangles and boundary edges: left and
+        # right edge per row of cells, then bottom and top per column
+        m = build_rect_mesh(2, 1)
+        assert np.array_equal(m.vertices, [[0.0, 0.0], [0.5, 0.0], [1.0, 0.0],
+                                           [0.0, 1.0], [0.5, 1.0], [1.0, 1.0]])
+        want = {"triangles": [[0, 1, 4], [0, 4, 3], [1, 2, 5], [1, 5, 4]],
+                "boundary_edges": [[0, 3], [2, 5], [0, 1], [3, 4], [1, 2],
+                                   [4, 5]],
+                "edge_tags": [0, 1, 1, 1, 1, 1],
+                "edge_sides": [0, 1, 2, 3, 2, 3]}
+        for name, dtype in (("triangles", np.int32),
+                            ("boundary_edges", np.int32),
+                            ("edge_tags", np.int8), ("edge_sides", np.int8)):
+            got = getattr(m, name)
+            assert got.dtype == dtype, name
+            assert np.array_equal(got, want[name]), name
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):
@@ -149,7 +167,7 @@ class TestDirichlet:
 
     def test_vector_restriction(self, loaded_system8, rng):
         v = rng.standard_normal(loaded_system8.n_dofs)
-        vf = apply_dirichlet(loaded_system8, v)
+        vf = loaded_system8.restrict(v)
         assert vf.shape[0] == loaded_system8.free_dofs.size
         back = loaded_system8.expand(vf)
         assert np.all(back[loaded_system8.constrained_dofs] == 0.0)

@@ -163,27 +163,43 @@ class TestSignStructure:
         assert "degenerate" in rep.summary()
 
     def test_injected_violations_match_per_entry_loop(self, kernel_sec6):
+        # a nonuniform grid, then a uniform one, each with noise injected
+        # into a dense copy of its table
         rng = np.random.default_rng(11)
-        table = build_weights(random_nonuniform_grid(rng, n=40, ratio=4.0),
-                              kernel_sec6)
-        omega = table.omega * (1.0 + 0.3 * rng.standard_normal((40, 40)))
-        eta_bar = table.eta_bar + 0.01 * rng.standard_normal(41)
-        bad = WeightTable(omega=omega, eta_bar=eta_bar, grid=table.grid, params=kernel_sec6)
-        k = bad.grid.steps
-        bmat = bad.beta_cell_averages()
-        want_eta = []
-        for n in range(1, 41):
-            v = (eta_bar[n] - eta_bar[n - 1]) / k[n - 1]
-            if not v < 0.0:
-                want_eta.append((n, float(v)))
-        want_beta = []
-        for n in range(2, 41):
-            for j in range(1, n - 1):
-                v = (bmat[n - 1, j - 1] - bmat[n - 2, j - 1]) / k[n - 1]
+        for grid in (random_nonuniform_grid(rng, n=40, ratio=4.0),
+                     TimeGrid.uniform(2.0, 40)):
+            table = build_weights(grid, kernel_sec6)
+            omega = table.omega * (1.0 + 0.3 * rng.standard_normal((40, 40)))
+            eta_bar = table.eta_bar + 0.01 * rng.standard_normal(41)
+            bad = WeightTable(omega=omega, eta_bar=eta_bar, grid=grid,
+                              params=kernel_sec6)
+            k = grid.steps
+            bmat = omega / np.outer(k, k)
+            want_eta = []
+            for n in range(1, 41):
+                v = (eta_bar[n] - eta_bar[n - 1]) / k[n - 1]
                 if not v < 0.0:
-                    want_beta.append((n, j, float(v)))
-        rep = verify_sign_structure(bad)
-        assert want_eta and want_beta
-        assert rep.eta_violations == want_eta
-        assert rep.beta_violations == want_beta
-        assert not rep.ok
+                    want_eta.append((n, float(v)))
+            want_beta = []
+            for n in range(2, 41):
+                for j in range(1, n - 1):
+                    v = (bmat[n - 1, j - 1] - bmat[n - 2, j - 1]) / k[n - 1]
+                    if not v < 0.0:
+                        want_beta.append((n, j, float(v)))
+            rep = verify_sign_structure(bad)
+            assert want_eta and want_beta
+            assert rep.eta_violations == want_eta
+            assert rep.beta_violations == want_beta
+            assert not rep.ok
+
+    def test_uniform_check_holds_no_square(self, kernel_sec6):
+        # N = 4096: an N x N array of cell means alone would take 134 MB
+        table = build_weights(TimeGrid.uniform(4.0, 4096), kernel_sec6)
+        tracemalloc.start()
+        try:
+            rep = verify_sign_structure(table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+        assert rep.ok and not rep.degenerate
