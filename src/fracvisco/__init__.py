@@ -21,13 +21,13 @@ from .diagnostics import EnergyLedger, energy_ledger, long_time_limit
 from .fem import (AssembledSystem, ElasticParams, Mesh, assemble,
                   build_rect_mesh, constant_volume, quasi_static_solve,
                   side_traction, traction_load, volume_load)
-from .mlf import (KernelParams, beta_double_primitive, beta_primitive, eta_fn,
-                  kernel_beta, ml_e, ml_e_array, ml_e_reference)
+from .mlf import (KernelParams, beta_double_primitive, beta_primitive,
+                  kernel_beta, ml_e)
 from .scalar import (ScalarModel, convergence_study, scalar_dg0,
                      scalar_reference, self_convergence_study)
 from .solvers import SolverError, make_spd_solver
 from .stepper import SolutionHistory, run, time_average_load
 from .weights import (TimeGrid, WeightTable, build_weights,
-                      omega_by_quadrature, verify_sign_structure)
+                      verify_sign_structure)
 
 __version__ = "0.1.0"

@@ -261,10 +261,6 @@ class TailReport:
     settled: bool
     halves_gap: float
 
-    @property
-    def ok(self):
-        return self.settled
-
 
 def long_time_limit(history: SolutionHistory, vertex, component=1,
                     reference=None):

@@ -66,7 +66,7 @@ class Mesh:
 
     def __post_init__(self):
         areas = self.signed_areas()
-        if np.any(areas <= 0.0):
+        if not np.all(areas > 0.0):
             raise ValueError("all triangles must be counterclockwise")
 
     def signed_areas(self):
@@ -77,14 +77,6 @@ class Mesh:
     @property
     def n_vertices(self):
         return self.vertices.shape[0]
-
-    @property
-    def h(self):
-        """Mesh size: length of the longest edge."""
-        v = self.vertices[self.triangles]
-        e = np.concatenate([v[:, 1] - v[:, 0], v[:, 2] - v[:, 1],
-                            v[:, 0] - v[:, 2]])
-        return float(np.max(np.hypot(e[:, 0], e[:, 1])))
 
     def dirichlet_vertices(self):
         edges = self.boundary_edges[self.edge_tags == DIRICHLET]
@@ -111,8 +103,8 @@ def build_rect_mesh(nx, ny, lx=1.0, ly=1.0):
     """
     if nx < 1 or ny < 1:
         raise ValueError("need nx, ny >= 1")
-    if lx <= 0.0 or ly <= 0.0:
-        raise ValueError("need lx, ly > 0")
+    if not (0.0 < lx < np.inf and 0.0 < ly < np.inf):
+        raise ValueError(f"need finite lx, ly > 0, got {lx}, {ly}")
     xs = np.linspace(0.0, lx, nx + 1)
     ys = np.linspace(0.0, ly, ny + 1)
     xx, yy = np.meshgrid(xs, ys, indexing="xy")

@@ -9,7 +9,6 @@ forms through the two-parameter Mittag-Leffler function:
 
     B(t) = integral(beta, 0, t)  = gamma * (1 - E_alpha(-(t/tau)**alpha))
     C(t) = integral(B, 0, t)     = gamma * t * (1 - E_{alpha,2}(-(t/tau)**alpha))
-    eta(t) = 1 - B(t)
 
 C uses the identity integral(E_alpha(-lam*s**alpha), 0, t) = t*E_{alpha,2}(-lam*t**alpha);
 beta uses d/dt E_alpha(-lam*t**alpha) = -lam*t**(alpha-1)*E_{alpha,alpha}(-lam*t**alpha),
@@ -27,12 +26,9 @@ from ._kernels import eval_ml_neg
 __all__ = [
     "KernelParams",
     "ml_e",
-    "ml_e_array",
-    "ml_e_reference",
     "kernel_beta",
     "beta_primitive",
     "beta_double_primitive",
-    "eta_fn",
 ]
 
 
@@ -63,79 +59,18 @@ class KernelParams:
         return self.tau ** (-self.alpha)
 
 
-def _check_ml_args(alpha, b, x):
+def ml_e(alpha, b, x):
+    """E_{alpha,b}(-x) for x >= 0, elementwise; a float for a scalar x."""
+    x = np.asarray(x, dtype=np.float64)
     if not (0.0 < alpha <= 1.0):
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+    b = float(b)
     if b not in (1.0, 2.0) and b != alpha:
         raise ValueError(f"b must be one of 1, 2, alpha; got {b}")
-    if np.any(np.asarray(x) < 0.0):
+    if np.any(x < 0.0):
         raise ValueError("x must be nonnegative")
-
-
-def ml_e(alpha, b, x):
-    """E_{alpha,b}(-x) for scalar x >= 0."""
-    _check_ml_args(alpha, float(b), x)
-    return float(eval_ml_neg(alpha, float(b), np.array([float(x)]))[0])
-
-
-def ml_e_array(alpha, b, x):
-    """E_{alpha,b}(-x) elementwise over an array of x >= 0."""
-    x = np.asarray(x, dtype=np.float64)
-    _check_ml_args(alpha, float(b), x)
-    return eval_ml_neg(alpha, float(b), np.atleast_1d(x).ravel()).reshape(x.shape)
-
-
-def ml_e_reference(alpha, b, x, dps=60):
-    """High-precision oracle for E_{alpha,b}(-x) (requires mpmath).
-
-    Ascending series in adaptive working precision for moderate arguments;
-    descending series (truncation below 1e-45 relative) when
-    x**(1/alpha) > 60, where the ascending series would need excessive terms.
-    """
-    import mpmath as mp
-
-    _check_ml_args(alpha, float(b), x)
-    x = float(x)
-    if x == 0.0:
-        with mp.workdps(dps):
-            return float(1 / mp.gamma(b))
-    s = x ** (1.0 / alpha)
-    if s <= 60.0:
-        # cancellation costs ~ s/ln(10) digits
-        work = int(dps + 0.55 * s + 20)
-        with mp.workdps(work):
-            al = mp.mpf(alpha)
-            bb = mp.mpf(b)
-            z = -mp.mpf(x)
-            tot = mp.mpf(0)
-            k = 0
-            while True:
-                t = z ** k / mp.gamma(bb + al * k)
-                tot += t
-                if k > 8 and abs(t) < mp.mpf(10) ** (-work + 8) * max(
-                    abs(tot), mp.mpf("1e-300")
-                ):
-                    break
-                k += 1
-                if k > 200000:
-                    raise RuntimeError("series did not converge")
-            return float(tot)
-    with mp.workdps(dps):
-        al = mp.mpf(alpha)
-        bb = mp.mpf(b)
-        xx = mp.mpf(x)
-        tot = mp.mpf(0)
-        prev = mp.inf
-        for k in range(1, 2000):
-            y = bb - al * k
-            env = (mp.rgamma(y) if y > 0.5 else mp.gamma(1 - y) / mp.pi) * xx ** (-k)
-            if env >= prev:
-                break
-            prev = env
-            tot += -((-xx) ** (-k)) * mp.rgamma(y)
-            if env < mp.mpf(10) ** (-45) * max(abs(tot), mp.mpf("1e-300")):
-                break
-        return float(tot)
+    out = eval_ml_neg(alpha, b, np.atleast_1d(x).ravel()).reshape(x.shape)
+    return float(out) if x.ndim == 0 else out
 
 
 def kernel_beta(p: KernelParams, t):
@@ -144,9 +79,9 @@ def kernel_beta(p: KernelParams, t):
     if np.any(t <= 0.0):
         raise ValueError("kernel_beta requires t > 0")
     lam = p.rate
-    e = ml_e_array(p.alpha, p.alpha, lam * np.power(t, p.alpha))
+    e = ml_e(p.alpha, p.alpha, lam * np.power(t, p.alpha))
     out = p.gamma * lam * np.power(t, p.alpha - 1.0) * e
-    return float(out) if out.ndim == 0 else out
+    return float(out) if t.ndim == 0 else out
 
 
 def beta_primitive(p: KernelParams, t):
@@ -154,9 +89,9 @@ def beta_primitive(p: KernelParams, t):
     t = np.asarray(t, dtype=np.float64)
     if np.any(t < 0.0):
         raise ValueError("beta_primitive requires t >= 0")
-    e = ml_e_array(p.alpha, 1.0, p.rate * np.power(t, p.alpha))
+    e = ml_e(p.alpha, 1.0, p.rate * np.power(t, p.alpha))
     out = p.gamma * (1.0 - e)
-    return float(out) if out.ndim == 0 else out
+    return float(out) if t.ndim == 0 else out
 
 
 def beta_double_primitive(p: KernelParams, t):
@@ -164,12 +99,7 @@ def beta_double_primitive(p: KernelParams, t):
     t = np.asarray(t, dtype=np.float64)
     if np.any(t < 0.0):
         raise ValueError("beta_double_primitive requires t >= 0")
-    e = ml_e_array(p.alpha, 2.0, p.rate * np.power(t, p.alpha))
+    e = ml_e(p.alpha, 2.0, p.rate * np.power(t, p.alpha))
     out = p.gamma * t * (1.0 - e)
-    return float(out) if out.ndim == 0 else out
+    return float(out) if t.ndim == 0 else out
 
-
-def eta_fn(p: KernelParams, t):
-    """Averaged relaxation function eta(t) = 1 - B(t), in (1 - gamma, 1]."""
-    out = 1.0 - beta_primitive(p, t)
-    return out

@@ -86,7 +86,10 @@ class SolutionHistory:
 
     def dof_history(self, dof):
         """Columns ``dof`` of U1 and U2 (N + 1 values each), read from the
-        free-dof arrays; exact zeros on a constrained dof."""
+        free-dof arrays; exact zeros on a constrained dof.  Raises
+        ValueError for a dof outside 0..n_dofs - 1."""
+        if not 0 <= dof < self.system.n_dofs:
+            raise ValueError(f"dof {dof} outside 0..{self.system.n_dofs - 1}")
         col = np.flatnonzero(self.system.free_dofs == dof)
         if col.size == 0:
             zero = np.zeros(self.u1f.shape[0])

@@ -30,8 +30,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 # beta_primitive is unused here; perfbench wraps it under this module's name
-from .mlf import (KernelParams, beta_double_primitive, beta_primitive,
-                  ml_e_array)
+from .mlf import KernelParams, beta_double_primitive, beta_primitive
 
 __all__ = [
     "TimeGrid",
@@ -39,7 +38,6 @@ __all__ = [
     "build_weights",
     "verify_sign_structure",
     "SignStructureReport",
-    "omega_by_quadrature",
 ]
 
 
@@ -215,52 +213,3 @@ def verify_sign_structure(table: WeightTable):
         prev = row
     return SignStructureReport(eta_viol, beta_viol, degenerate=False)
 
-
-_GL32 = np.polynomial.legendre.leggauss(32)
-_GL48 = np.polynomial.legendre.leggauss(48)
-
-
-def omega_by_quadrature(grid: TimeGrid, p: KernelParams, n, j,
-                        epsabs=1e-12, epsrel=1e-10):
-    """Nested-quadrature reference for omega_nj (1-based indices).
-
-    Outer integral over I_n is adaptive.  The inner kernel integral in the
-    lag w = t - s is singularity-aware: the substitution w = z**(1/alpha)
-    absorbs the weak w**(alpha-1) endpoint singularity exactly (the
-    z-integrand is the analytic E_{alpha,alpha}(-lam*z)), and is then
-    integrated by a Gauss rule whose 32- vs 48-point agreement is checked,
-    escalating to fully adaptive quadrature on disagreement.  Independent of
-    the closed-form route through the double primitive C; shares only the
-    pointwise Mittag-Leffler evaluation.
-    """
-    from scipy.integrate import quad
-
-    if not (1 <= j <= n <= grid.n_steps):
-        raise ValueError("need 1 <= j <= n <= N")
-    if p.gamma == 0.0:
-        return 0.0
-    t0, t1 = grid.nodes[n - 1], grid.nodes[n]
-    s0, s1 = grid.nodes[j - 1], grid.nodes[j]
-    lam = p.rate
-    alpha = p.alpha
-    scale = p.gamma * lam / alpha
-
-    def inner(t):
-        # integral of beta over (max(t - s1, 0), t - s0) in the lag variable
-        zl = max(t - s1, 0.0) ** alpha
-        zh = (t - s0) ** alpha
-        hw = 0.5 * (zh - zl)
-        mid = 0.5 * (zh + zl)
-        za = mid + hw * _GL32[0]
-        zb = mid + hw * _GL48[0]
-        e = ml_e_array(alpha, alpha, lam * np.concatenate([za, zb]))
-        va = scale * hw * np.dot(_GL32[1], e[:32])
-        vb = scale * hw * np.dot(_GL48[1], e[32:])
-        if abs(va - vb) > max(epsabs * 1e-2, epsrel * abs(vb)):
-            vb, _ = quad(
-                lambda z: scale * ml_e_array(alpha, alpha, np.array([lam * z]))[0],
-                zl, zh, epsabs=epsabs * 1e-2, epsrel=epsrel, limit=200)
-        return vb
-
-    val, _ = quad(inner, t0, t1, epsabs=epsabs, epsrel=epsrel, limit=200)
-    return val

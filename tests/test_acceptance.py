@@ -13,11 +13,11 @@ from scipy.special import erfc
 from fracvisco.diagnostics import energy_ledger, long_time_limit
 from fracvisco.fem import (ElasticParams, assemble, build_rect_mesh,
                            quasi_static_solve, side_traction)
-from fracvisco.mlf import KernelParams, beta_primitive, kernel_beta, ml_e_array
+from fracvisco.mlf import KernelParams, beta_primitive, kernel_beta, ml_e
 from fracvisco.scalar import ScalarModel, convergence_study, scalar_dg0
 from fracvisco.stepper import run
-from fracvisco.weights import (TimeGrid, build_weights, omega_by_quadrature,
-                               verify_sign_structure)
+from fracvisco.weights import TimeGrid, build_weights, verify_sign_structure
+from oracles import omega_by_quadrature
 
 SEC6_KERNEL = dict(alpha=2.0 / 3.0, tau=1.0, gamma=0.5)
 SEC6_RHO = 3000.0
@@ -157,9 +157,9 @@ def test_criterion_4_self_convergence_2d():
 def test_criterion_5_mittag_leffler_accuracy():
     t0 = time.perf_counter()
     xs = np.linspace(0.0, 10.0, 200)
-    e11 = ml_e_array(1.0, 1.0, xs)
+    e11 = ml_e(1.0, 1.0, xs)
     err1 = np.max(np.abs(e11 - np.exp(-xs)) / np.exp(-xs))
-    eh = ml_e_array(0.5, 1.0, xs)
+    eh = ml_e(0.5, 1.0, xs)
     ref = np.exp(xs ** 2) * erfc(xs)
     err2 = np.max(np.abs(eh - ref) / ref)
     ker = KernelParams(**SEC6_KERNEL)

@@ -13,18 +13,20 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 class TestParse:
+    @pytest.mark.parametrize("name", ["homogeneous", "paper_sec6"])
+    def test_shipped_config_sets_every_field(self, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            parse_config((CONFIG_DIR / f"{name}.cfg").read_text())
+
     def test_shipped_benchmark_config(self):
         text = (CONFIG_DIR / "paper_sec6.cfg").read_text()
-        retired = ("method = direct\n", "weights_mode = closed_form\n",
+        # the retired [solver] keys at their one value, as perfbench writes
+        # them, parse to the same config
+        retired = ("[solver]\nmethod = direct\nweights_mode = closed_form\n"
                    "mass_lumping = false\n")
-        without = text
-        for line in retired:
-            assert line in text  # as perfbench writes them too
-            without = without.replace(line, "")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # unset sides default to zero
-            cfg = parse_config(text)
-            assert parse_config(without) == cfg
+        cfg = parse_config(text)
+        assert parse_config(text + retired) == cfg
         assert cfg.gamma == 0.5
         assert cfg.tau == 1.0
         assert cfg.alpha == pytest.approx(2.0 / 3.0)

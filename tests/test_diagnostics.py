@@ -466,3 +466,22 @@ class TestLongTimeLimit:
         with pytest.warns(UserWarning, match="not settled"):
             rep = long_time_limit(hist, vertex, component=1, reference=ref)
         assert not rep.settled
+
+    def test_out_of_range_dof_rejected(self, elastic_soft, kernel_sec6,
+                                       downward_traction):
+        # a 2x2 mesh has 9 vertices, dofs 0..17; vertex 0 is clamped
+        sys_ = assemble(build_rect_mesh(2, 2), elastic_soft,
+                        traction=downward_traction)
+        table = build_weights(TimeGrid.uniform(1.0, 8), kernel_sec6)
+        z = np.zeros(sys_.n_dofs)
+        hist = run(sys_, table, z, z)
+        assert not np.any(hist.probe_trace(0))
+        assert np.any(hist.probe_trace(8))
+        for dof in (-1, 18, 999):
+            with pytest.raises(ValueError, match="outside 0..17"):
+                hist.dof_history(dof)
+        for vertex in (-1, 9, 999):
+            with pytest.raises(ValueError, match="outside"):
+                hist.probe_trace(vertex)
+            with pytest.raises(ValueError, match="outside"):
+                long_time_limit(hist, vertex, reference=1.0)

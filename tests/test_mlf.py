@@ -7,8 +7,8 @@ from scipy.special import erfc
 
 from fracvisco import _kernels
 from fracvisco.mlf import (KernelParams, beta_double_primitive, beta_primitive,
-                           eta_fn, kernel_beta, ml_e, ml_e_array,
-                           ml_e_reference)
+                           kernel_beta, ml_e)
+from oracles import ml_e_reference
 
 
 class TestMlE:
@@ -25,6 +25,16 @@ class TestMlE:
             expected = math.exp(x * x) * erfc(x)
             assert ml_e(0.5, 1.0, x) == pytest.approx(expected, rel=1e-10)
 
+    def test_scalar_bitwise_equal_to_batch(self):
+        # every branch: series, spectral and asymptotic windows
+        xs = np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 39)])
+        for alpha, b in ((0.5, 1.0), (2.0 / 3.0, 2.0 / 3.0), (0.9, 2.0)):
+            batch = ml_e(alpha, b, xs.reshape(5, 8)).ravel()
+            singles = [ml_e(alpha, b, x) for x in xs]
+            assert all(type(v) is float for v in singles)
+            assert type(ml_e(alpha, b, np.float64(xs[3]))) is float
+            assert np.array_equal(batch, singles)
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             ml_e(0.0, 1.0, 1.0)
@@ -40,7 +50,7 @@ class TestMlE:
     def test_accuracy_against_oracle(self, alpha, bsel):
         b = {"one": 1.0, "two": 2.0, "alpha": alpha}[bsel]
         xs = np.concatenate([[0.0], np.geomspace(1e-4, 50.0, 60)])
-        got = ml_e_array(alpha, b, xs)
+        got = ml_e(alpha, b, xs)
         for x, g in zip(xs, got):
             ref = ml_e_reference(alpha, b, x)
             assert g == pytest.approx(ref, rel=1e-10, abs=1e-300), (alpha, b, x)
@@ -58,7 +68,7 @@ class TestMlE:
     @pytest.mark.parametrize("alpha,b", [(0.4, 1.0), (0.7, 0.7), (0.95, 2.0)])
     def test_positive_and_decreasing(self, alpha, b):
         xs = np.linspace(0.0, 50.0, 2000)
-        v = ml_e_array(alpha, b, xs)
+        v = ml_e(alpha, b, xs)
         assert np.all(v > 0.0)
         assert np.all(np.diff(v) <= 1e-15)
 
@@ -67,7 +77,7 @@ class TestMlE:
 
         for alpha, b in ((0.5, 2.0), (0.8, 0.8), (0.3, 1.0)):
             xs = np.geomspace(1e-6, 50.0, 50)
-            v = ml_e_array(alpha, b, xs)
+            v = ml_e(alpha, b, xs)
             assert np.all(v <= 1.0 / gamma_fn(b) + 1e-14)
 
     @staticmethod
@@ -212,7 +222,6 @@ class TestKernelQuantities:
         assert np.all(kernel_beta(p, t) == 0.0)
         assert np.all(beta_primitive(p, t) == 0.0)
         assert np.all(beta_double_primitive(p, t) == 0.0)
-        assert np.all(eta_fn(p, t) == 1.0)
 
     def test_kernel_mass(self, kernel_sec6):
         # integral of beta over (0, inf) equals gamma; integrate to a large
@@ -249,26 +258,22 @@ class TestKernelQuantities:
                   - beta_double_primitive(p, t - h)) / (2 * h)
             assert fd == pytest.approx(beta_primitive(p, t), abs=1e-9)
 
-    def test_double_primitive_matches_nested_quadrature(self, kernel_sec6):
+    def test_double_primitive_matches_cauchy_quadrature(self, kernel_sec6):
+        # Cauchy's formula for repeated integration, C(t) = integral of
+        # (t - s) beta(s) over (0, t): one quadrature over beta, which
+        # touches neither B nor C
         p = kernel_sec6
-
-        def b_quad(s):
-            val, _ = quad(lambda t: kernel_beta(p, t), 0.0, s,
-                          points=[min(1e-6, s / 2)], limit=200)
-            return val
-
-        val, _ = quad(b_quad, 0.0, 1.0, limit=100)
+        val, _ = quad(lambda s: (1.0 - s) * kernel_beta(p, s), 0.0, 1.0,
+                      points=[1e-6], limit=200)
         assert beta_double_primitive(p, 1.0) == pytest.approx(val, abs=1e-8)
 
-    def test_eta_properties(self, kernel_sec6):
+    def test_primitive_properties(self, kernel_sec6):
         p = kernel_sec6
-        assert eta_fn(p, 0.0) == 1.0
+        assert beta_primitive(p, 0.0) == 0.0
         t = np.linspace(0.0, 100.0, 1000)
-        eta = eta_fn(p, t)
-        assert np.all(np.diff(eta) < 0.0)
-        assert np.all(eta > 1.0 - p.gamma)
-        # exact complement by construction
-        assert np.all(eta + beta_primitive(p, t) == 1.0)
+        b = beta_primitive(p, t)
+        assert np.all(np.diff(b) > 0.0)
+        assert np.all(b < p.gamma)
 
     def test_double_primitive_bounds(self, kernel_sec6, rng):
         p = kernel_sec6
@@ -296,8 +301,6 @@ class TestKernelQuantities:
             beta_primitive(kernel_sec6, -0.1)
         with pytest.raises(ValueError):
             beta_double_primitive(kernel_sec6, -0.1)
-        with pytest.raises(ValueError):
-            eta_fn(kernel_sec6, -0.1)
 
     def test_alpha_one_exponential_kernel(self):
         p = KernelParams(alpha=1.0, tau=2.0, gamma=0.3)

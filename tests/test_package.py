@@ -1,0 +1,27 @@
+import ast
+from pathlib import Path
+
+import pytest
+
+import fracvisco
+
+# test-only dependencies: mpmath is a test extra, and the quadrature
+# references that need scipy.integrate live in tests/oracles.py
+TEST_ONLY = ("mpmath", "scipy.integrate")
+MODULES = sorted(Path(fracvisco.__file__).parent.glob("*.py"))
+
+
+def imported_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_test_only_imports(path):
+    names = set(imported_names(ast.parse(path.read_text(encoding="utf-8"))))
+    bad = sorted(n for n in names for dep in TEST_ONLY
+                 if n == dep or n.startswith(dep + "."))
+    assert not bad, f"{path.name} imports {bad}"

@@ -5,7 +5,8 @@ import pytest
 
 from fracvisco.mlf import KernelParams
 from fracvisco.weights import (TimeGrid, WeightTable, build_weights,
-                               omega_by_quadrature, verify_sign_structure)
+                               verify_sign_structure)
+from oracles import omega_by_quadrature
 
 
 def random_nonuniform_grid(rng, n=20, t_final=2.0, ratio=4.0):
