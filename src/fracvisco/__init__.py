@@ -19,8 +19,8 @@ and convergence harnesses), cli (CSV-emitting command line).
 from .config import ConfigError, RunConfig, parse_config, serialize_config
 from .diagnostics import EnergyLedger, energy_ledger, long_time_limit
 from .fem import (AssembledSystem, ElasticParams, Mesh, assemble,
-                  build_rect_mesh, constant_volume, quasi_static_solve,
-                  side_traction, traction_load, volume_load)
+                  build_rect_mesh, quasi_static_solve, side_traction,
+                  traction_load, volume_load)
 from .mlf import (KernelParams, beta_double_primitive, beta_primitive,
                   kernel_beta, ml_e)
 from .scalar import (ScalarModel, convergence_study, scalar_dg0,

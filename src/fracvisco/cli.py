@@ -18,8 +18,8 @@ import numpy as np
 
 from .config import ConfigError, parse_config
 from .diagnostics import energy_ledger
-from .fem import (ElasticParams, assemble, build_rect_mesh, constant_volume,
-                  quasi_static_solve, side_traction)
+from .fem import (ElasticParams, assemble, build_rect_mesh,
+                  quasi_static_solve, side_traction, traction_load)
 from .mlf import KernelParams, ml_e
 from .scalar import ScalarModel, convergence_study
 from .stepper import run
@@ -62,11 +62,9 @@ def _table(cfg):
 def _setup(cfg):
     mesh = build_rect_mesh(cfg.nx, cfg.ny, cfg.lx, cfg.ly)
     ep = ElasticParams(mu=cfg.mu, lam=cfg.lam, rho=cfg.rho)
-    tr = {name: getattr(cfg, f"g_{name}")
-          for name in ("left", "right", "bottom", "top")}
-    traction = side_traction(tr) if any(any(v) for v in tr.values()) else None
-    volume = constant_volume(cfg.f) if any(cfg.f) else None
-    sys_ = assemble(mesh, ep, volume=volume, traction=traction)
+    traction = side_traction({name: getattr(cfg, f"g_{name}")
+                              for name in ("right", "bottom", "top")})
+    sys_ = assemble(mesh, ep, volume=cfg.f, traction=traction)
     return mesh, sys_, _table(cfg)
 
 
@@ -94,11 +92,11 @@ def cmd_energy_check(args):
     cfg = _load_config(args.config)
     _, sys_, table = _setup(cfg)
     ndof = sys_.n_dofs
-    if sys_.volume is None and sys_.traction is None:
+    if not sys_.load.any():
         # homogeneous: start from the relaxed static shape of the default
         # unit traction so the ledger exercises a nontrivial balance
-        loaded = dataclasses.replace(sys_, traction=side_traction(
-            {"right": (0.0, -1.0)}))
+        unit = traction_load(sys_.mesh, side_traction({"right": (0.0, -1.0)}))
+        loaded = dataclasses.replace(sys_, load=sys_.restrict(unit))
         u0 = quasi_static_solve(loaded,
                                 scale=max(1.0 - table.params.gamma, 1e-8))
     else:

@@ -10,8 +10,8 @@ Grammar (documented in the README):
 * ``probe`` may repeat inside ``[probes]``; every other key is single-valued,
 * numbers must be finite, and ``dt`` (an alternative to ``steps``) must
   divide ``t_final`` to 1e-9 relative,
-* every ``[solver]`` key is retired: each parses only at the one value the
-  program still implements and sets nothing,
+* every ``[solver]`` key and ``g_left`` are retired: each parses only at
+  the one value the program still implements and sets nothing,
 * unknown sections or keys are errors; all errors are collected with their
   line numbers before parsing fails.
 
@@ -56,9 +56,8 @@ class RunConfig:
     # time
     t_final: float = 1.0
     steps: int = 32
-    # loads (per-side constant tractions, constant volume load)
+    # loads (constant volume load, constant tractions on the Neumann sides)
     f: tuple = (0.0, 0.0)
-    g_left: tuple = (0.0, 0.0)
     g_right: tuple = (0.0, 0.0)
     g_bottom: tuple = (0.0, 0.0)
     g_top: tuple = (0.0, 0.0)
@@ -108,11 +107,13 @@ _SCHEMA = {
 _FIELD_OF = {("elastic", "lambda"): "lam", ("probes", "probe"): "probes",
              ("output", "dir"): "out_dir"}
 
-# [solver] keys that no longer select anything: the one value each still
-# accepts.  cg_tol is the relative residual bound every solve is checked
-# against (``solvers.SpdSolver``'s default); the others named removed paths.
+# Keys that no longer select anything: the one value each still accepts.
+# cg_tol is the relative residual bound every solve is checked against
+# (``solvers.SpdSolver``'s default); the other [solver] keys named removed
+# paths.  The x = 0 side is clamped, so a traction there would do nothing.
 _RETIRED = {"method": "direct", "cg_tol": 1e-10,
-            "weights_mode": "closed_form", "mass_lumping": False}
+            "weights_mode": "closed_form", "mass_lumping": False,
+            "g_left": (0.0, 0.0)}
 
 
 def _parse_value(kind, raw, where, errors):

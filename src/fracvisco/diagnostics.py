@@ -16,7 +16,8 @@ holds to solver-residual accuracy because eta_n is derived from the weight
 row sums; it is asserted by tests only in the homogeneous case, with the
 load work 2 sum_n k_n (Fbar_n + Gbar_n, U2_n) reported otherwise.  A history
 carries the system and weight table of its run, so the ledger takes nothing
-else, and its loads come from ``stepper.step_loads`` as the run's did.
+else, and its load comes from ``stepper.time_average_load`` as the run's
+did.
 
 No Gram matrix a(U1_i, U1_j) is formed.  Expanding a(W_nj, W_nj) reduces
 the memory double sum to per-step scalars: a(U1_n, U1_n), a(U1_n, U1_{n-1}),
@@ -46,7 +47,7 @@ from scipy import sparse
 from scipy.fft import irfft, next_fast_len, rfft
 
 from .fem import AssembledSystem
-from .stepper import SolutionHistory, step_loads
+from .stepper import SolutionHistory, time_average_load
 from .weights import WeightTable
 
 __all__ = ["EnergyLedger", "energy_ledger", "long_time_limit", "TailReport"]
@@ -152,10 +153,8 @@ def energy_ledger(history: SolutionHistory):
     v0 = sys.expand(u2f[0])
     initial = float(u0 @ (sys.K @ u0) + v0 @ (sys.M @ v0))
 
-    load_work = 0.0
-    if sys.volume is not None or sys.traction is not None:
-        power = [f @ u2 for f, u2 in zip(step_loads(sys, grid), u2f[1:])]
-        load_work = 2.0 * float(k @ power)
+    load = time_average_load(sys)
+    load_work = 2.0 * float(k @ [load @ u2 for u2 in u2f[1:]])
 
     return EnergyLedger(final_elastic=float(final_elastic),
                         final_kinetic=float(final_kinetic),
@@ -269,8 +268,11 @@ def long_time_limit(history: SolutionHistory, vertex, component=1,
     Returns the tail mean and its relative gap to ``reference`` (typically
     the relaxed static solve).  If the first and second halves of the tail
     window disagree by more than ``SETTLE_TOL`` (relative), the run is
-    flagged unsettled and a warning is emitted.
+    flagged unsettled and a warning is emitted.  ``component`` is 0 (x) or
+    1 (y); any other value raises ValueError.
     """
+    if component not in (0, 1):
+        raise ValueError(f"component must be 0 or 1, got {component}")
     t = history.times
     vals, _ = history.dof_history(2 * vertex + component)
     t_cut = t[-1] * 0.75

@@ -4,9 +4,10 @@ Assembles the linear-elasticity stiffness a(v,w) = int 2 mu eps(v):eps(w)
 + lambda tr eps(v) tr eps(w) and the rho-weighted consistent mass on
 piecewise-linear triangles, with Dirichlet handling by symmetric elimination
 so the reduced operators stay SPD.  ``assemble`` forms the free-dof operators
-``Kff``/``Mff`` once, next to the full ``K``/``M``; ``restrict`` and
-``expand`` move vectors between the two sizes.  Degrees of freedom interleave
-as (ux_0, uy_0, ux_1, uy_1, ...).
+``Kff``/``Mff`` once, next to the full ``K``/``M``, and the free-dof load
+vector ``load`` of a constant body force and constant per-side edge
+tractions; ``restrict`` and ``expand`` move vectors between the two sizes.
+Degrees of freedom interleave as (ux_0, uy_0, ux_1, uy_1, ...).
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ __all__ = [
     "volume_load",
     "quasi_static_solve",
     "side_traction",
-    "constant_volume",
 ]
 
 DIRICHLET = 0
@@ -174,7 +174,7 @@ def _scatter(mesh, elem):
 
 @dataclass
 class AssembledSystem:
-    """Stiffness, mass and constraint data for one mesh/material pair."""
+    """Stiffness, mass, load and constraint data for one mesh/material pair."""
 
     mesh: Mesh
     K: sp.csr_matrix
@@ -183,19 +183,11 @@ class AssembledSystem:
     free_dofs: np.ndarray
     Kff: sp.csr_matrix        # K and M with both indices on the free dofs
     Mff: sp.csr_matrix
-    volume: object = None     # f(points(m,2), t) -> (m,2), or None
-    traction: object = None   # g(points(m,2), t, side(m,)) -> (m,2), or None
-    # A load callable with a true ``constant_in_time`` attribute ignores t.
+    load: np.ndarray          # (f, v) + (g, v) on the free dofs
 
     @property
     def n_dofs(self):
         return self.K.shape[0]
-
-    @property
-    def loads_constant_in_time(self):
-        """True when no load callable can depend on time."""
-        return all(f is None or getattr(f, "constant_in_time", False)
-                   for f in (self.volume, self.traction))
 
     def restrict(self, full):
         """Free-dof values (last axis) of full-size vectors."""
@@ -208,20 +200,12 @@ class AssembledSystem:
         full[..., self.free_dofs] = reduced
         return full
 
-    def volume_load(self, t):
-        if self.volume is None:
-            return np.zeros(self.n_dofs)
-        return volume_load(self.mesh, self.volume, t)
-
-    def traction_vector(self, t):
-        if self.traction is None:
-            return np.zeros(self.n_dofs)
-        return traction_load(self.mesh, self.traction, t)
-
 
 def assemble(mesh, ep, volume=None, traction=None, extra_fixed_dofs=None):
-    """Assemble stiffness and mass; Dirichlet set from mesh tags.
+    """Assemble stiffness, mass and load; Dirichlet set from mesh tags.
 
+    ``volume`` is a constant body force (fx, fy) and ``traction`` a
+    ``side_traction`` table; either may be None (no load).
     ``extra_fixed_dofs`` pins additional dof indices (used to cut a system
     down to a small number of unknowns in verification setups).
     """
@@ -238,77 +222,52 @@ def assemble(mesh, ep, volume=None, traction=None, extra_fixed_dofs=None):
     fixed = np.unique(fixed)
     ndof = 2 * mesh.n_vertices
     free = np.setdiff1d(np.arange(ndof), fixed)
+    load = np.zeros(ndof)
+    if volume is not None:
+        load += volume_load(mesh, volume)
+    if traction is not None:
+        load += traction_load(mesh, traction)
     return AssembledSystem(mesh=mesh, K=K, M=M, constrained_dofs=fixed,
                            free_dofs=free, Kff=K[free][:, free].tocsr(),
-                           Mff=M[free][:, free].tocsr(), volume=volume,
-                           traction=traction)
+                           Mff=M[free][:, free].tocsr(), load=load[free])
 
 
-def traction_load(mesh, g, t=0.0):
-    """Nodal load from boundary traction g on Neumann edges.
-
-    Endpoint-trapezoid integration of the P1 traces: exact for edgewise
-    constant g.  ``g(points, t, sides)`` returns one traction vector per
-    point.
-    """
-    load = np.zeros(2 * mesh.n_vertices)
+def traction_load(mesh, table):
+    """Nodal load of the per-side traction ``table`` (a ``side_traction``)
+    on the Neumann edges: half of each edge's length times its side's
+    traction at each of its two endpoints."""
     sel = mesh.edge_tags == NEUMANN
     edges = mesh.boundary_edges[sel]
-    sides = mesh.edge_sides[sel]
-    if edges.size == 0:
-        return load
     pa = mesh.vertices[edges[:, 0]]
     pb = mesh.vertices[edges[:, 1]]
-    lengths = np.hypot(*(pb - pa).T)
-    ga = np.asarray(g(pa, t, sides), dtype=np.float64)
-    gb = np.asarray(g(pb, t, sides), dtype=np.float64)
-    half = 0.5 * lengths
-    np.add.at(load, 2 * edges[:, 0], half * ga[:, 0])
-    np.add.at(load, 2 * edges[:, 0] + 1, half * ga[:, 1])
-    np.add.at(load, 2 * edges[:, 1], half * gb[:, 0])
-    np.add.at(load, 2 * edges[:, 1] + 1, half * gb[:, 1])
-    return load
+    half = 0.5 * np.hypot(*(pb - pa).T)
+    nodal = half[:, None] * np.asarray(table)[mesh.edge_sides[sel]]
+    dofs = 2 * edges.T[..., None] + [0, 1]
+    return np.bincount(dofs.ravel(),
+                       np.broadcast_to(nodal, dofs.shape).ravel(),
+                       minlength=2 * mesh.n_vertices)
 
 
-def volume_load(mesh, f, t=0.0):
-    """Nodal load from the body force f via the edge-midpoint rule (exact
-    through quadratic integrands, hence exact for constant and linear f)."""
-    load = np.zeros(2 * mesh.n_vertices)
-    v = mesh.vertices[mesh.triangles]
-    area = np.abs(mesh.signed_areas())
-    mids = 0.5 * (v + np.roll(v, -1, axis=1))     # (nt, 3, 2) edge midpoints
-    fm = np.asarray(f(mids.reshape(-1, 2), t), dtype=np.float64).reshape(-1, 3, 2)
-    # phi_i at the three edge midpoints is 1/2 on the two adjacent edges
-    w = area[:, None] / 3.0
-    for local in range(3):
-        contrib = 0.5 * (fm[:, local] + fm[:, (local + 2) % 3]) * w
-        np.add.at(load, 2 * mesh.triangles[:, local], contrib[:, 0])
-        np.add.at(load, 2 * mesh.triangles[:, local] + 1, contrib[:, 1])
-    return load
+def volume_load(mesh, vec):
+    """Nodal load of the constant body force ``vec`` = (fx, fy): a third of
+    each triangle's area times ``vec`` at each of its vertices."""
+    contrib = (np.abs(mesh.signed_areas()) / 3.0)[:, None] * np.asarray(
+        vec, dtype=np.float64)
+    # each dof sums its terms in triangle order, first vertices before
+    # second and third ones; the order fixes the last bits of the load
+    dofs = 2 * mesh.triangles.T[..., None] + [0, 1]
+    return np.bincount(dofs.ravel(),
+                       np.broadcast_to(contrib, dofs.shape).ravel(),
+                       minlength=2 * mesh.n_vertices)
 
 
 def side_traction(spec):
-    """Traction callable from {side name: (gx, gy)}; zero elsewhere."""
+    """The (4, 2) per-side traction table of {side name: (gx, gy)}, rows in
+    side-id order; zero on the sides ``spec`` leaves out."""
     table = np.zeros((4, 2))
     for name, vec in spec.items():
         table[SIDE_NAMES[name]] = vec
-
-    def g(points, t, sides):
-        return table[np.asarray(sides, dtype=np.int64)]
-
-    g.constant_in_time = True
-    return g
-
-
-def constant_volume(vec):
-    """Constant body-force callable."""
-    vec = np.asarray(vec, dtype=np.float64)
-
-    def f(points, t):
-        return np.broadcast_to(vec, (np.asarray(points).shape[0], 2))
-
-    f.constant_in_time = True
-    return f
+    return table
 
 
 def quasi_static_solve(sys: AssembledSystem, scale=1.0):
@@ -319,6 +278,5 @@ def quasi_static_solve(sys: AssembledSystem, scale=1.0):
     """
     if not scale > 0.0:
         raise ValueError("scale must be positive")
-    rhs = sys.restrict(sys.volume_load(0.0) + sys.traction_vector(0.0))
     solver = make_spd_solver(scale * sys.Kff, rtol=1e-12)
-    return sys.expand(solver.solve(rhs))
+    return sys.expand(solver.solve(sys.load))

@@ -17,11 +17,12 @@ accumulates in row n of the velocity history, which step n then overwrites
 with U2_n, so a run holds exactly its two (N+1) x nf histories and no
 scratch copy of either.
 
-The whole computation lives on the free dofs, and so does the history that
-``run`` returns, together with the system and weight table that produced it:
-the table carries the time grid and the system the free dofs.  Full-size
-nodal vectors (constrained entries zero) are expanded only when a reader asks
-for ``SolutionHistory.U1``/``U2``.
+The loads are constant in time, so Fbar_n + Gbar_n is the system's free-dof
+``load`` at every step.  The whole computation lives on the free dofs, and
+so does the history that ``run`` returns, together with the system and
+weight table that produced it: the table carries the time grid and the
+system the free dofs.  Full-size nodal vectors (constrained entries zero)
+are expanded only when a reader asks for ``SolutionHistory.U1``/``U2``.
 """
 
 from __future__ import annotations
@@ -34,10 +35,10 @@ from scipy.fft import irfft, next_fast_len, rfft
 
 from .fem import AssembledSystem
 from .solvers import SolverError, make_spd_solver
-from .weights import TimeGrid, WeightTable
+from .weights import WeightTable
 
 __all__ = ["SolutionHistory", "history_sums", "time_average_load",
-           "step_loads", "advance", "run"]
+           "advance", "run"]
 
 # Square blocks of history_sums with sides up to this many steps are dense
 # products; larger ones (uniform grids only) go through real FFTs.  Dense
@@ -165,28 +166,10 @@ def history_sums(table: WeightTable, u, acc):
             del conv        # before the next block's transforms
 
 
-def time_average_load(sys: AssembledSystem, grid: TimeGrid, n):
-    """Interval averages (Fbar_n, Gbar_n) by the midpoint rule (1-based n).
-
-    Exact for loads constant in time; second order otherwise.
-    """
-    tm = grid.nodes[n - 1] + 0.5 * grid.steps[n - 1]
-    return sys.volume_load(tm), sys.traction_vector(tm)
-
-
-def step_loads(sys: AssembledSystem, grid: TimeGrid):
-    """Yield the free-dof load Fbar_n + Gbar_n for n = 1..N.
-
-    Loads the system marks constant in time are evaluated once (the same
-    array is yielded at every step); any other load once per step.
-    """
-    constant = sys.loads_constant_in_time
-    load = None
-    for n in range(1, grid.n_steps + 1):
-        if load is None or not constant:
-            fbar, gbar = time_average_load(sys, grid, n)
-            load = sys.restrict(fbar + gbar)
-        yield load
+def time_average_load(sys: AssembledSystem):
+    """The free-dof interval average Fbar_n + Gbar_n, the same on every
+    interval since the loads are constant in time: ``sys.load``."""
+    return sys.load
 
 
 def advance(u1_prev_f, u2_prev_f, sys, k, co, hist_f, load_f, solver):
@@ -201,16 +184,20 @@ def advance(u1_prev_f, u2_prev_f, sys, k, co, hist_f, load_f, solver):
 def run(sys: AssembledSystem, table: WeightTable, u0, v0):
     """Integrate from initial data (u0, v0) over the grid of ``table``.
 
-    u0 and v0 must satisfy the Dirichlet constraints.  The returned history
-    keeps the whole free-dof history as it was computed, with ``sys`` and
-    ``table``.  Loads come from ``step_loads``.  Every solve is checked
-    against a relative residual of 1e-10 (the ``SpdSolver`` default).
+    u0 and v0 are full-size, of shape (n_dofs,), and must satisfy the
+    Dirichlet constraints.  The returned history keeps the whole free-dof
+    history as it was computed, with ``sys`` and ``table``.  Every solve is
+    checked against a relative residual of 1e-10 (the ``SpdSolver``
+    default).
     """
     grid = table.grid
     n_steps = grid.n_steps
     u0 = np.asarray(u0, dtype=np.float64)
     v0 = np.asarray(v0, dtype=np.float64)
     for name, vec in (("u0", u0), ("v0", v0)):
+        if vec.shape != (sys.n_dofs,):
+            raise ValueError(f"{name} must have shape ({sys.n_dofs},), "
+                             f"got {vec.shape}")
         if np.any(vec[sys.constrained_dofs] != 0.0):
             raise ValueError(f"{name} violates the Dirichlet constraints")
     nf = sys.free_dofs.size
@@ -220,10 +207,9 @@ def run(sys: AssembledSystem, table: WeightTable, u0, v0):
     u1f[0] = sys.restrict(u0)
     u2f[0] = sys.restrict(v0)
     k = grid.steps
+    load = time_average_load(sys)
     solvers = {}
-    for n, (hist, load) in enumerate(
-            zip(history_sums(table, u1f, u2f), step_loads(sys, grid)),
-            start=1):
+    for n, hist in enumerate(history_sums(table, u1f, u2f), start=1):
         co = k[n - 1] - table.omega[n - 1, n - 1]
         key = (k[n - 1], co)
         if key not in solvers:

@@ -115,21 +115,25 @@ class TestParse:
     def test_round_trip_nondefault(self):
         cfg = RunConfig(alpha=0.31, tau=2.5, gamma=0.25, mu=7.0, lam=3.0,
                         rho=10.0, nx=3, ny=4, lx=2.0, ly=0.5, t_final=3.0,
-                        steps=7, f=(0.1, 0.2), g_left=(1.0, 0.0),
+                        steps=7, f=(0.1, 0.2), g_bottom=(1.0, 0.0),
                         probes=((2.0, 0.5), (1.0, 0.25)), out_dir="elsewhere")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             assert parse_config(serialize_config(cfg)) == cfg
 
-    @pytest.mark.parametrize("line,message", [
-        ("method = cg", "method must be direct, got cg"),
-        ("cg_tol = 1e-9", "cg_tol must be 1e-10, got 1e-9"),
-        ("weights_mode = midpoint", "weights_mode must be closed_form, got midpoint"),
-        ("mass_lumping = true", "mass_lumping must be false, got true"),
-    ], ids=["method", "cg_tol", "weights_mode", "mass_lumping"])
-    def test_retired_key_rejected_with_line(self, line, message):
+    @pytest.mark.parametrize("section,line,message", [
+        ("solver", "method = cg", "method must be direct, got cg"),
+        ("solver", "cg_tol = 1e-9", "cg_tol must be 1e-10, got 1e-9"),
+        ("solver", "weights_mode = midpoint",
+         "weights_mode must be closed_form, got midpoint"),
+        ("solver", "mass_lumping = true",
+         "mass_lumping must be false, got true"),
+        ("loads", "g_left = (1.0, 0.0)",
+         "g_left must be (0.0, 0.0), got (1.0, 0.0)"),
+    ], ids=["method", "cg_tol", "weights_mode", "mass_lumping", "g_left"])
+    def test_retired_key_rejected_with_line(self, section, line, message):
         with pytest.raises(ConfigError) as err:
-            parse_config(f"[solver]\n# retired keys only\n\n{line}\n")
+            parse_config(f"[{section}]\n# retired keys only\n\n{line}\n")
         assert err.value.errors == [f"line 4: {message}"]
 
     def test_retired_cg_tol_parses_to_default(self):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from fracvisco import diagnostics, stepper
+from fracvisco import diagnostics
 from fracvisco.diagnostics import EnergyLedger, energy_ledger, long_time_limit
 from fracvisco.fem import (ElasticParams, assemble, build_rect_mesh,
                            quasi_static_solve, side_traction)
@@ -16,7 +16,7 @@ from fracvisco.stepper import SolutionHistory, run, time_average_load
 from fracvisco.weights import TimeGrid, build_weights
 
 
-def gram_ledger(history: SolutionHistory, u0=None, v0=None, with_loads=True):
+def gram_ledger(history: SolutionHistory, u0=None, v0=None):
     """The ledger as first written: every term from the (N+1)^2 Gram matrix
     a(U1_i, U1_j), the reordered double sum from the cell means beta_nj.
     Kept verbatim as the oracle of the O(N) per-step-scalar ledger."""
@@ -79,11 +79,8 @@ def gram_ledger(history: SolutionHistory, u0=None, v0=None, with_loads=True):
     initial = float(u0 @ ku0 + v0 @ mv0)
 
     load_work = 0.0
-    if with_loads and (sys.volume is not None or sys.traction is not None):
-        for step in range(1, n + 1):
-            fbar, gbar = time_average_load(sys, grid, step)
-            load_work += 2.0 * k[step - 1] * float(
-                sys.restrict(fbar + gbar) @ u2f[step])
+    for step in range(1, n + 1):
+        load_work += 2.0 * k[step - 1] * float(sys.load @ u2f[step])
 
     return EnergyLedger(final_elastic=float(final_elastic),
                         final_kinetic=float(final_kinetic),
@@ -400,29 +397,20 @@ class TestAgainstGramOracle:
 
     def test_constant_load_evaluated_once(self, mesh8, elastic_soft,
                                           kernel_sec6, monkeypatch):
-        marked = side_traction({"right": (0.3, -1.0)})
-
-        def unmarked(points, t, sides):  # same values, not marked constant
-            return marked(points, t, sides)
-
         calls = []
 
-        def counted(*args):
-            calls.append(args[2])
-            return time_average_load(*args)
+        def counted(sys_):
+            calls.append(sys_)
+            return time_average_load(sys_)
 
         table = build_weights(TimeGrid.uniform(1.0, 24), kernel_sec6)
-        monkeypatch.setattr(stepper, "time_average_load", counted)
-        work = []
-        for traction, expect in ((marked, 1), (unmarked, 24)):
-            sys_ = assemble(mesh8, elastic_soft, traction=traction)
-            z = np.zeros(sys_.n_dofs)
-            hist = run(sys_, table, z, z)
-            calls.clear()
-            work.append(energy_ledger(hist).load_work)
-            assert len(calls) == expect
-        assert work[0] != 0.0
-        assert work[1] == pytest.approx(work[0], rel=1e-14)
+        sys_ = assemble(mesh8, elastic_soft,
+                        traction=side_traction({"right": (0.3, -1.0)}))
+        z = np.zeros(sys_.n_dofs)
+        hist = run(sys_, table, z, z)
+        monkeypatch.setattr(diagnostics, "time_average_load", counted)
+        assert energy_ledger(hist).load_work != 0.0
+        assert len(calls) == 1 and calls[0] is sys_
 
 
 class TestLongTimeLimit:
@@ -452,6 +440,20 @@ class TestLongTimeLimit:
         rep = long_time_limit(hist, vertex, component=1, reference=ref)
         assert rep.rel_gap <= 0.05
         assert rep.settled
+
+    def test_component_checked(self, elastic_soft, kernel_sec6,
+                               downward_traction):
+        # on a 2x2 mesh (vertex 4, component 2) would read the x dof of
+        # vertex 5 and (vertex 3, component -1) the y dof of vertex 2
+        sys_ = assemble(build_rect_mesh(2, 2), elastic_soft,
+                        traction=downward_traction)
+        table = build_weights(TimeGrid.uniform(1.0, 8), kernel_sec6)
+        z = np.zeros(sys_.n_dofs)
+        hist = run(sys_, table, z, z)
+        for vertex, component in ((4, 2), (3, -1)):
+            with pytest.raises(ValueError, match="component must be 0 or 1"):
+                long_time_limit(hist, vertex, component=component,
+                                reference=1.0)
 
     def test_short_run_warns(self, mesh8, kernel_sec6, downward_traction):
         # slow dynamics over a short window: tail not settled

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from fracvisco.fem import (DIRICHLET, ElasticParams, Mesh, assemble,
-                           build_rect_mesh, constant_volume,
-                           quasi_static_solve, side_traction, traction_load,
-                           volume_load)
+from fracvisco.fem import (DIRICHLET, NEUMANN, ElasticParams, Mesh, assemble,
+                           build_rect_mesh, quasi_static_solve, side_traction,
+                           traction_load, volume_load)
 from fracvisco.solvers import SolverError, make_spd_solver
 
 
@@ -159,10 +158,52 @@ class TestLoads:
         assert totals[0] == pytest.approx(totals[1], abs=1e-14)
 
     def test_volume_load_total(self, mesh8):
-        f = constant_volume((0.5, -2.0))
-        load = volume_load(mesh8, f)
+        load = volume_load(mesh8, (0.5, -2.0))
         assert load[0::2].sum() == pytest.approx(0.5, rel=1e-13)
         assert load[1::2].sum() == pytest.approx(-2.0, rel=1e-13)
+
+    def test_assembled_load_matches_plain_loops(self, elastic_soft):
+        # every term added one at a time, per dof in the order the
+        # assembly fixes: the edges' first endpoints, then their second
+        # ones; the triangles' first vertices, then their second and third
+        # ones.  Jittered vertices give every term its own value, so a
+        # change of the volume terms' order shows in the last bits (a
+        # boundary vertex has two traction terms, whose sum has no order).
+        grid = build_rect_mesh(3, 2)
+        jitter = np.random.default_rng(3).uniform(-0.05, 0.05,
+                                                  grid.vertices.shape)
+        mesh = Mesh(vertices=grid.vertices + jitter,
+                    triangles=grid.triangles,
+                    boundary_edges=grid.boundary_edges,
+                    edge_tags=grid.edge_tags, edge_sides=grid.edge_sides)
+        f = (0.3, -0.7)
+        spec = {"right": (0.25, -1.0), "bottom": (-0.5, 0.125),
+                "top": (0.75, 0.4)}
+        sys_ = assemble(mesh, elastic_soft, volume=f,
+                        traction=side_traction(spec))
+        side_names = ("left", "right", "bottom", "top")
+        traction = np.zeros(2 * mesh.n_vertices)
+        for end in (0, 1):
+            for edge, tag, side in zip(mesh.boundary_edges, mesh.edge_tags,
+                                       mesh.edge_sides):
+                if tag != NEUMANN:
+                    continue
+                pa, pb = mesh.vertices[edge[0]], mesh.vertices[edge[1]]
+                half = 0.5 * np.hypot(pb[0] - pa[0], pb[1] - pa[1])
+                g = spec.get(side_names[side], (0.0, 0.0))
+                for c in range(2):
+                    traction[2 * edge[end] + c] += half * g[c]
+        volume = np.zeros(2 * mesh.n_vertices)
+        areas = np.abs(mesh.signed_areas())
+        for local in range(3):
+            for tri, area in zip(mesh.triangles, areas):
+                w = area / 3.0
+                for c in range(2):
+                    # the edge-midpoint rule of a constant f
+                    volume[2 * tri[local] + c] += 0.5 * (f[c] + f[c]) * w
+        expect = (volume + traction)[sys_.free_dofs]
+        assert np.any(traction[sys_.free_dofs] != 0.0)
+        assert np.array_equal(sys_.load, expect)
 
 
 class TestDirichlet:

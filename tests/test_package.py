@@ -1,4 +1,5 @@
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -25,3 +26,12 @@ def test_no_test_only_imports(path):
     bad = sorted(n for n in names for dep in TEST_ONLY
                  if n == dep or n.startswith(dep + "."))
     assert not bad, f"{path.name} imports {bad}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_all_names_exist(path):
+    name = "fracvisco" if path.stem == "__init__" else f"fracvisco.{path.stem}"
+    module = importlib.import_module(name)
+    missing = [n for n in getattr(module, "__all__", ())
+               if not hasattr(module, n)]
+    assert not missing, f"{path.name} exports missing names {missing}"

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from fracvisco import stepper
-from fracvisco.fem import ElasticParams, assemble, build_rect_mesh, side_traction
+from fracvisco.fem import (ElasticParams, assemble, build_rect_mesh,
+                           side_traction, traction_load)
 from fracvisco.mlf import KernelParams
 from fracvisco.scalar import ScalarModel, scalar_dg0
 from fracvisco.solvers import make_spd_solver
@@ -100,64 +101,35 @@ class TestHistorySums:
 
 
 class TestTimeAverageLoad:
-    def test_constant_traction_equals_load_vector(self, loaded_system8):
-        from fracvisco.fem import traction_load
+    def test_constant_traction_equals_load_vector(self, loaded_system8,
+                                                  downward_traction):
+        expect = traction_load(loaded_system8.mesh, downward_traction)
+        assert np.array_equal(time_average_load(loaded_system8),
+                              loaded_system8.restrict(expect))
 
-        grid = TimeGrid.uniform(1.0, 4)
-        expect = traction_load(loaded_system8.mesh, loaded_system8.traction)
-        for n in range(1, 5):
-            fbar, gbar = time_average_load(loaded_system8, grid, n)
-            assert np.all(fbar == 0.0)
-            assert gbar == pytest.approx(expect, rel=1e-14)
-
-    def test_zero_volume_load(self, loaded_system8):
-        fbar, _ = time_average_load(loaded_system8, TimeGrid.uniform(1.0, 2), 1)
-        assert np.all(fbar == 0.0)
-
-    @staticmethod
-    def _count_load_calls(monkeypatch):
-        calls = []
-
-        def counted(*args):
-            calls.append(args[2])
-            return time_average_load(*args)
-
-        monkeypatch.setattr(stepper, "time_average_load", counted)
-        return calls
+    def test_zero_volume_load(self, mesh8, elastic_soft, loaded_system8,
+                              downward_traction):
+        sys_ = assemble(mesh8, elastic_soft, volume=(0.0, 0.0),
+                        traction=downward_traction)
+        assert np.array_equal(sys_.load, loaded_system8.load)
 
     def test_constant_loads_evaluated_once(self, mesh8, elastic_soft,
                                            kernel_sec6, monkeypatch):
-        spec = {"right": (0.3, -1.0)}
-        marked = side_traction(spec)
+        calls = []
 
-        def unmarked(points, t, sides):  # same values, not marked constant
-            return marked(points, t, sides)
+        def counted(sys_):
+            calls.append(sys_)
+            return time_average_load(sys_)
 
-        grid = TimeGrid.uniform(1.0, 12)
-        table = build_weights(grid, kernel_sec6)
-        finals = []
-        for traction, expect in ((marked, 1), (unmarked, 12), (None, 1)):
+        monkeypatch.setattr(stepper, "time_average_load", counted)
+        table = build_weights(TimeGrid.uniform(1.0, 12), kernel_sec6)
+        for traction in (side_traction({"right": (0.3, -1.0)}), None):
+            calls.clear()
             sys_ = assemble(mesh8, elastic_soft, traction=traction)
-            calls = self._count_load_calls(monkeypatch)
             z = np.zeros(sys_.n_dofs)
-            finals.append(run(sys_, table, z, z).U1)
-            assert len(calls) == expect
-        assert np.array_equal(finals[0], finals[1])
-        assert np.all(finals[2] == 0.0)
-
-    def test_midpoint_exact_for_linear_in_time(self, mesh8, elastic_soft):
-        from fracvisco.fem import volume_load
-
-        def f(points, t):
-            return np.full((np.asarray(points).shape[0], 2), 3.0 * t)
-
-        sys_ = assemble(mesh8, elastic_soft, volume=f)
-        grid = TimeGrid.uniform(2.0, 4)
-        n = 3
-        fbar, _ = time_average_load(sys_, grid, n)
-        t0, t1 = grid.nodes[n - 1], grid.nodes[n]
-        exact_avg = volume_load(mesh8, f, 0.5 * (t0 + t1))
-        assert fbar == pytest.approx(exact_avg, rel=1e-14)
+            hist = run(sys_, table, z, z)
+            assert len(calls) == 1 and calls[0] is sys_
+            assert np.any(hist.u1f) == (traction is not None)
 
 
 class TestRun:
@@ -241,8 +213,7 @@ class TestRun:
         k = grid.steps[0]
         co = k - table.omega[0, 0]
         a = (sys_.Mff + k * co * sys_.Kff).toarray()
-        gbar = sys_.restrict(sys_.traction_vector(0.0))
-        u2 = np.linalg.solve(a, k * gbar)
+        u2 = np.linalg.solve(a, k * sys_.load)
         assert sys_.restrict(hist.U2[1]) == pytest.approx(u2, rel=1e-12)
         assert sys_.restrict(hist.U1[1]) == pytest.approx(k * u2, rel=1e-12)
 
@@ -261,8 +232,7 @@ class TestRun:
         m = ScalarModel(rho=float(sys_.Mff.toarray()[0, 0]),
                         kappa=float(sys_.Kff.toarray()[0, 0]),
                         kernel=kernel_sec6,
-                        forcing=lambda t: float(
-                            sys_.restrict(sys_.traction_vector(t))[0]),
+                        forcing=lambda t: float(sys_.load[0]),
                         u0=0.0, v0=0.0)
         trace = scalar_dg0(m, table)
         assert hist.U1[:, 7] == pytest.approx(trace.u1, abs=1e-12)
@@ -292,6 +262,18 @@ class TestRun:
         bad = np.ones(sys_.n_dofs)
         with pytest.raises(ValueError, match="constraints"):
             run(sys_, table, bad, np.zeros(sys_.n_dofs))
+
+    def test_initial_data_shape_checked(self, elastic_soft, kernel_sec6):
+        sys_ = assemble(build_rect_mesh(2, 2), elastic_soft)
+        table = build_weights(TimeGrid.uniform(1.0, 4), kernel_sec6)
+        n = sys_.n_dofs
+        z = np.zeros(n)
+        for bad in (np.zeros(n + 1), np.zeros(n - 1), np.zeros((1, n)),
+                    np.zeros(sys_.free_dofs.size), 0.0):
+            for u0, v0, name in ((bad, z, "u0"), (z, bad, "v0")):
+                with pytest.raises(ValueError,
+                                   match=rf"{name} must have shape \({n},\)"):
+                    run(sys_, table, u0, v0)
 
     def test_probe_trace_shape(self, mesh8, elastic_soft, kernel_sec6,
                                downward_traction):
