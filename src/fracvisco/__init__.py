@@ -16,7 +16,7 @@ energy balance, long-time limits), scalar (independent single-mode solvers
 and convergence harnesses), cli (CSV-emitting command line).
 """
 
-from .config import ConfigError, RunConfig, parse_config, serialize_config
+from .config import ConfigError, RunConfig, parse_config
 from .diagnostics import EnergyLedger, energy_ledger, long_time_limit
 from .fem import (AssembledSystem, ElasticParams, Mesh, assemble,
                   build_rect_mesh, quasi_static_solve, side_traction,

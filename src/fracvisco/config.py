@@ -8,26 +8,27 @@ Grammar (documented in the README):
 * ``key = value`` assigns; values are numbers, booleans (true/false),
   bare words, or 2-vectors written ``(a, b)``,
 * ``probe`` may repeat inside ``[probes]``; every other key is single-valued,
-* numbers must be finite, and ``dt`` (an alternative to ``steps``) must
-  divide ``t_final`` to 1e-9 relative,
+* numbers must be finite, and ``dt`` (an alternative to ``steps``) must be
+  positive and divide ``t_final`` to 1e-9 relative (``TimeGrid.with_step``),
 * every ``[solver]`` key and ``g_left`` are retired: each parses only at
   the one value the program still implements and sets nothing,
 * unknown sections or keys are errors; all errors are collected with their
   line numbers before parsing fails.
 
 Every field has a default, so the empty file parses (with a warning listing
-the defaulted fields).  ``serialize_config(parse_config(text))`` reparses to
-an equal configuration.
+the defaulted fields).
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-__all__ = ["RunConfig", "ConfigError", "parse_config", "serialize_config"]
+from .weights import TimeGrid
+
+__all__ = ["RunConfig", "ConfigError", "parse_config"]
 
 
 class ConfigError(ValueError):
@@ -150,7 +151,6 @@ def parse_config(text):
     line_of = {}
     probes = []
     section = None
-    saw_dt = saw_steps = False
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         line = rawline.split("#", 1)[0].strip()
         if not line:
@@ -183,14 +183,6 @@ def parse_config(text):
         if section == "probes":
             probes.append(value)
             continue
-        if section == "time" and key == "dt":
-            if saw_dt:
-                errors.append(f"line {lineno}: duplicate key 'dt'")
-            saw_dt = True
-            dt_value, dt_line = value, lineno
-            continue
-        if section == "time" and key == "steps":
-            saw_steps = True
         fname = _FIELD_OF.get((section, key), key)
         if fname in line_of:
             errors.append(f"line {lineno}: duplicate key {key!r}")
@@ -203,6 +195,7 @@ def parse_config(text):
             continue
         assigned[fname] = value
 
+    dt = assigned.pop("dt", None)
     cfg = RunConfig()
     defaulted = [f for f in cfg.__dataclass_fields__
                  if f not in assigned and f != "probes"]
@@ -211,20 +204,17 @@ def parse_config(text):
     else:
         defaulted.append("probes")
     cfg = replace(cfg, **assigned)
-    if saw_dt:
-        if saw_steps:
+    if dt is not None:
+        if "steps" in assigned:
             errors.append("time: give either steps or dt, not both")
-        elif not dt_value > 0.0:
-            errors.append(f"line {dt_line}: dt must be positive")
         else:
-            steps = round(cfg.t_final / dt_value)
-            if steps < 1 or (abs(steps * dt_value - cfg.t_final)
-                             > 1e-9 * cfg.t_final):
-                errors.append(f"line {dt_line}: dt = {dt_value!r} does not "
-                              f"divide t_final = {cfg.t_final!r}")
+            try:
+                steps = TimeGrid.with_step(cfg.t_final, dt).n_steps
+            except ValueError as err:
+                errors.append(f"line {line_of['dt']}: dt: {err}")
             else:
                 cfg = replace(cfg, steps=steps)
-                defaulted = [f for f in defaulted if f != "steps"]
+                defaulted.remove("steps")
     for field_name, message in cfg.validate():
         if field_name in line_of:
             errors.append(f"line {line_of[field_name]}: {message}")
@@ -237,23 +227,3 @@ def parse_config(text):
                       stacklevel=2)
     return cfg
 
-
-def _format(kind, value):
-    if kind == "vec":
-        return f"({value[0]!r}, {value[1]!r})"
-    return value if kind is str else repr(value)
-
-
-def serialize_config(cfg: RunConfig):
-    """The keys of ``_SCHEMA`` in order, each formatted by its kind; ``dt``
-    (``steps`` is written instead) and the retired keys are left out."""
-    lines = []
-    for section, keys in _SCHEMA.items():
-        live = [key for key in keys if key != "dt" and key not in _RETIRED]
-        if live:
-            lines.append(f"[{section}]")
-        for key in live:
-            value = getattr(cfg, _FIELD_OF.get((section, key), key))
-            values = value if key == "probe" else (value,)
-            lines += [f"{key} = {_format(keys[key], v)}" for v in values]
-    return "\n".join(lines) + "\n"

@@ -263,9 +263,13 @@ def volume_load(mesh, vec):
 
 def side_traction(spec):
     """The (4, 2) per-side traction table of {side name: (gx, gy)}, rows in
-    side-id order; zero on the sides ``spec`` leaves out."""
+    side-id order; zero on the sides ``spec`` leaves out.  Only the Neumann
+    sides right, bottom and top take a traction: left is clamped."""
     table = np.zeros((4, 2))
     for name, vec in spec.items():
+        if SIDE_NAMES.get(name) in (None, SIDE_LEFT):
+            raise ValueError(f"no traction on side {name!r}: only right, "
+                             f"bottom and top are Neumann sides")
         table[SIDE_NAMES[name]] = vec
     return table
 

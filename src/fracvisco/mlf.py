@@ -67,7 +67,7 @@ def ml_e(alpha, b, x):
     b = float(b)
     if b not in (1.0, 2.0) and b != alpha:
         raise ValueError(f"b must be one of 1, 2, alpha; got {b}")
-    if np.any(x < 0.0):
+    if not np.all(x >= 0.0):
         raise ValueError("x must be nonnegative")
     out = eval_ml_neg(alpha, b, np.atleast_1d(x).ravel()).reshape(x.shape)
     return float(out) if x.ndim == 0 else out

@@ -1,4 +1,7 @@
-"""Single-mode model rho*u'' + kappa*u - kappa*int beta(t-s) u(s) ds = f(t).
+"""Single-mode model rho*u'' + kappa*u - kappa*int beta(t-s) u(s) ds = f.
+
+The load f is a constant, like the finite element system's ``load``, and
+the data (rho, kappa, f and the initial values u0, v0) must be finite.
 
 Two deliberately different discretizations live here:
 
@@ -21,7 +24,7 @@ Two deliberately different discretizations live here:
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,18 +51,17 @@ class ScalarModel:
     rho: float
     kappa: float
     kernel: KernelParams
-    forcing: object = None      # f(t) -> float, or None for f = 0
+    load: float = 0.0           # the constant f
     u0: float = 0.0
     v0: float = 0.0
 
     def __post_init__(self):
+        for name in ("rho", "kappa", "load", "u0", "v0"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(
+                    f"{name} must be finite, got {getattr(self, name)!r}")
         if not (self.rho > 0.0 and self.kappa > 0.0):
             raise ValueError("rho and kappa must be positive")
-
-    def f(self, t):
-        if self.forcing is None:
-            return np.zeros_like(np.asarray(t, dtype=np.float64))
-        return np.asarray(self.forcing(t), dtype=np.float64)
 
 
 @dataclass
@@ -92,15 +94,14 @@ def scalar_dg0(model: ScalarModel, table: WeightTable):
     u1 = np.empty(n_steps + 1)
     u2 = np.zeros(n_steps + 1)      # also the history accumulator
     u1[0], u2[0] = model.u0, model.v0
-    rho, kappa = model.rho, model.kappa
+    rho, kappa, f = model.rho, model.kappa, model.load
     omega = table.omega
     for n, hist in enumerate(history_sums(table, u1, u2), start=1):
         kn = k[n - 1]
         co = kn - omega[n - 1, n - 1]
-        fbar = float(model.f(grid.nodes[n - 1] + 0.5 * kn))
         denom = rho + kn * co * kappa
         u2[n] = (rho * u2[n - 1] - co * kappa * u1[n - 1]
-                 + kappa * float(hist) + kn * fbar) / denom
+                 + kappa * float(hist) + kn * f) / denom
         u1[n] = u1[n - 1] + kn * u2[n]
     return ScalarTrace(times=grid.nodes.copy(), u1=u1, u2=u2)
 
@@ -131,35 +132,36 @@ def _pl_weights(p, lags, h):
     return w_lo, w_hi
 
 
-def _cn_step(u, v, ivals, fvals, m, h, hist, q1, rho, kappa):
+def _cn_step(u, v, ivals, f, m, h, hist, q1, rho, kappa):
     # one Crank-Nicolson step with the implicit memory weight q1 on u_{m+1}
-    fm = fvals[m] - kappa * u[m] + kappa * ivals[m]
+    fm = f - kappa * u[m] + kappa * ivals[m]
     ut = u[m] + 0.5 * h * v[m]
     denom = rho + 0.25 * h * h * kappa * (1.0 - q1)
-    v[m + 1] = (rho * v[m] + 0.5 * h * (fm + fvals[m + 1] + kappa * hist)
+    v[m + 1] = (rho * v[m] + 0.5 * h * (fm + f + kappa * hist)
                 + 0.5 * h * kappa * (q1 - 1.0) * ut) / denom
     u[m + 1] = ut + 0.5 * h * v[m + 1]
     ivals[m + 1] = hist + q1 * u[m + 1]
 
 
-def cn_sweep(u, v, ivals, fvals, agr, pw, qw, k, rho, kappa, m0):
+def cn_sweep(u, v, ivals, f, agr, pw, qw, k, rho, kappa, m0):
     """Crank-Nicolson steps of size k over the uniform tail of the grid.
 
     u, v and ivals are filled through index m0; pw and qw are the lag-indexed
-    product weights, agr the frozen contribution of the graded startup.
+    product weights, agr the frozen contribution of the graded startup, f
+    the constant load.
     """
     for m in range(m0, u.shape[0] - 1):
         n = m + 1 - m0
         hist = agr[m + 1] + np.dot(u[m0:m + 1], pw[n:0:-1])
         if m > m0:
             hist += np.dot(u[m0 + 1:m + 1], qw[n:1:-1])
-        _cn_step(u, v, ivals, fvals, m, k, hist, qw[1], rho, kappa)
+        _cn_step(u, v, ivals, f, m, k, hist, qw[1], rho, kappa)
     return u
 
 
 def _reference_sweep(model, t_final, k_ref, m_g, startup_steps):
     p = model.kernel
-    rho, kappa = model.rho, model.kappa
+    rho, kappa, f = model.rho, model.kappa, model.load
     t_g = startup_steps * k_ref
     if t_g >= 0.5 * t_final:
         t_g = 0.5 * t_final
@@ -171,7 +173,6 @@ def _reference_sweep(model, t_final, k_ref, m_g, startup_steps):
     v = np.zeros(M + 1)
     ivals = np.zeros(M + 1)
     u[0], v[0] = model.u0, model.v0
-    fvals = model.f(nodes)
 
     # graded startup: each step's product weights over all earlier
     # intervals in one call; the last interval's upper weight is implicit
@@ -179,7 +180,7 @@ def _reference_sweep(model, t_final, k_ref, m_g, startup_steps):
         h = np.diff(nodes[:m + 2])
         w_lo, w_hi = _pl_weights(p, nodes[m + 1] - nodes[:m + 2], h)
         hist = u[:m + 1] @ w_lo + u[1:m + 1] @ w_hi[:m]
-        _cn_step(u, v, ivals, fvals, m, h[m], hist, w_hi[m], rho, kappa)
+        _cn_step(u, v, ivals, f, m, h[m], hist, w_hi[m], rho, kappa)
 
     # uniform continuation: lag-indexed weights plus the frozen graded part
     d = np.arange(M - m_g, -1, -1, dtype=np.float64)
@@ -193,7 +194,7 @@ def _reference_sweep(model, t_final, k_ref, m_g, startup_steps):
         w_lo, w_hi = _pl_weights(p, nodes[None, m_g + 1:] - graded[:, None],
                                  np.diff(graded)[:, None])
         agr[m_g + 1:] = u[:m_g] @ w_lo + u[1:m_g + 1] @ w_hi
-    cn_sweep(u, v, ivals, fvals, agr, pw, qw, k_ref, rho, kappa, m_g)
+    cn_sweep(u, v, ivals, f, agr, pw, qw, k_ref, rho, kappa, m_g)
     return nodes, u, v
 
 
@@ -245,14 +246,6 @@ class ConvergenceStudy:
         return [r.order for r in self.rows]
 
 
-def _step_grid(t_final, k):
-    """Uniform grid of step k on [0, t_final]; k must divide t_final."""
-    steps = round(t_final / k)
-    if steps < 1 or abs(steps * k - t_final) > 1e-9 * t_final:
-        raise ValueError(f"k = {k!r} does not divide t_final = {t_final!r}")
-    return TimeGrid.uniform(t_final, steps)
-
-
 def _dg0_study(model, k_list, grids, u_ref):
     """dG(0) final-value errors against u_ref and the observed orders."""
     finals = [scalar_dg0(model, build_weights(grid, model.kernel)).u1[-1]
@@ -283,7 +276,7 @@ def convergence_study(model: ScalarModel, k_list, t_final,
     k_list = list(k_list)
     if any(k2 >= k1 for k1, k2 in zip(k_list, k_list[1:])):
         raise ValueError("k_list must be strictly decreasing")
-    grids = [_step_grid(t_final, k) for k in k_list]
+    grids = [TimeGrid.with_step(t_final, k) for k in k_list]
     if reference is None:
         reference = scalar_reference(model, t_final, min(k_list) / REF_FACTOR)
     return _dg0_study(model, k_list, grids, reference.at_final())
@@ -293,7 +286,7 @@ def self_convergence_study(model: ScalarModel, k_list, t_final, k_fine):
     """Orders measured against a fine dG(0) run (same scheme, smaller step)."""
     if k_fine >= min(k_list):
         raise ValueError("k_fine must be below every entry of k_list")
-    grids = [_step_grid(t_final, k) for k in k_list]
-    fine = build_weights(_step_grid(t_final, k_fine), model.kernel)
+    grids = [TimeGrid.with_step(t_final, k) for k in k_list]
+    fine = build_weights(TimeGrid.with_step(t_final, k_fine), model.kernel)
     u_ref = float(scalar_dg0(model, fine).u1[-1])
     return _dg0_study(model, k_list, grids, u_ref)

@@ -64,6 +64,18 @@ class TimeGrid:
         k = t_final / n_steps
         return cls(np.arange(n_steps + 1) * k)
 
+    @classmethod
+    def with_step(cls, t_final, k):
+        """The uniform grid of step k on [0, t_final]; both must be positive
+        and finite, and k must divide t_final to 1e-9 relative."""
+        if not (0.0 < t_final < np.inf and 0.0 < k < np.inf):
+            raise ValueError(f"t_final and k must be positive and finite, "
+                             f"got t_final = {t_final!r}, k = {k!r}")
+        steps = round(t_final / k)
+        if steps < 1 or abs(steps * k - t_final) > 1e-9 * t_final:
+            raise ValueError(f"k = {k!r} does not divide t_final = {t_final!r}")
+        return cls.uniform(t_final, steps)
+
     @cached_property
     def steps(self):
         """The k_n; on a uniform grid (differences equal to 1e-12 relative)

@@ -227,7 +227,7 @@ def test_criterion_8_cross_implementation_oracle():
         rho=float(sys_.Mff.toarray()[0, 0]),
         kappa=float(sys_.Kff.toarray()[0, 0]),
         kernel=ker,
-        forcing=lambda t: float(sys_.load[0]),
+        load=float(sys_.load[0]),
         u0=0.0, v0=0.0)
     trace = scalar_dg0(model, table)
     err = float(np.max(np.abs(hist.U1[:, 7] - trace.u1)))

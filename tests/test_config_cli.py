@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fracvisco.cli import main
-from fracvisco.config import ConfigError, RunConfig, parse_config, serialize_config
+from fracvisco.config import ConfigError, RunConfig, parse_config
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -105,21 +105,33 @@ class TestParse:
         with pytest.raises(ConfigError, match="line 4: duplicate"):
             parse_config("[time]\nt_final = 1.0\ndt = 0.25\ndt = 0.5\n")
 
-    def test_round_trip(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            cfg = parse_config((CONFIG_DIR / "paper_sec6.cfg").read_text())
-            again = parse_config(serialize_config(cfg))
-        assert cfg == again
+    def test_dt_errors_name_their_line(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config("[time]\nt_final = 1.0\n\ndt = -0.25\n")
+        assert err.value.errors == [
+            "line 4: dt: t_final and k must be positive and finite, "
+            "got t_final = 1.0, k = -0.25"]
 
-    def test_round_trip_nondefault(self):
-        cfg = RunConfig(alpha=0.31, tau=2.5, gamma=0.25, mu=7.0, lam=3.0,
-                        rho=10.0, nx=3, ny=4, lx=2.0, ly=0.5, t_final=3.0,
-                        steps=7, f=(0.1, 0.2), g_bottom=(1.0, 0.0),
-                        probes=((2.0, 0.5), (1.0, 0.25)), out_dir="elsewhere")
+    def test_every_nondefault_field_parses(self):
+        text = ("[kernel]\nalpha = 0.31\ntau = 2.5\ngamma = 0.25\n"
+                "[elastic]\nmu = 7.0\nlambda = 3.0\nrho = 10.0\n"
+                "[mesh]\nnx = 3\nny = 4\nlx = 2.0\nly = 0.5\n"
+                "[time]\nt_final = 3.0\nsteps = 7\n"
+                "[loads]\nf = (0.1, 0.2)\ng_right = (0.0, -2.0)\n"
+                "g_bottom = (1.0, 0.0)\ng_top = (0.5, 0.5)\n"
+                "[probes]\nprobe = (2.0, 0.5)\nprobe = (1.0, 0.25)\n"
+                "[output]\ndir = elsewhere\n")
+        want = RunConfig(alpha=0.31, tau=2.5, gamma=0.25, mu=7.0, lam=3.0,
+                         rho=10.0, nx=3, ny=4, lx=2.0, ly=0.5, t_final=3.0,
+                         steps=7, f=(0.1, 0.2), g_right=(0.0, -2.0),
+                         g_bottom=(1.0, 0.0), g_top=(0.5, 0.5),
+                         probes=((2.0, 0.5), (1.0, 0.25)),
+                         out_dir="elsewhere")
+        assert all(getattr(want, f.name) != f.default
+                   for f in dataclasses.fields(RunConfig))
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert parse_config(serialize_config(cfg)) == cfg
+            warnings.simplefilter("error")
+            assert parse_config(text) == want
 
     @pytest.mark.parametrize("section,line,message", [
         ("solver", "method = cg", "method must be direct, got cg"),
@@ -141,7 +153,6 @@ class TestParse:
         with pytest.warns(UserWarning, match="using defaults for"):
             cfg = parse_config("[solver]\ncg_tol = 1e-10\n")
         assert cfg == RunConfig()
-        assert "cg_tol" not in serialize_config(cfg)
 
 
 def run_cli(args, tmp_path, monkeypatch):
@@ -158,6 +169,12 @@ class TestCli:
         assert main(["ml-eval", "--alpha", "0.5", "--b", "1", "--x", "2"]) == 0
         out = float(capsys.readouterr().out.strip())
         assert out == pytest.approx(math.exp(4.0) * erfc(2.0), rel=1e-10)
+
+    @pytest.mark.parametrize("x", ["nan", "-1"])
+    def test_ml_eval_rejects_bad_x(self, capsys, x):
+        assert main(["ml-eval", "--alpha", "0.5", "--b", "1", "--x", x]) == 1
+        assert capsys.readouterr().err == (
+            "error: ml-eval: x must be nonnegative\n")
 
     def test_simulate_writes_trace(self, tmp_path, monkeypatch):
         cfg = tmp_path / "small.cfg"
@@ -217,6 +234,23 @@ class TestCli:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: converge-time: k = 0.3 does not divide")
+        assert not (tmp_path / "convergence.csv").exists()
+
+    @pytest.mark.parametrize("flag,message", [
+        ("--u0", "u0 must be finite"), ("--v0", "v0 must be finite"),
+        ("--rho", "rho must be finite"), ("--kappa", "kappa must be finite"),
+        ("--t-final", "t_final and k must be positive and finite")])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_converge_time_rejects_non_finite_data(self, tmp_path,
+                                                   monkeypatch, capsys,
+                                                   flag, message, value):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("")
+        code = run_cli(["converge-time", str(cfg), "--k-list", "0.5,0.25",
+                        flag, value], tmp_path, monkeypatch)
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: converge-time: {message}")
         assert not (tmp_path / "convergence.csv").exists()
 
     def test_config_error_exit_code(self, tmp_path, monkeypatch, capsys):

@@ -149,6 +149,13 @@ class TestLoads:
         g = side_traction({})
         assert np.all(traction_load(mesh8, g) == 0.0)
 
+    @pytest.mark.parametrize("side", ["left", "Right", "north"])
+    def test_traction_only_on_neumann_sides(self, side):
+        # x = 0 is clamped, so a traction there would be dropped; an
+        # unknown name is no side at all
+        with pytest.raises(ValueError, match=f"side {side!r}"):
+            side_traction({"right": (0.0, -1.0), side: (1.0, 0.0)})
+
     def test_traction_refinement_invariant(self, downward_traction):
         totals = []
         for nx in (2, 4):

@@ -45,6 +45,13 @@ class TestMlE:
         with pytest.raises(ValueError):
             ml_e(0.5, 3.0, 1.0)
 
+    def test_nan_rejected_inf_is_zero(self):
+        for x in (np.nan, np.array([1.0, np.nan]), np.array([[np.nan]])):
+            with pytest.raises(ValueError, match="nonnegative"):
+                ml_e(0.5, 1.0, x)
+        for alpha, b in ((0.5, 1.0), (2.0 / 3.0, 2.0 / 3.0), (0.9, 2.0)):
+            assert ml_e(alpha, b, np.inf) == 0.0
+
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 2.0 / 3.0, 0.9, 1.0])
     @pytest.mark.parametrize("bsel", ["one", "two", "alpha"])
     def test_accuracy_against_oracle(self, alpha, bsel):

@@ -10,6 +10,8 @@ import fracvisco
 # references that need scipy.integrate live in tests/oracles.py
 TEST_ONLY = ("mpmath", "scipy.integrate")
 MODULES = sorted(Path(fracvisco.__file__).parent.glob("*.py"))
+# imported but unused on purpose: perfbench wraps it under this module's name
+UNUSED_ON_PURPOSE = {("weights", "beta_primitive")}
 
 
 def imported_names(tree):
@@ -35,3 +37,23 @@ def test_all_names_exist(path):
     missing = [n for n in getattr(module, "__all__", ())
                if not hasattr(module, n)]
     assert not missing, f"{path.name} exports missing names {missing}"
+
+
+def bound_imports(tree):
+    """The names a module's imports bind, ``__future__`` left out."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (a.asname or a.name for a in node.names)
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "__init__"],
+                         ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    unused = sorted(name for name in bound_imports(tree)
+                    if name not in used
+                    and (path.stem, name) not in UNUSED_ON_PURPOSE)
+    assert not unused, f"{path.name} imports {unused} and never uses them"

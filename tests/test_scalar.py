@@ -43,6 +43,22 @@ class TestScalarDg0:
         with pytest.raises(ValueError):
             ScalarModel(rho=1.0, kappa=-1.0, kernel=kernel_sec6)
 
+    @pytest.mark.parametrize("name", ["rho", "kappa", "load", "u0", "v0"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_data_rejected(self, kernel_sec6, name, value):
+        data = {"rho": 1.0, "kappa": 1.0, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            ScalarModel(kernel=kernel_sec6, **data)
+
+    def test_constant_load_elastic(self):
+        # gamma = 0, u(0) = v(0) = 0: u = (f/kappa) (1 - cos(t sqrt(kappa/rho)))
+        m = ScalarModel(rho=1.0, kappa=4.0, kernel=KernelParams(0.5, 1.0, 0.0),
+                        load=2.0)
+        trace = scalar_dg0(m, build_weights(TimeGrid.uniform(2.0, 2 ** 12),
+                                             m.kernel))
+        exact = 0.5 * (1.0 - np.cos(2.0 * trace.times))
+        assert np.max(np.abs(trace.u1 - exact)) <= 2e-3
+
 
 class TestScalarReference:
     def test_elastic_cosine(self):
@@ -131,10 +147,17 @@ class TestScalarReference:
         assert np.all(np.isfinite(ref.u))
 
     def test_forced_problem_runs(self, kernel_sec6):
-        m = ScalarModel(rho=1.0, kappa=2.0, kernel=kernel_sec6,
-                        forcing=lambda t: np.sin(np.asarray(t)), u0=0.0)
+        m = ScalarModel(rho=1.0, kappa=2.0, kernel=kernel_sec6, load=0.5)
         ref = scalar_reference(m, 2.0, k_ref=2.0 ** -11)
         assert ref.richardson_ok
+
+    def test_constant_load_elastic(self):
+        m = ScalarModel(rho=1.0, kappa=4.0, kernel=KernelParams(0.5, 1.0, 0.0),
+                        load=2.0, u0=0.1)
+        # u = f/kappa + (u0 - f/kappa) cos(2t)
+        ref = scalar_reference(m, 4.0, k_ref=2.0 ** -12)
+        exact = 0.5 - 0.4 * np.cos(2.0 * 4.0)
+        assert ref.at_final() == pytest.approx(exact, abs=1e-6)
 
 
 class TestConvergence:

@@ -232,7 +232,7 @@ class TestRun:
         m = ScalarModel(rho=float(sys_.Mff.toarray()[0, 0]),
                         kappa=float(sys_.Kff.toarray()[0, 0]),
                         kernel=kernel_sec6,
-                        forcing=lambda t: float(sys_.load[0]),
+                        load=float(sys_.load[0]),
                         u0=0.0, v0=0.0)
         trace = scalar_dg0(m, table)
         assert hist.U1[:, 7] == pytest.approx(trace.u1, abs=1e-12)

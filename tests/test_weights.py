@@ -31,6 +31,22 @@ class TestTimeGrid:
         assert g.t_final == pytest.approx(2.0)
         assert np.all(g.steps == pytest.approx(0.25))
 
+    def test_with_step(self):
+        g = TimeGrid.with_step(2.0, 0.25)
+        assert np.array_equal(g.nodes, TimeGrid.uniform(2.0, 8).nodes)
+        # 1e-9 relative slack, as a decimal step written in a file needs
+        assert TimeGrid.with_step(1.0, 0.1 * (1.0 + 1e-10)).n_steps == 10
+        for t_final, k in ((1.0, 0.3), (1.0, 3.0), (1.0, 0.1 * (1 + 1e-8))):
+            with pytest.raises(ValueError, match="does not divide"):
+                TimeGrid.with_step(t_final, k)
+
+    @pytest.mark.parametrize("t_final,k", [
+        (np.nan, 0.1), (np.inf, 0.1), (0.0, 0.1), (-1.0, 0.1),
+        (1.0, np.nan), (1.0, np.inf), (1.0, 0.0), (1.0, -0.25)])
+    def test_with_step_needs_positive_finite_data(self, t_final, k):
+        with pytest.raises(ValueError, match="positive and finite"):
+            TimeGrid.with_step(t_final, k)
+
 
 class TestBuildWeights:
     def test_gamma_zero(self, rng):
