@@ -112,7 +112,21 @@ class TestParse:
             "line 4: dt: t_final and k must be positive and finite, "
             "got t_final = 1.0, k = -0.25"]
 
-    def test_every_nondefault_field_parses(self):
+    def test_round_trip(self):
+        # the shipped file and the RunConfig it spells out, field by field
+        want = RunConfig(alpha=2.0 / 3.0, tau=1.0, gamma=0.5, mu=1.0e5,
+                         lam=1.0e5, rho=3000.0, nx=16, ny=16, lx=1.0, ly=1.0,
+                         t_final=40.0, steps=2560, f=(0.0, 0.0),
+                         g_right=(0.0, -1.0), g_bottom=(0.0, 0.0),
+                         g_top=(0.0, 0.0), probes=((1.0, 1.0),),
+                         out_dir="out")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cfg = parse_config((CONFIG_DIR / "paper_sec6.cfg").read_text())
+        assert cfg == want
+
+    def test_round_trip_nondefault(self):
+        # every field written as literal text at a non-default value
         text = ("[kernel]\nalpha = 0.31\ntau = 2.5\ngamma = 0.25\n"
                 "[elastic]\nmu = 7.0\nlambda = 3.0\nrho = 10.0\n"
                 "[mesh]\nnx = 3\nny = 4\nlx = 2.0\nly = 0.5\n"
