@@ -11,11 +11,13 @@ product-integration sweep of the scalar reference solver (O(M^2) memory work),
 the dG(0) history sum (dense row products against ``stepper.history_sums``
 at three FFT thresholds, the middle one the default ``DIRECT_BLOCK``), one
 direct solve of the dG(0) step matrix by banded Cholesky in reverse
-Cuthill-McKee order (the rows name the half-bandwidth bw) and the energy
-ledger of ``energy-check`` on a stored history.  Times are per call; the
-solve rows are per solve, residual check included.  The memory rows give the
-tracemalloc peaks of ``stepper.run`` and of ``energy_ledger`` on the 25x25
-mesh with N=2048, next to the two (N+1) x nf histories a run must hold.
+Cuthill-McKee order (the rows name the half-bandwidth bw), one dG(0) step
+(``stepper.advance``: right-hand side and checked solve) with that matrix,
+and the energy ledger of ``energy-check`` on a stored history.  Times are
+per call; the solve rows are per solve, residual check included, and the
+step rows per step.  The memory rows give the tracemalloc peaks of
+``stepper.run`` and of ``energy_ledger`` on the 25x25 mesh with N=2048, next
+to the two (N+1) x nf histories a run must hold.
 
 Run:  python benchmarks/bench_kernels.py [--quick]
 """
@@ -70,23 +72,39 @@ def online_history(table, u, direct_block):
     return h
 
 
-def solve_row(nx, repeat):
+def solve_rows(nx, repeat):
     """Per-solve time of M + k^2 K on an nx-by-nx mesh with sec6's step k
-    (the dG(0) step matrix without its memory part)."""
+    (the dG(0) step matrix without its memory part), and per-step time of
+    ``stepper.advance`` with that matrix (right-hand side and checked
+    solve)."""
     sys_ = assemble(build_rect_mesh(nx, nx), ElasticParams(1e5, 1e5, 3000.0))
     k = 40.0 / 2560
     a = sys_.Mff + (k * k) * sys_.Kff
     nf = a.shape[0]
-    b = np.random.default_rng(3).standard_normal(nf)
+    rng = np.random.default_rng(3)
+    b = rng.standard_normal(nf)
     calls = max(20, 20_000 // nf)
     solver = SpdSolver(a)
     bw = solver._band.shape[0] - 1
 
-    def many():
+    def many_solves():
         for _ in range(calls):
             solver.solve(b)
-    t, _ = timed(many, repeat)
-    return (f"direct_solve[nf={nf},bw={bw}]", t / calls)
+    t_solve, _ = timed(many_solves, repeat)
+
+    u1_prev, u2_prev, hist = rng.standard_normal((3, nf))
+    kload = k * sys_.load
+    u1, u2 = np.empty(nf), np.empty(nf)
+    work = (np.empty(nf), np.empty(nf))
+
+    def many_steps():
+        for _ in range(calls):
+            stepper.advance(sys_, k, k, kload, solver, u1_prev, u2_prev,
+                            hist, u1, u2, work)
+    t_step, _ = timed(many_steps, repeat)
+    tag = f"[nf={nf},bw={bw}]"
+    return [(f"direct_solve{tag}", t_solve / calls),
+            (f"step{tag}", t_step / calls)]
 
 
 def ledger_row(nx, n_steps, ker, repeat):
@@ -185,7 +203,7 @@ def main():
         rows.append((f"history{tag},online {label}]", t))
 
     for nx in ((8, 16) if args.quick else (6, 7, 8, 10, 16, 25)):
-        rows.append(solve_row(nx, repeat))
+        rows.extend(solve_rows(nx, repeat))
 
     for n_steps in ((128, 512) if args.quick else (512, 2048)):
         rows.append(ledger_row(8 if args.quick else 25, n_steps, ker, repeat))

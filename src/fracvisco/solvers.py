@@ -9,6 +9,13 @@ unless the caller sets another bound; violations raise ``SolverError``
 carrying the achieved residual, and a non-finite right-hand side is refused
 before solving.  A matrix that is not finite or not positive definite is
 refused at factorization.
+
+A solve costs one ``pbtrs`` and one residual product.  Products with a CSR
+matrix go through ``matvec``, which calls the kernel behind scipy's
+``a @ x`` (``scipy.sparse._sparsetools.csr_matvec``) without scipy's
+dispatch: the same kernel on the same zeroed output, so bit for bit the same
+product.  ``_sparsetools`` is private scipy API;
+``tests/test_fem.py::TestMatvec`` fails if it moves or changes.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ import math
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.sparse import _sparsetools
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 __all__ = ["SolverError", "SpdSolver", "make_spd_solver"]
@@ -34,28 +42,40 @@ class SpdSolver:
     the relative residual against ``rtol`` on every solve."""
 
     def __init__(self, a_csr, rtol=1e-10):
-        self.a = sp.csr_matrix(a_csr)
+        self.a = sp.csr_matrix(a_csr, dtype=np.float64)
         self.rtol = rtol
         self._perm, self._band = _banded_factor(self.a)
 
     def solve(self, b):
         b = np.asarray(b, dtype=np.float64)
-        nb = np.linalg.norm(b)
+        # sqrt(b @ b) is numpy's 2-norm of b bit for bit on 1-D float64
+        nb = math.sqrt(b @ b)
         if not math.isfinite(nb):
             raise SolverError("right-hand side is not finite")
         if nb == 0.0:
             return np.zeros_like(b)
-        xp, info = dpbtrs(self._band, b[self._perm], lower=1)
+        xp, info = dpbtrs(self._band, b[self._perm], lower=1, overwrite_b=1)
         if info != 0:
             raise SolverError(f"pbtrs failed (info={info})")
         x = np.empty_like(xp)
         x[self._perm] = xp
-        res = np.linalg.norm(self.a @ x - b) / nb
+        r = matvec(self.a, x, xp)
+        r -= b
+        res = math.sqrt(r @ r) / nb
         if not res <= self.rtol:
             raise SolverError(
                 f"solve residual {res:.3e} exceeds tolerance {self.rtol:.1e}",
                 residual=res)
         return x
+
+
+def matvec(a, x, out):
+    """``out[:] = a @ x`` for a float64 CSR matrix ``a`` and contiguous
+    float64 vectors; returns ``out``.  Bit for bit scipy's product."""
+    out.fill(0.0)
+    _sparsetools.csr_matvec(a.shape[0], a.shape[1], a.indptr, a.indices,
+                            a.data, x, out)
+    return out
 
 
 def _banded_factor(a):

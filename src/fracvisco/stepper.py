@@ -17,6 +17,15 @@ accumulates in row n of the velocity history, which step n then overwrites
 with U2_n, so a run holds exactly its two (N+1) x nf histories and no
 scratch copy of either.
 
+A step does two CSR products for its right-hand side (``solvers.matvec``,
+scipy's kernel without scipy's dispatch), one banded ``pbtrs`` and one
+residual product.  ``run`` reads the steps and the diagonal omega_nn as
+Python floats once, keeps k_n (Fbar_n + Gbar_n) with each factorization,
+reuses two scratch vectors for every step, and ``advance`` writes U1_n and
+U2_n straight into their history rows.  Each operation is the one of the
+plain expression in the same order, so the histories are bit for bit those
+of ``Mff @ u2 + Kff @ (h - co u1) + k load`` solved step by step.
+
 The loads are constant in time, so Fbar_n + Gbar_n is the system's free-dof
 ``load`` at every step.  The whole computation lives on the free dofs, and
 so does the history that ``run`` returns, together with the system and
@@ -34,7 +43,7 @@ import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 
 from .fem import AssembledSystem
-from .solvers import SolverError, make_spd_solver
+from .solvers import SolverError, make_spd_solver, matvec
 from .weights import WeightTable
 
 __all__ = ["SolutionHistory", "history_sums", "time_average_load",
@@ -172,13 +181,30 @@ def time_average_load(sys: AssembledSystem):
     return sys.load
 
 
-def advance(u1_prev_f, u2_prev_f, sys, k, co, hist_f, load_f, solver):
-    """One dG(0) step on free dofs with step k and co = k - omega_nn;
-    returns (u1_f, u2_f)."""
-    rhs = (sys.Mff @ u2_prev_f + sys.Kff @ (hist_f - co * u1_prev_f)
-           + k * load_f)
-    u2 = solver.solve(rhs)
-    return u1_prev_f + k * u2, u2
+def advance(sys, k, co, kload, solver, u1_prev, u2_prev, hist, u1, u2,
+            work):
+    """One dG(0) step on free dofs with step k and co = k - omega_nn, given
+    kload = k (Fbar_n + Gbar_n) and the step matrix's ``solver``: writes
+    U1_n into ``u1`` and U2_n into ``u2``.
+
+    ``work`` holds two scratch vectors of the free-dof size.  ``hist`` may
+    be ``u2`` itself: the right-hand side is complete before U2_n is
+    written.  Every operation is the one of
+
+        rhs = Mff @ u2_prev + Kff @ (hist - co * u1_prev) + kload
+
+    in the same order, so the step is bitwise that expression solved.
+    """
+    w, kw = work
+    np.multiply(u1_prev, co, out=w)
+    np.subtract(hist, w, out=w)
+    matvec(sys.Kff, w, kw)
+    matvec(sys.Mff, u2_prev, w)
+    w += kw
+    w += kload
+    u2[:] = solver.solve(w)
+    np.multiply(u2, k, out=u1)
+    u1 += u1_prev
 
 
 def run(sys: AssembledSystem, table: WeightTable, u0, v0):
@@ -206,18 +232,22 @@ def run(sys: AssembledSystem, table: WeightTable, u0, v0):
     u2f = np.zeros((n_steps + 1, nf))
     u1f[0] = sys.restrict(u0)
     u2f[0] = sys.restrict(v0)
-    k = grid.steps
+    ks = grid.steps.tolist()
+    diag = table.omega.diagonal().tolist()
     load = time_average_load(sys)
-    solvers = {}
+    work = (np.empty(nf), np.empty(nf))
+    solvers = {}    # (k, co) -> (solver, k * load)
     for n, hist in enumerate(history_sums(table, u1f, u2f), start=1):
-        co = k[n - 1] - table.omega[n - 1, n - 1]
-        key = (k[n - 1], co)
+        k = ks[n - 1]
+        co = k - diag[n - 1]
+        key = (k, co)
         if key not in solvers:
-            mat = sys.Mff + (k[n - 1] * co) * sys.Kff
-            solvers[key] = make_spd_solver(mat)
+            solvers[key] = (make_spd_solver(sys.Mff + (k * co) * sys.Kff),
+                          k * load)
+        solver, kload = solvers[key]
         try:
-            u1f[n], u2f[n] = advance(u1f[n - 1], u2f[n - 1], sys, k[n - 1],
-                                     co, hist, load, solvers[key])
+            advance(sys, k, co, kload, solver, u1f[n - 1], u2f[n - 1], hist,
+                    u1f[n], u2f[n], work)
         except SolverError as err:
             raise SolverError(f"step {n} failed: {err}",
                               residual=err.residual) from err

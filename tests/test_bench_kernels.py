@@ -14,6 +14,8 @@ def test_benchmark_script_smoke():
     assert "ml_asym[" in out.stdout
     assert "ml_weights[N=8192,T=40]" in out.stdout
     assert "scalar_reference[" in out.stdout
+    assert "direct_solve[nf=" in out.stdout
+    assert "step[nf=144,bw=" in out.stdout
     assert "ledger[" in out.stdout
     assert "memory[N=2048,nf=1300],run" in out.stdout
     assert "memory[N=2048,nf=1300],ledger" in out.stdout

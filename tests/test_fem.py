@@ -4,7 +4,7 @@ import pytest
 from fracvisco.fem import (DIRICHLET, NEUMANN, ElasticParams, Mesh, assemble,
                            build_rect_mesh, quasi_static_solve, side_traction,
                            traction_load, volume_load)
-from fracvisco.solvers import SolverError, make_spd_solver
+from fracvisco.solvers import SolverError, SpdSolver, make_spd_solver, matvec
 
 
 class TestMesh:
@@ -338,6 +338,50 @@ class TestSolvers:
         a[i, j] = a[j, i] = value
         with pytest.raises(SolverError, match=match):
             make_spd_solver(a.tocsr())
+
+
+class TestMatvec:
+    """``solvers.matvec`` calls the private ``scipy.sparse._sparsetools``
+    kernel; these tests fail if it moves or stops being scipy's ``a @ x``."""
+
+    @staticmethod
+    def assert_bitwise(a, seed):
+        x = np.random.default_rng(seed).standard_normal(a.shape[1])
+        out = np.full(a.shape[0], np.nan)      # the helper must zero it
+        got = matvec(a, x, out)
+        assert got is out
+        assert np.array_equal(out.view(np.int64), (a @ x).view(np.int64))
+
+    @pytest.mark.parametrize("nx", [8, 25])
+    def test_system_matrices_bitwise(self, nx):
+        sys_ = assemble(build_rect_mesh(nx, nx),
+                        ElasticParams(1e5, 1e5, 3000.0))
+        k = 40.0 / 2560
+        step = sys_.Mff + (k * 0.9 * k) * sys_.Kff
+        for seed, a in enumerate((sys_.Kff, sys_.Mff, step)):
+            self.assert_bitwise(a, seed)
+
+    def test_empty_row_unsorted_columns_bitwise(self):
+        import scipy.sparse as sp
+
+        a = sp.csr_matrix((np.array([0.1, -2.5, 3.0, 1e-3, 7.25, -0.5]),
+                           np.array([3, 0, 2, 1, 3, 0]),
+                           np.array([0, 3, 3, 4, 6])), shape=(4, 4))
+        assert not a.has_sorted_indices
+        assert a.indptr[1] == a.indptr[2]      # row 1 is empty
+        self.assert_bitwise(a, 4)
+
+    def test_coo_and_integer_input_solve(self):
+        import scipy.sparse as sp
+
+        dense = np.array([[4, 1, 0], [1, 3, 1], [0, 1, 2]])
+        b = np.array([1.0, -2.0, 0.5])
+        x_ref = np.linalg.solve(dense.astype(float), b)
+        for a in (sp.coo_matrix(dense), sp.csr_matrix(dense)):
+            solver = SpdSolver(a)
+            assert solver.a.format == "csr"
+            assert solver.a.dtype == np.float64
+            assert solver.solve(b) == pytest.approx(x_ref, rel=1e-13)
 
 
 def _assert_matches_dense(a, seed):

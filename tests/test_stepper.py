@@ -8,7 +8,7 @@ from fracvisco.fem import (ElasticParams, assemble, build_rect_mesh,
                            side_traction, traction_load)
 from fracvisco.mlf import KernelParams
 from fracvisco.scalar import ScalarModel, scalar_dg0
-from fracvisco.solvers import make_spd_solver
+from fracvisco.solvers import SpdSolver, make_spd_solver
 from fracvisco.stepper import history_sums, run, time_average_load
 from fracvisco.weights import TimeGrid, build_weights
 
@@ -30,6 +30,26 @@ def poisoned_sums(table, u):
         got.append(np.array(h, copy=True))
         acc[m] = np.nan
     return np.array(got)
+
+
+def reference_run(sys_, table, u0, v0):
+    """(u1f, u2f) of ``run`` as a plain loop: ``history_sums``, the right-hand
+    side as one scipy expression and a fresh ``SpdSolver`` per step."""
+    n_steps = table.grid.n_steps
+    nf = sys_.free_dofs.size
+    u1 = np.empty((n_steps + 1, nf))
+    u2 = np.zeros((n_steps + 1, nf))
+    u1[0] = sys_.restrict(u0)
+    u2[0] = sys_.restrict(v0)
+    k = table.grid.steps
+    for n, h in enumerate(history_sums(table, u1, u2), start=1):
+        co = k[n - 1] - table.omega[n - 1, n - 1]
+        rhs = (sys_.Mff @ u2[n - 1] + sys_.Kff @ (h - co * u1[n - 1])
+               + k[n - 1] * sys_.load)
+        x = SpdSolver(sys_.Mff + (k[n - 1] * co) * sys_.Kff).solve(rhs)
+        u2[n] = x
+        u1[n] = u1[n - 1] + k[n - 1] * x
+    return u1, u2
 
 
 class TestHistorySums:
@@ -152,6 +172,46 @@ class TestRun:
         z = np.zeros(sys_.n_dofs)
         run(sys_, table, z, z)
         assert len(calls) == 1
+
+    def test_nonuniform_grid_factors_once_per_step_value(
+            self, elastic_soft, kernel_sec6, monkeypatch):
+        # steps alternate between two dyadic values on a dense table: one
+        # factorization per distinct (k, co)
+        steps = np.tile([2.0 ** -5, 2.0 ** -4], 20)
+        grid = TimeGrid(np.concatenate([[0.0], np.cumsum(steps)]))
+        assert not grid.is_uniform
+        table = build_weights(grid, kernel_sec6)
+        sys_ = assemble(build_rect_mesh(4, 4), elastic_soft,
+                        traction=side_traction({"right": (0.0, -1.0)}))
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return make_spd_solver(*args, **kwargs)
+
+        monkeypatch.setattr(stepper, "make_spd_solver", counted)
+        z = np.zeros(sys_.n_dofs)
+        run(sys_, table, z, z)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("uniform", [True, False])
+    def test_bitwise_reference_loop(self, elastic_soft, kernel_sec6, uniform):
+        sys_ = assemble(build_rect_mesh(4, 4), elastic_soft,
+                        traction=side_traction({"right": (0.0, -1.0)}))
+        rng = np.random.default_rng(11)
+        if uniform:
+            grid = TimeGrid.uniform(2.0, 96)
+        else:
+            k = rng.uniform(0.5, 2.0, 40)
+            grid = TimeGrid(np.concatenate([[0.0], np.cumsum(k / k.sum())]))
+        table = build_weights(grid, kernel_sec6)
+        nf = sys_.free_dofs.size
+        u0 = sys_.expand(1e-4 * rng.standard_normal(nf))
+        v0 = sys_.expand(1e-3 * rng.standard_normal(nf))
+        hist = run(sys_, table, u0, v0)
+        u1, u2 = reference_run(sys_, table, u0, v0)
+        assert np.array_equal(hist.u1f.view(np.int64), u1.view(np.int64))
+        assert np.array_equal(hist.u2f.view(np.int64), u2.view(np.int64))
 
     def test_zero_data_zero_loads(self, mesh8, elastic_soft, kernel_sec6):
         sys_ = assemble(mesh8, elastic_soft)
