@@ -10,12 +10,12 @@ weight-table construction on a nonuniform grid (O(N^2) distinct lags), the
 product-integration sweep of the scalar reference solver (O(M^2) memory work),
 the dG(0) history sum (dense row products against ``stepper.history_sums``
 at three FFT thresholds, the middle one the default ``DIRECT_BLOCK``), one
-direct solve of the dG(0) step matrix by banded Cholesky in reverse
-Cuthill-McKee order (the rows name the half-bandwidth bw), one dG(0) step
-(``stepper.advance``: right-hand side and checked solve) with that matrix,
-and the energy ledger of ``energy-check`` on a stored history.  Times are
-per call; the solve rows are per solve, residual check included, and the
-step rows per step.  The memory rows give the tracemalloc peaks of
+direct solve of the dG(0) step matrix by banded Cholesky in the band order
+``assemble`` gives the free dofs (the rows name the half-bandwidth bw), one
+dG(0) step (``stepper.advance``: right-hand side and checked solve) with
+that matrix, and the energy ledger of ``energy-check`` on a stored history.
+Times are per call; the solve rows are per solve, residual check included,
+and the step rows per step.  The memory rows give the tracemalloc peaks of
 ``stepper.run`` and of ``energy_ledger`` on the 25x25 mesh with N=2048, next
 to the two (N+1) x nf histories a run must hold.
 

@@ -1,14 +1,14 @@
 """SPD linear solves by banded Cholesky with enforced residual verification.
 
-The unknowns are ordered once by reverse Cuthill-McKee, which gives the P1
-matrices of ``fem.build_rect_mesh`` meshes a half-bandwidth of about
-2 (min(nx, ny) + 1) (17 at 8x8, 35 at 16x16, 53 at 25x25, 201 at 100x100),
-and LAPACK ``pbtrf``/``pbtrs`` factor and solve in that order.  Every solve
-is verified by its relative residual on the original matrix, against 1e-10
-unless the caller sets another bound; violations raise ``SolverError``
-carrying the achieved residual, and a non-finite right-hand side is refused
-before solving.  A matrix that is not finite or not positive definite is
-refused at factorization.
+LAPACK ``pbtrf``/``pbtrs`` factor and solve the matrix in the order it is
+given, with the half-bandwidth of that order: ``fem.assemble`` numbers the
+free dofs in reverse Cuthill-McKee order, so the step matrices of a run come
+banded (half-bandwidth 17 at 8x8, 35 at 16x16, 53 at 25x25) and a solve
+needs no permutation.  Every solve is verified by its relative residual,
+against 1e-10 unless the caller sets another bound; violations raise
+``SolverError`` carrying the achieved residual, and a non-finite right-hand
+side is refused before solving.  A matrix that is not finite or not positive
+definite is refused at factorization.
 
 A solve costs one ``pbtrs`` and one residual product.  Products with a CSR
 matrix go through ``matvec``, which calls the kernel behind scipy's
@@ -26,7 +26,6 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse import _sparsetools
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 __all__ = ["SolverError", "SpdSolver", "make_spd_solver"]
 
@@ -38,13 +37,14 @@ class SolverError(RuntimeError):
 
 
 class SpdSolver:
-    """Banded Cholesky factor of a fixed SPD matrix, solved with a check of
-    the relative residual against ``rtol`` on every solve."""
+    """Banded Cholesky factor of a fixed SPD matrix in its given order,
+    solved with a check of the relative residual against ``rtol`` on every
+    solve."""
 
     def __init__(self, a_csr, rtol=1e-10):
         self.a = sp.csr_matrix(a_csr, dtype=np.float64)
         self.rtol = rtol
-        self._perm, self._band = _banded_factor(self.a)
+        self._band = _banded_factor(self.a)
 
     def solve(self, b):
         b = np.asarray(b, dtype=np.float64)
@@ -54,12 +54,10 @@ class SpdSolver:
             raise SolverError("right-hand side is not finite")
         if nb == 0.0:
             return np.zeros_like(b)
-        xp, info = dpbtrs(self._band, b[self._perm], lower=1, overwrite_b=1)
+        x, info = dpbtrs(self._band, b, lower=1)
         if info != 0:
             raise SolverError(f"pbtrs failed (info={info})")
-        x = np.empty_like(xp)
-        x[self._perm] = xp
-        r = matvec(self.a, x, xp)
+        r = matvec(self.a, x, np.empty_like(x))
         r -= b
         res = math.sqrt(r @ r) / nb
         if not res <= self.rtol:
@@ -79,11 +77,10 @@ def matvec(a, x, out):
 
 
 def _banded_factor(a):
-    """Reverse Cuthill-McKee order of ``a`` and the lower Cholesky factor of
-    the reordered matrix in LAPACK band storage, ``band[i - j, j] = L[i, j]``
-    for the (bw + 1) x n band."""
-    perm = reverse_cuthill_mckee(a, symmetric_mode=True)
-    low = sp.tril(a[perm][:, perm], format="coo")
+    """The lower Cholesky factor of ``a`` in LAPACK band storage,
+    ``band[i - j, j] = L[i, j]`` for the (bw + 1) x n band of half-bandwidth
+    bw."""
+    low = sp.tril(a, format="coo")
     low.sum_duplicates()
     offset = low.row - low.col
     band = np.zeros((offset.max(initial=0) + 1, a.shape[0]))
@@ -93,7 +90,7 @@ def _banded_factor(a):
     band, info = dpbtrf(band, lower=1, overwrite_ab=1)
     if info != 0:
         raise SolverError(f"matrix is not positive definite (pbtrf info={info})")
-    return perm, band
+    return band
 
 
 def make_spd_solver(a_csr, rtol=1e-10, dense_limit=0):

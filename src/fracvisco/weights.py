@@ -59,8 +59,14 @@ class TimeGrid:
 
     @classmethod
     def uniform(cls, t_final, n_steps):
-        if n_steps < 1 or t_final <= 0.0:
-            raise ValueError("need n_steps >= 1 and t_final > 0")
+        """The grid of ``n_steps`` equal steps on [0, t_final]; ``t_final``
+        must be positive and finite, and ``n_steps`` a whole number >= 1."""
+        if not 0.0 < t_final < np.inf:
+            raise ValueError(f"t_final must be positive and finite, "
+                             f"got t_final = {t_final!r}")
+        if not (n_steps >= 1 and float(n_steps).is_integer()):
+            raise ValueError(f"n_steps must be a whole number >= 1, "
+                             f"got n_steps = {n_steps!r}")
         k = t_final / n_steps
         return cls(np.arange(n_steps + 1) * k)
 

@@ -4,7 +4,11 @@ Each is independent of the route the package takes: ``ml_e_reference``
 evaluates the Mittag-Leffler series in mpmath's arbitrary precision, and
 ``omega_by_quadrature`` integrates the kernel over a time cell by nested
 quadrature instead of differencing the double primitive C.
+``sorted_order`` renumbers an assembled system's free dofs in sorted order
+instead of the band order of ``assemble``.
 """
+
+import dataclasses
 
 import mpmath as mp
 import numpy as np
@@ -110,3 +114,14 @@ def omega_by_quadrature(grid: TimeGrid, p: KernelParams, n, j,
 
     val, _ = quad(inner, t0, t1, epsabs=epsabs, epsrel=epsrel, limit=200)
     return val
+
+
+def sorted_order(sys_):
+    """``sys_`` with its free dofs in sorted order: ``free_dofs``, ``Kff``,
+    ``Mff`` and ``load`` taken from the full-size ``K``, ``M`` and load on
+    that order."""
+    free = np.sort(sys_.free_dofs)
+    return dataclasses.replace(sys_, free_dofs=free,
+                               Kff=sys_.K[free][:, free].tocsr(),
+                               Mff=sys_.M[free][:, free].tocsr(),
+                               load=sys_.expand(sys_.load)[free])

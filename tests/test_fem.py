@@ -5,6 +5,12 @@ from fracvisco.fem import (DIRICHLET, NEUMANN, ElasticParams, Mesh, assemble,
                            build_rect_mesh, quasi_static_solve, side_traction,
                            traction_load, volume_load)
 from fracvisco.solvers import SolverError, SpdSolver, make_spd_solver, matvec
+from oracles import sorted_order
+
+
+def half_bandwidth(a):
+    coo = a.tocoo()
+    return int(np.abs(coo.row - coo.col).max(initial=0))
 
 
 class TestMesh:
@@ -67,6 +73,13 @@ class TestMesh:
         assert m.nearest_vertex((1.0, 1.0)) == 8
         with pytest.warns(UserWarning, match="snapped"):
             m.nearest_vertex((0.51, 0.52))
+
+    @pytest.mark.parametrize("point", [(np.nan, 0.5), (np.inf, 0.5),
+                                       (0.5, -np.inf)])
+    def test_non_finite_probe_rejected(self, point):
+        # a NaN point used to snap to vertex 0 without a warning
+        with pytest.raises(ValueError, match="not finite"):
+            build_rect_mesh(2, 2).nearest_vertex(point)
 
 
 class TestAssembly:
@@ -137,6 +150,57 @@ class TestAssembly:
         b = assemble(mesh8, elastic_soft)
         assert np.array_equal(a.K.data, b.K.data)
         assert np.array_equal(a.M.data, b.M.data)
+
+
+class TestBandOrder:
+    @pytest.mark.parametrize("nx,bw", [(8, 17), (16, 35), (25, 53)])
+    def test_half_bandwidth(self, nx, bw):
+        sys_ = assemble(build_rect_mesh(nx, nx),
+                        ElasticParams(1e5, 1e5, 3000.0))
+        assert half_bandwidth(sys_.Kff) == half_bandwidth(sys_.Mff) == bw
+        free = np.setdiff1d(np.arange(sys_.n_dofs), sys_.constrained_dofs)
+        assert np.array_equal(np.sort(sys_.free_dofs), free)
+
+    @pytest.mark.parametrize("nx,ny", [(8, 8), (25, 25), (40, 3)])
+    def test_order_of_every_step_matrix(self, nx, ny):
+        # the band order is the reverse Cuthill-McKee order of every step
+        # matrix M + c K on the sorted free dofs
+        from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+        sys_ = assemble(build_rect_mesh(nx, ny),
+                        ElasticParams(1e5, 1e5, 3000.0))
+        ref = sorted_order(sys_)
+        k = 40.0 / 2560
+        for c in (0.9 * k * k, 1e-9, 1.0, 1e3):
+            perm = reverse_cuthill_mckee(ref.Mff + c * ref.Kff,
+                                         symmetric_mode=True)
+            assert np.array_equal(ref.free_dofs[perm], sys_.free_dofs), c
+
+    @pytest.mark.parametrize("nx,ny", [(8, 8), (25, 25), (40, 3)])
+    def test_rows_keep_stored_order_and_products_bitwise(self, nx, ny, rng):
+        # each row of Kff and Mff stores its entries in the order of the
+        # full matrix, so a product adds the same terms in the same order as
+        # on the sorted free dofs
+        sys_ = assemble(build_rect_mesh(nx, ny),
+                        ElasticParams(1e5, 1e5, 3000.0))
+        ref = sorted_order(sys_)
+        x = rng.standard_normal(sys_.n_dofs)
+        for name in ("Kff", "Mff"):
+            a = getattr(sys_, name)
+            labels = sys_.free_dofs[a.indices]      # columns of K and M
+            ptr = a.indptr
+            assert all(np.all(np.diff(labels[ptr[r]:ptr[r + 1]]) > 0)
+                       for r in range(a.shape[0])), name
+            assert not a.has_sorted_indices, name
+            got = sys_.expand(matvec(a, sys_.restrict(x),
+                                     np.empty(sys_.free_dofs.size)))
+            want = ref.expand(getattr(ref, name) @ ref.restrict(x))
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_no_free_dofs_rejected(self):
+        with pytest.raises(ValueError, match="no unknowns"):
+            assemble(build_rect_mesh(1, 1), ElasticParams(1.0, 1.0, 1.0),
+                     extra_fixed_dofs=np.arange(8))
 
 
 class TestLoads:
@@ -322,6 +386,27 @@ class TestSolvers:
         import scipy.sparse as sp
 
         _assert_matches_dense(sp.diags(diag, format="csr"), seed=len(diag))
+
+    @pytest.mark.parametrize("nx,ny", [(8, 8), (25, 25), (40, 3)])
+    def test_factors_in_the_given_order(self, nx, ny):
+        # the band holds exactly the half-bandwidth of the matrix as given:
+        # the solver reorders neither the band order of assemble nor the
+        # sorted order (on the 40x3 mesh 83 against 11)
+        sys_ = assemble(build_rect_mesh(nx, ny),
+                        ElasticParams(1e5, 1e5, 3000.0))
+        k = 40.0 / 2560
+        widths = []
+        for s in (sys_, sorted_order(sys_)):
+            a = s.Mff + (k * 0.9 * k) * s.Kff
+            widths.append(half_bandwidth(a))
+            solver = SpdSolver(a)
+            assert solver._band.shape == (widths[-1] + 1, a.shape[0])
+            b = np.random.default_rng(nx).standard_normal(a.shape[0])
+            x = solver.solve(b)
+            assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b)
+        assert widths[0] == half_bandwidth(sys_.Kff)
+        if nx == 40:
+            assert widths == [11, 83]
 
     def test_dense_limit_other_than_zero_raises(self, loaded_system8):
         with pytest.raises(ValueError, match="dense_limit"):

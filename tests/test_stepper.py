@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from fracvisco import stepper
+from fracvisco.diagnostics import energy_ledger
 from fracvisco.fem import (ElasticParams, assemble, build_rect_mesh,
-                           side_traction, traction_load)
+                           quasi_static_solve, side_traction, traction_load)
 from fracvisco.mlf import KernelParams
 from fracvisco.scalar import ScalarModel, scalar_dg0
 from fracvisco.solvers import SpdSolver, make_spd_solver
 from fracvisco.stepper import history_sums, run, time_average_load
 from fracvisco.weights import TimeGrid, build_weights
+from oracles import sorted_order
 
 
 def dense_history(table, u):
@@ -372,6 +374,53 @@ class TestRun:
             tracemalloc.stop()
         assert hist.u1f.nbytes > 17e6
         assert peak < 2 * hist.u1f.nbytes + 8e6
+
+
+class TestBandOrder:
+    """``assemble`` numbers the free dofs in band order; renumbered in
+    sorted order, a run gives the same histories and ledger to roundoff."""
+
+    @pytest.mark.parametrize("nx", [8, 25])
+    def test_matches_sorted_order(self, kernel_sec6, elastic_soft,
+                                  downward_traction, monkeypatch, nx):
+        # squares wider than 16 steps go through the FFT, so those permute
+        # their columns too
+        monkeypatch.setattr(stepper, "DIRECT_BLOCK", 16)
+        n_steps = 128
+        sys_ = assemble(build_rect_mesh(nx, nx), elastic_soft,
+                        volume=(0.2, 0.1), traction=downward_traction)
+        ref = sorted_order(sys_)
+        table = build_weights(TimeGrid.uniform(2.0, n_steps), kernel_sec6)
+        rng = np.random.default_rng(nx)
+        u0, v0 = (sys_.expand(rng.standard_normal(sys_.free_dofs.size))
+                  for _ in range(2))
+        got, want = run(sys_, table, u0, v0), run(ref, table, u0, v0)
+        for name in ("U1", "U2"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b)), name
+        terms, ref_terms = energy_ledger(got), energy_ledger(want)
+        scale = abs(ref_terms.lhs_total)
+        for (name, x), (_, y) in zip(terms.rows()[:-1],
+                                     ref_terms.rows()[:-1]):
+            assert abs(x - y) <= 1e-13 * scale, name
+        assert terms.residual_rel <= 1e-13
+
+    def test_stored_entry_order_survives(self, mesh8, elastic_soft,
+                                         kernel_sec6, downward_traction):
+        # the products are bitwise those of the sorted order only while
+        # each row of Kff and Mff keeps the stored order of K and M: an
+        # in-place sort_indices anywhere on the way would break that
+        sys_ = assemble(mesh8, elastic_soft, traction=downward_traction)
+        mats = (sys_.Kff, sys_.Mff)
+        before = [(a.indptr.copy(), a.indices.copy(), a.data.copy())
+                  for a in mats]
+        table = build_weights(TimeGrid.uniform(1.0, 16), kernel_sec6)
+        u0 = quasi_static_solve(sys_)
+        energy_ledger(run(sys_, table, u0, np.zeros_like(u0)))
+        for a, arrays in zip(mats, before):
+            assert not a.has_sorted_indices
+            for got, want in zip((a.indptr, a.indices, a.data), arrays):
+                assert np.array_equal(got, want)
 
 
 class TestSolutionHistory:

@@ -31,6 +31,19 @@ class TestTimeGrid:
         assert g.t_final == pytest.approx(2.0)
         assert np.all(g.steps == pytest.approx(0.25))
 
+    def test_uniform_needs_whole_step_count(self):
+        # 2.5 steps used to give the nodes 0, 0.4, 0.8, 1.2, past t_final
+        for n_steps in (2.5, 0, -3, np.nan, np.inf):
+            with pytest.raises(ValueError, match="whole number"):
+                TimeGrid.uniform(1.0, n_steps)
+        assert np.array_equal(TimeGrid.uniform(1.0, 4.0).nodes,
+                              TimeGrid.uniform(1.0, 4).nodes)
+
+    @pytest.mark.parametrize("t_final", [np.nan, np.inf, 0.0, -1.0])
+    def test_uniform_needs_positive_finite_t_final(self, t_final):
+        with pytest.raises(ValueError, match="positive and finite"):
+            TimeGrid.uniform(t_final, 4)
+
     def test_with_step(self):
         g = TimeGrid.with_step(2.0, 0.25)
         assert np.array_equal(g.nodes, TimeGrid.uniform(2.0, 8).nodes)
