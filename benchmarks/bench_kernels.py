@@ -13,9 +13,11 @@ at three FFT thresholds, the middle one the default ``DIRECT_BLOCK``), one
 direct solve of the dG(0) step matrix by banded Cholesky in the band order
 ``assemble`` gives the free dofs (the rows name the half-bandwidth bw), one
 dG(0) step (``stepper.advance``: right-hand side and checked solve) with
-that matrix, and the energy ledger of ``energy-check`` on a stored history.
-Times are per call; the solve rows are per solve, residual check included,
-and the step rows per step.  The memory rows give the tracemalloc peaks of
+that matrix, the energy ledger of ``energy-check`` on a stored history, and
+the CSV writer on the probe trace of an 8192-step run.  Times are per call;
+the solve rows are per solve, backward-error check included, and the step
+rows per step, with the products and the solver bound once as ``run`` binds
+them.  The memory rows give the tracemalloc peaks of
 ``stepper.run`` and of ``energy_ledger`` on the 25x25 mesh with N=2048, next
 to the two (N+1) x nf histories a run must hold.
 
@@ -24,6 +26,7 @@ Run:  python benchmarks/bench_kernels.py [--quick]
 
 import argparse
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
@@ -32,14 +35,14 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from fracvisco import stepper  # noqa: E402
+from fracvisco import cli, stepper  # noqa: E402
 from fracvisco._kernels import S_ASYM, S_SERIES, eval_ml_neg  # noqa: E402
 from fracvisco.diagnostics import energy_ledger  # noqa: E402
 from fracvisco.fem import (ElasticParams, assemble,  # noqa: E402
                            build_rect_mesh)
 from fracvisco.mlf import KernelParams  # noqa: E402
 from fracvisco.scalar import ScalarModel, scalar_reference  # noqa: E402
-from fracvisco.solvers import SpdSolver  # noqa: E402
+from fracvisco.solvers import SpdSolver, csr_product  # noqa: E402
 from fracvisco.weights import TimeGrid, build_weights  # noqa: E402
 
 
@@ -95,11 +98,12 @@ def solve_rows(nx, repeat):
     u1_prev, u2_prev, hist = rng.standard_normal((3, nf))
     kload = k * sys_.load
     u1, u2 = np.empty(nf), np.empty(nf)
+    products = (csr_product(sys_.Kff), csr_product(sys_.Mff))
     work = (np.empty(nf), np.empty(nf))
 
     def many_steps():
         for _ in range(calls):
-            stepper.advance(sys_, k, k, kload, solver, u1_prev, u2_prev,
+            stepper.advance(products, k, k, kload, solver, u1_prev, u2_prev,
                             hist, u1, u2, work)
     t_step, _ = timed(many_steps, repeat)
     tag = f"[nf={nf},bw={bw}]"
@@ -119,6 +123,19 @@ def ledger_row(nx, n_steps, ker, repeat):
         u2f=rng.standard_normal((n_steps + 1, nf)), system=sys_, table=table)
     t, _ = timed(lambda: energy_ledger(hist), repeat)
     return (f"ledger[N={n_steps},nf={nf}]", t)
+
+
+def csv_row(n_steps, repeat):
+    """``cli._write_csv`` on the (N+1) x 5 rows of a probe trace, handed over
+    as ``simulate`` hands them: one list of Python floats per row."""
+    rng = np.random.default_rng(13)
+    rows = np.column_stack([np.linspace(0.0, 40.0, n_steps + 1),
+                            rng.standard_normal((n_steps + 1, 4))]).tolist()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "probe_trace.csv"
+        t, _ = timed(lambda: cli._write_csv(path, "t,u1_x,u1_y,u2_x,u2_y",
+                                            rows), repeat)
+    return (f"csv[probe_trace,N={n_steps}]", t)
 
 
 def traced_peak(fn):
@@ -207,6 +224,8 @@ def main():
 
     for n_steps in ((128, 512) if args.quick else (512, 2048)):
         rows.append(ledger_row(8 if args.quick else 25, n_steps, ker, repeat))
+
+    rows.append(csv_row(8192, repeat))
 
     width = max(len(name) for name, _ in rows)
     print(f"{'kernel':<{width}}  best time")

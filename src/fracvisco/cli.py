@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import os
 import sys
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -36,17 +37,35 @@ def _out_dir(cfg):
     return path
 
 
+# Rows per write of ``_write_csv``: 0.4 to 0.8 MB of text per block.
+CSV_BLOCK = 8192
+_PLAIN = frozenset((float, int))
+
+
 def _cell(x):
     if isinstance(x, str):
         return x
     return repr(x.item() if isinstance(x, np.generic) else x)
 
 
+def _line(row):
+    # a row of Python floats and ints is the repr of each cell, read by C
+    # code; any other row goes cell by cell through _cell, to the same text
+    if _PLAIN.issuperset(map(type, row)):
+        return ",".join(map(repr, row))
+    return ",".join(map(_cell, row))
+
+
 def _write_csv(path, header, rows):
-    """Write ``header`` and one line per row: a string cell as it is, a
-    number as the repr of a Python int or float, never of a numpy scalar."""
-    lines = [header] + [",".join(map(_cell, row)) for row in rows]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Write ``header`` and one line per row (a sequence of cells): a string
+    cell as it is, a number as the repr of a Python int or float, never of a
+    numpy scalar.  The lines go out in blocks of ``CSV_BLOCK`` rows, so
+    ``rows`` may be a generator much larger than memory."""
+    rows = iter(rows)
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(header + "\n")
+        while block := list(islice(rows, CSV_BLOCK)):
+            f.write("\n".join(map(_line, block)) + "\n")
 
 
 def _kernel(cfg):
@@ -75,14 +94,13 @@ def cmd_simulate(args):
     hist = run(sys_, table, zero, zero)
     out = _out_dir(cfg)
     paths = []
-    times = hist.times.tolist()
     for i, point in enumerate(cfg.probes):
         vertex = mesh.nearest_vertex(point)
-        trace = hist.probe_trace(vertex).tolist()
+        trace = hist.probe_trace(vertex)
         name = "probe_trace.csv" if i == 0 else f"probe_trace_{i + 1}.csv"
         path = out / name
         _write_csv(path, "t,u1_x,u1_y,u2_x,u2_y",
-                   ([t] + row for t, row in zip(times, trace)))
+                   np.column_stack([hist.times, trace]).tolist())
         paths.append(path)
     print("wrote " + ", ".join(str(p) for p in paths))
     return 0

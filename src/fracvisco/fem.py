@@ -300,5 +300,5 @@ def quasi_static_solve(sys: AssembledSystem, scale=1.0):
     """
     if not scale > 0.0:
         raise ValueError("scale must be positive")
-    solver = make_spd_solver(scale * sys.Kff, rtol=1e-12)
+    solver = make_spd_solver(scale * sys.Kff)
     return sys.expand(solver.solve(sys.load))

@@ -1,20 +1,43 @@
-"""SPD linear solves by banded Cholesky with enforced residual verification.
+"""SPD linear solves by banded Cholesky with enforced backward-error checks.
 
 LAPACK ``pbtrf``/``pbtrs`` factor and solve the matrix in the order it is
 given, with the half-bandwidth of that order: ``fem.assemble`` numbers the
 free dofs in reverse Cuthill-McKee order, so the step matrices of a run come
 banded (half-bandwidth 17 at 8x8, 35 at 16x16, 53 at 25x25) and a solve
-needs no permutation.  Every solve is verified by its relative residual,
-against 1e-10 unless the caller sets another bound; violations raise
-``SolverError`` carrying the achieved residual, and a non-finite right-hand
-side is refused before solving.  A matrix that is not finite or not positive
-definite is refused at factorization.
+needs no permutation.  A matrix that is not finite or not positive definite
+is refused at factorization, and a non-finite right-hand side before
+solving.
 
-A solve costs one ``pbtrs`` and one residual product.  Products with a CSR
-matrix go through ``matvec``, which calls the kernel behind scipy's
-``a @ x`` (``scipy.sparse._sparsetools.csr_matvec``) without scipy's
-dispatch: the same kernel on the same zeroed output, so bit for bit the same
-product.  ``_sparsetools`` is private scipy API;
+Every solve is checked by the normwise backward error of its solution
+(Rigal & Gaches, J. ACM 14 (1967) 543; Higham, *Accuracy and Stability of
+Numerical Algorithms*, 2nd ed., section 7.1),
+
+    eta = ||b - A x||_2 / (||A||_inf ||x||_2 + ||b||_2),
+
+the smallest relative change of A and b (A measured by ||A||_inf, which
+bounds ||A||_2 for a symmetric matrix) that x solves exactly.  ||A||_inf is
+taken once, at factorization.  A solve that fails ``eta <= tol`` (a NaN
+fails) raises ``SolverError`` carrying eta.  ``tol`` is the a-priori bound
+of a banded Cholesky solve of half-bandwidth bw, computed at factorization:
+Higham's Theorem 10.4 gives (A + dA) x = b with |dA| <= g(3 bw + 4) |R^T||R|,
+g(n) = n u / (1 - n u), since every inner product of the factorization and
+of the two triangular solves has at most bw + 1 terms; Cauchy-Schwarz bounds
+the entries of |R^T||R| by max a_ii and its rows by 2 bw + 1 entries, so
+eta <= g(3 bw + 4) (2 bw + 1), and forming the residual adds at most
+g(2 bw + 2).  That is 2.2e-13 at bw = 17 and 1.1e-11 at bw = 129, whatever
+the conditioning; the solves of this package measure 4e-17 to 1.4e-16 from
+8x8 to 128x128 meshes, and a solution with a random relative error of 1e-8
+has eta of about 3e-9.  The relative residual ||b - A x|| / ||b|| this check
+replaces grows with the condition number: the static solve of a 64x64 mesh
+reached 1.0e-12 on an exact factorization.
+
+A solve costs one ``pbtrs``, one residual product and three BLAS ``ddot``
+calls for the norms of b, x and the residual (the norms feed only the check,
+so their last bits are free).  Products with a CSR matrix go through
+``csr_product``, which binds the arguments of the kernel behind scipy's
+``a @ x`` (``scipy.sparse._sparsetools.csr_matvec``) once and calls it
+without scipy's dispatch: the same kernel on the same zeroed output, so bit
+for bit the same product.  ``_sparsetools`` is private scipy API;
 ``tests/test_fem.py::TestMatvec`` fails if it moves or changes.
 """
 
@@ -24,10 +47,13 @@ import math
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.blas import ddot
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse import _sparsetools
 
-__all__ = ["SolverError", "SpdSolver", "make_spd_solver"]
+__all__ = ["SolverError", "SpdSolver", "csr_product", "make_spd_solver"]
+
+_UNIT = 0.5 * np.finfo(np.float64).eps     # unit roundoff u = 2**-53
 
 
 class SolverError(RuntimeError):
@@ -38,18 +64,23 @@ class SolverError(RuntimeError):
 
 class SpdSolver:
     """Banded Cholesky factor of a fixed SPD matrix in its given order,
-    solved with a check of the relative residual against ``rtol`` on every
-    solve."""
+    solved with a check of the solution's backward error against ``tol``
+    on every solve."""
 
-    def __init__(self, a_csr, rtol=1e-10):
+    def __init__(self, a_csr):
         self.a = sp.csr_matrix(a_csr, dtype=np.float64)
-        self.rtol = rtol
         self._band = _banded_factor(self.a)
+        bw = self._band.shape[0] - 1
+        self.tol = _gamma(3 * bw + 4) * (2 * bw + 1) + _gamma(2 * bw + 2)
+        # ||A||_inf; no row is empty, as every row holds its positive pivot
+        self._norm = float(np.add.reduceat(np.abs(self.a.data),
+                                           self.a.indptr[:-1]).max())
+        self._product = csr_product(self.a)
+        self._r = np.empty(self.a.shape[0])
 
     def solve(self, b):
         b = np.asarray(b, dtype=np.float64)
-        # sqrt(b @ b) is numpy's 2-norm of b bit for bit on 1-D float64
-        nb = math.sqrt(b @ b)
+        nb = math.sqrt(ddot(b, b))
         if not math.isfinite(nb):
             raise SolverError("right-hand side is not finite")
         if nb == 0.0:
@@ -57,23 +88,36 @@ class SpdSolver:
         x, info = dpbtrs(self._band, b, lower=1)
         if info != 0:
             raise SolverError(f"pbtrs failed (info={info})")
-        r = matvec(self.a, x, np.empty_like(x))
+        r = self._product(x, self._r)
         r -= b
-        res = math.sqrt(r @ r) / nb
-        if not res <= self.rtol:
+        eta = math.sqrt(ddot(r, r)) / (self._norm * math.sqrt(ddot(x, x))
+                                       + nb)
+        if not eta <= self.tol:
             raise SolverError(
-                f"solve residual {res:.3e} exceeds tolerance {self.rtol:.1e}",
-                residual=res)
+                f"solve backward error {eta:.3e} exceeds tolerance "
+                f"{self.tol:.1e}", residual=eta)
         return x
 
 
-def matvec(a, x, out):
-    """``out[:] = a @ x`` for a float64 CSR matrix ``a`` and contiguous
-    float64 vectors; returns ``out``.  Bit for bit scipy's product."""
-    out.fill(0.0)
-    _sparsetools.csr_matvec(a.shape[0], a.shape[1], a.indptr, a.indices,
-                            a.data, x, out)
-    return out
+def _gamma(n):
+    return n * _UNIT / (1.0 - n * _UNIT)
+
+
+def csr_product(a):
+    """The product ``out[:] = a @ x`` of a float64 CSR matrix ``a`` as a
+    function of contiguous float64 vectors ``(x, out)`` that returns
+    ``out``, with the kernel's arguments bound once.  Bit for bit scipy's
+    product."""
+    kernel = _sparsetools.csr_matvec
+    n_row, n_col = a.shape
+    indptr, indices, data = a.indptr, a.indices, a.data
+
+    def product(x, out):
+        out.fill(0.0)
+        kernel(n_row, n_col, indptr, indices, data, x, out)
+        return out
+
+    return product
 
 
 def _banded_factor(a):
@@ -93,9 +137,9 @@ def _banded_factor(a):
     return band
 
 
-def make_spd_solver(a_csr, rtol=1e-10, dense_limit=0):
+def make_spd_solver(a_csr, dense_limit=0):
     # dense_limit stays only because perfbench reads its default for its run
     # metadata: 0, no system is solved densely, and no other value is valid
     if dense_limit != 0:
         raise ValueError("dense_limit must be 0: there is no dense solver")
-    return SpdSolver(a_csr, rtol=rtol)
+    return SpdSolver(a_csr)

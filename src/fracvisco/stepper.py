@@ -17,14 +17,18 @@ accumulates in row n of the velocity history, which step n then overwrites
 with U2_n, so a run holds exactly its two (N+1) x nf histories and no
 scratch copy of either.
 
-A step does two CSR products for its right-hand side (``solvers.matvec``,
-scipy's kernel without scipy's dispatch), one banded ``pbtrs`` and one
-residual product.  ``run`` reads the steps and the diagonal omega_nn as
-Python floats once, keeps k_n (Fbar_n + Gbar_n) with each factorization,
-reuses two scratch vectors for every step, and ``advance`` writes U1_n and
-U2_n straight into their history rows.  Each operation is the one of the
-plain expression in the same order, so the histories are bit for bit those
-of ``Mff @ u2 + Kff @ (h - co u1) + k load`` solved step by step.
+A step does two CSR products for its right-hand side, one banded ``pbtrs``
+and one residual product.  Everything that does not change from step to
+step is set up once: ``run`` reads the steps and the diagonal omega_nn as
+Python floats, binds the CSR kernel arguments of Kff and Mff
+(``solvers.csr_product``, scipy's kernel without scipy's dispatch), keeps
+k_n (Fbar_n + Gbar_n) with each factorization and reuses two scratch
+vectors; each ``SpdSolver`` binds its own matrix's product and reuses one
+residual vector; ``history_sums`` adds its 1 x 1 squares (every other step)
+through one scratch row.  ``advance`` writes U1_n and U2_n straight into
+their history rows.  Each operation is the one of the plain expression in
+the same order, so the histories are bit for bit those of
+``Mff @ u2 + Kff @ (h - co u1) + k load`` solved step by step.
 
 The loads are constant in time, so Fbar_n + Gbar_n is the system's free-dof
 ``load`` at every step.  The whole computation lives on the free dofs, and
@@ -43,7 +47,7 @@ import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 
 from .fem import AssembledSystem
-from .solvers import SolverError, make_spd_solver, matvec
+from .solvers import SolverError, csr_product, make_spd_solver
 from .weights import WeightTable
 
 __all__ = ["SolutionHistory", "history_sums", "time_average_load",
@@ -130,21 +134,30 @@ def history_sums(table: WeightTable, u, acc):
     SIAM J. Sci. Stat. Comput. 6 (1985) 532): as soon as u[m] is known, with
     L the lowest set bit of m, the sources j in (m - L, m] are added into the
     targets n in (m, m + L].  Every pair (n, j) falls in exactly one square.
-    A square is a dense product with its slice of ``table.omega`` when
-    L <= DIRECT_BLOCK or the grid is nonuniform, and otherwise a real-FFT
-    convolution of the Toeplitz lags, which keeps the weights exact up to
-    roundoff.  The yielded rows are views into ``acc`` (scalars when ``u``
-    is one-dimensional).
+    Half the squares have L = 1: each is the one scaled row
+    omega_{m+1,m} u[m], formed in a reused scratch row and added, which is
+    bit for bit its 1 x 1 matrix product.  A larger square is a dense
+    product with its slice of ``table.omega`` when L <= DIRECT_BLOCK or the
+    grid is nonuniform, and otherwise a real-FFT convolution of the Toeplitz
+    lags, which keeps the weights exact up to roundoff.  The yielded rows
+    are views into ``acc`` (scalars when ``u`` is one-dimensional).
     """
     n_steps = u.shape[0] - 1
     if acc.shape != u.shape:
         raise ValueError(f"acc must have shape {u.shape}, got {acc.shape}")
     w = table.lags
+    sub = table.omega.diagonal(-1).tolist()     # sub[m - 1] = omega[m, m - 1]
+    scratch = np.empty(u.shape[1:])
     for m in range(1, n_steps + 1):
         yield acc[m]
         if m == n_steps:
             return
         span = m & -m
+        if span == 1:
+            # the 1 x 1 square, bitwise its matrix product
+            np.multiply(u[m], sub[m - 1], out=scratch)
+            acc[m + 1] += scratch
+            continue
         hi = min(m + span, n_steps)
         src = u[m - span + 1:m + 1]
         if w is None or span <= DIRECT_BLOCK:
@@ -181,25 +194,27 @@ def time_average_load(sys: AssembledSystem):
     return sys.load
 
 
-def advance(sys, k, co, kload, solver, u1_prev, u2_prev, hist, u1, u2,
+def advance(products, k, co, kload, solver, u1_prev, u2_prev, hist, u1, u2,
             work):
     """One dG(0) step on free dofs with step k and co = k - omega_nn, given
     kload = k (Fbar_n + Gbar_n) and the step matrix's ``solver``: writes
     U1_n into ``u1`` and U2_n into ``u2``.
 
-    ``work`` holds two scratch vectors of the free-dof size.  ``hist`` may
-    be ``u2`` itself: the right-hand side is complete before U2_n is
-    written.  Every operation is the one of
+    ``products`` holds the products with Kff and Mff, each a
+    ``solvers.csr_product``; ``work`` holds two scratch vectors of the
+    free-dof size.  ``hist`` may be ``u2`` itself: the right-hand side is
+    complete before U2_n is written.  Every operation is the one of
 
         rhs = Mff @ u2_prev + Kff @ (hist - co * u1_prev) + kload
 
     in the same order, so the step is bitwise that expression solved.
     """
+    kff, mff = products
     w, kw = work
     np.multiply(u1_prev, co, out=w)
     np.subtract(hist, w, out=w)
-    matvec(sys.Kff, w, kw)
-    matvec(sys.Mff, u2_prev, w)
+    kff(w, kw)
+    mff(u2_prev, w)
     w += kw
     w += kload
     u2[:] = solver.solve(w)
@@ -213,8 +228,7 @@ def run(sys: AssembledSystem, table: WeightTable, u0, v0):
     u0 and v0 are full-size, of shape (n_dofs,), and must satisfy the
     Dirichlet constraints.  The returned history keeps the whole free-dof
     history as it was computed, with ``sys`` and ``table``.  Every solve is
-    checked against a relative residual of 1e-10 (the ``SpdSolver``
-    default).
+    checked by the backward error of its solution (``solvers.SpdSolver``).
     """
     grid = table.grid
     n_steps = grid.n_steps
@@ -235,6 +249,7 @@ def run(sys: AssembledSystem, table: WeightTable, u0, v0):
     ks = grid.steps.tolist()
     diag = table.omega.diagonal().tolist()
     load = time_average_load(sys)
+    products = (csr_product(sys.Kff), csr_product(sys.Mff))
     work = (np.empty(nf), np.empty(nf))
     solvers = {}    # (k, co) -> (solver, k * load)
     for n, hist in enumerate(history_sums(table, u1f, u2f), start=1):
@@ -246,8 +261,8 @@ def run(sys: AssembledSystem, table: WeightTable, u0, v0):
                           k * load)
         solver, kload = solvers[key]
         try:
-            advance(sys, k, co, kload, solver, u1f[n - 1], u2f[n - 1], hist,
-                    u1f[n], u2f[n], work)
+            advance(products, k, co, kload, solver, u1f[n - 1], u2f[n - 1],
+                    hist, u1f[n], u2f[n], work)
         except SolverError as err:
             raise SolverError(f"step {n} failed: {err}",
                               residual=err.residual) from err

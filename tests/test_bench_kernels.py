@@ -17,5 +17,6 @@ def test_benchmark_script_smoke():
     assert "direct_solve[nf=" in out.stdout
     assert "step[nf=144,bw=" in out.stdout
     assert "ledger[" in out.stdout
+    assert "csv[probe_trace,N=8192]" in out.stdout
     assert "memory[N=2048,nf=1300],run" in out.stdout
     assert "memory[N=2048,nf=1300],ledger" in out.stdout

@@ -163,7 +163,7 @@ class TestParse:
         assert err.value.errors == [f"line 4: {message}"]
 
     def test_retired_cg_tol_parses_to_default(self):
-        # the residual bound perfbench writes, which every solve is held to
+        # the value perfbench writes into every config it generates
         with pytest.warns(UserWarning, match="using defaults for"):
             cfg = parse_config("[solver]\ncg_tol = 1e-10\n")
         assert cfg == RunConfig()
@@ -355,6 +355,69 @@ class TestCli:
             for r in written["convergence_study"].rows]
         assert ((tmp_path / "convergence.csv").read_bytes()
                 == ("\n".join(lines) + "\n").encode())
+
+    def test_energy_check_fine_mesh(self, tmp_path, monkeypatch):
+        # the static solve of a 64x64 mesh has a relative residual of about
+        # 1e-12 (it grows with the conditioning); its backward error is at
+        # roundoff, and the run must go through
+        text = (CONFIG_DIR / "homogeneous.cfg").read_text()
+        for old, new in (("nx = 8", "nx = 64"), ("ny = 8", "ny = 64"),
+                         ("steps = 32", "steps = 8")):
+            assert old in text
+            text = text.replace(old, new)
+        cfg = tmp_path / "h64.cfg"
+        cfg.write_text(text)
+        assert run_cli(["energy-check", str(cfg)], tmp_path, monkeypatch) == 0
+        assert (tmp_path / "energy_ledger.csv").exists()
+
+    def test_csv_float_rows_match_cell_path(self, tmp_path, monkeypatch):
+        # rows of Python floats and ints are joined by repr without a call
+        # to _cell; every other row goes through _cell; both give _cell's
+        # text, in blocks of any size
+        from fracvisco import cli
+
+        edge = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 0.1]
+        float_rows = [edge, np.array(edge[::-1]).tolist(), [3, -0.0, 7]]
+        other_rows = [[np.float64(x) for x in edge],
+                      ["a", 1.5, np.int64(-2), np.float32(0.1), True],
+                      (np.float64(-0.0), 12, "x,y", np.nan)]
+        rows = float_rows + other_rows
+        want = "\n".join(["h"] + [",".join(map(cli._cell, row))
+                                  for row in rows]) + "\n"
+        cell = cli._cell
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return cell(x)
+
+        monkeypatch.setattr(cli, "_cell", counted)
+        for block in (cli.CSV_BLOCK, 2, 1):
+            monkeypatch.setattr(cli, "CSV_BLOCK", block)
+            calls.clear()
+            path = tmp_path / f"rows{block}.csv"
+            cli._write_csv(path, "h", iter(rows))
+            assert path.read_bytes() == want.encode()
+            assert len(calls) == sum(map(len, other_rows))
+
+    def test_weights_dump_streams(self, tmp_path, monkeypatch):
+        # 80200 rows, a 3.9 MB file: the writer holds a block of lines at a
+        # time, so the dump's traced peak stays below the file's size (2.4
+        # MB; 16 MB when every line was held and joined before writing)
+        import tracemalloc
+
+        cfg = tmp_path / "w.cfg"
+        cfg.write_text("[time]\nt_final = 1.0\nsteps = 400\n")
+        tracemalloc.start()
+        try:
+            code = run_cli(["weights-dump", str(cfg)], tmp_path, monkeypatch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        size = (tmp_path / "weights.csv").stat().st_size
+        assert size > 3.5e6
+        assert peak < size
 
     def test_outputs_bitwise_reproducible(self, tmp_path, monkeypatch):
         cfg = tmp_path / "r.cfg"

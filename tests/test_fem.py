@@ -4,7 +4,8 @@ import pytest
 from fracvisco.fem import (DIRICHLET, NEUMANN, ElasticParams, Mesh, assemble,
                            build_rect_mesh, quasi_static_solve, side_traction,
                            traction_load, volume_load)
-from fracvisco.solvers import SolverError, SpdSolver, make_spd_solver, matvec
+from fracvisco.solvers import (SolverError, SpdSolver, csr_product,
+                               make_spd_solver)
 from oracles import sorted_order
 
 
@@ -192,8 +193,8 @@ class TestBandOrder:
             assert all(np.all(np.diff(labels[ptr[r]:ptr[r + 1]]) > 0)
                        for r in range(a.shape[0])), name
             assert not a.has_sorted_indices, name
-            got = sys_.expand(matvec(a, sys_.restrict(x),
-                                     np.empty(sys_.free_dofs.size)))
+            got = sys_.expand(csr_product(a)(sys_.restrict(x),
+                                             np.empty(sys_.free_dofs.size)))
             want = ref.expand(getattr(ref, name) @ ref.restrict(x))
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
@@ -355,6 +356,36 @@ class TestSolvers:
             solver.solve(np.ones(a.shape[0]))
         assert err.value.residual is not None
 
+    @pytest.mark.parametrize("nx", [8, 64])
+    def test_perturbed_solution_rejected(self, elastic_soft,
+                                         downward_traction, monkeypatch, nx):
+        # the static solve of the unit traction: its backward error sits at
+        # roundoff, and a random relative error of 1e-8 in the solution
+        # gives about 3e-9, far above the tolerance (2.2e-13 at 8x8, 1.1e-11
+        # at 64x64)
+        from fracvisco import solvers
+
+        sys_ = assemble(build_rect_mesh(nx, nx), elastic_soft,
+                        traction=downward_traction)
+        solver = make_spd_solver(sys_.Kff)
+        exact = solver.solve(sys_.load)
+        a, b = sys_.Kff, sys_.load
+        eta = (np.linalg.norm(b - a @ exact)
+               / (abs(a).sum(axis=1).max() * np.linalg.norm(exact)
+                  + np.linalg.norm(b)))
+        assert eta <= 1e-3 * solver.tol
+        noise = np.random.default_rng(nx).standard_normal(exact.size)
+        pbtrs = solvers.dpbtrs
+
+        def perturbed(*args, **kwargs):
+            x, info = pbtrs(*args, **kwargs)
+            return x * (1.0 + 1e-8 * noise), info
+
+        monkeypatch.setattr(solvers, "dpbtrs", perturbed)
+        with pytest.raises(SolverError, match="exceeds tolerance") as err:
+            solver.solve(b)
+        assert err.value.residual >= 1e-9
+
     def test_banded_path_random_spd(self, rng):
         import scipy.sparse as sp
 
@@ -426,14 +457,14 @@ class TestSolvers:
 
 
 class TestMatvec:
-    """``solvers.matvec`` calls the private ``scipy.sparse._sparsetools``
+    """``solvers.csr_product`` calls the private ``scipy.sparse._sparsetools``
     kernel; these tests fail if it moves or stops being scipy's ``a @ x``."""
 
     @staticmethod
     def assert_bitwise(a, seed):
         x = np.random.default_rng(seed).standard_normal(a.shape[1])
         out = np.full(a.shape[0], np.nan)      # the helper must zero it
-        got = matvec(a, x, out)
+        got = csr_product(a)(x, out)
         assert got is out
         assert np.array_equal(out.view(np.int64), (a @ x).view(np.int64))
 

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.fft import irfft, next_fast_len, rfft
 
 from fracvisco import stepper
 from fracvisco.diagnostics import energy_ledger
@@ -32,6 +33,38 @@ def poisoned_sums(table, u):
         got.append(np.array(h, copy=True))
         acc[m] = np.nan
     return np.array(got)
+
+
+def square_tiled_sums(table, u):
+    """The H_n of ``history_sums`` with every square, the 1 x 1 ones too, a
+    matrix product or an FFT convolution, as the squares were formed before
+    the 1 x 1 ones became one scaled row each."""
+    n_steps = u.shape[0] - 1
+    acc = np.zeros_like(u)
+    w = table.lags
+    for m in range(1, n_steps):
+        span = m & -m
+        hi = min(m + span, n_steps)
+        src = u[m - span + 1:m + 1]
+        if w is None or span <= stepper.DIRECT_BLOCK:
+            block = table.omega[m:hi, m - span:m]
+            if w is not None:
+                block = np.ascontiguousarray(block)
+            acc[m + 1:hi + 1] += block @ src
+            continue
+        n_tgt = hi - m
+        size = next_fast_len(span + n_tgt - 1, real=True)
+        spectrum = rfft(w[1:span + n_tgt], size)
+        src2 = src.reshape(span, -1)
+        tgt = acc[m + 1:hi + 1].reshape(n_tgt, -1)
+        width = max(1, stepper.FFT_CHUNK // size)
+        for c in range(0, src2.shape[1], width):
+            cols = slice(c, c + width)
+            spec = rfft(src2[:, cols].T, size)
+            np.multiply(spectrum, spec, out=spec)
+            conv = irfft(spec, size)
+            tgt[:, cols] += conv[:, span - 1:span - 1 + n_tgt].T
+    return acc[1:]
 
 
 def reference_run(sys_, table, u0, v0):
@@ -104,6 +137,26 @@ class TestHistorySums:
                 h.copy() for h in history_sums(table, u, np.zeros_like(u))]))
         assert np.array_equal(sums[0], sums[1])
         assert np.array_equal(sums[0], sums[2])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 65, 1000])
+    @pytest.mark.parametrize("uniform", [True, False],
+                             ids=["uniform", "nonuniform"])
+    @pytest.mark.parametrize("columns", [(5,), ()], ids=["rows", "scalars"])
+    def test_span_one_squares_bitwise(self, kernel_sec6, rng, monkeypatch, n,
+                                      uniform, columns):
+        # direct_block = 2 takes every square with side > 2 on a uniform
+        # grid through the FFT
+        monkeypatch.setattr(stepper, "DIRECT_BLOCK", 2)
+        if uniform:
+            grid = TimeGrid.uniform(3.0, n)
+        else:
+            k = rng.uniform(0.5, 2.0, n)
+            grid = TimeGrid(np.concatenate([[0.0], np.cumsum(k / k.sum())]))
+        table = build_weights(grid, kernel_sec6)
+        u = rng.standard_normal((n + 1,) + columns)
+        got = poisoned_sums(table, u)
+        want = square_tiled_sums(table, u)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_accumulator_shape_checked(self, kernel_sec6):
         table = build_weights(TimeGrid.uniform(1.0, 4), kernel_sec6)
