@@ -154,7 +154,7 @@ def energy_ledger(history: SolutionHistory):
     initial = float(u0 @ (sys.K @ u0) + v0 @ (sys.M @ v0))
 
     load = time_average_load(sys)
-    load_work = 2.0 * float(k @ [load @ u2 for u2 in u2f[1:]])
+    load_work = 2.0 * float(k @ (u2f[1:] @ load))
 
     return EnergyLedger(final_elastic=float(final_elastic),
                         final_kinetic=float(final_kinetic),

@@ -31,13 +31,21 @@ has eta of about 3e-9.  The relative residual ||b - A x|| / ||b|| this check
 replaces grows with the condition number: the static solve of a 64x64 mesh
 reached 1.0e-12 on an exact factorization.
 
-A solve costs one ``pbtrs``, one residual product and three BLAS ``ddot``
-calls for the norms of b, x and the residual (the norms feed only the check,
-so their last bits are free).  Products with a CSR matrix go through
-``csr_product``, which binds the arguments of the kernel behind scipy's
-``a @ x`` (``scipy.sparse._sparsetools.csr_matvec``) once and calls it
-without scipy's dispatch: the same kernel on the same zeroed output, so bit
-for bit the same product.  ``_sparsetools`` is private scipy API;
+A solve costs one ``pbtrs``, one product A x and three norms, of b, x and
+the residual.  The product is kept: after every solve ``SpdSolver.ax`` holds
+A x of the x it returned, bit for bit ``solver.a @ x`` (zeros when the
+zero right-hand-side shortcut returned zeros), until the next solve
+overwrites it; the residual is formed from it.  ``stepper.run`` builds the
+next step's right-hand side from it.  A norm is one BLAS ``ddot`` and a
+square root, and the scaled ``dnrm2`` when the sum of squares comes out 0,
+subnormal or infinite: the norms feed only the check, so their last bits
+are free, but their range is that of the vector, so a right-hand side as
+small as 1e-170 or as large as 1e160 is solved and checked as it is, and
+only an exactly zero one takes the shortcut.  Products with a CSR matrix go
+through ``csr_product``, which binds the arguments of the kernel behind
+scipy's ``a @ x`` (``scipy.sparse._sparsetools.csr_matvec``) once and calls
+it without scipy's dispatch: the same kernel on the same zeroed output, so
+bit for bit the same product.  ``_sparsetools`` is private scipy API;
 ``tests/test_fem.py::TestMatvec`` fails if it moves or changes.
 """
 
@@ -47,13 +55,14 @@ import math
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.blas import ddot
+from scipy.linalg.blas import ddot, dnrm2
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse import _sparsetools
 
 __all__ = ["SolverError", "SpdSolver", "csr_product", "make_spd_solver"]
 
 _UNIT = 0.5 * np.finfo(np.float64).eps     # unit roundoff u = 2**-53
+_TINY = np.finfo(np.float64).tiny           # smallest normal number
 
 
 class SolverError(RuntimeError):
@@ -65,7 +74,8 @@ class SolverError(RuntimeError):
 class SpdSolver:
     """Banded Cholesky factor of a fixed SPD matrix in its given order,
     solved with a check of the solution's backward error against ``tol``
-    on every solve."""
+    on every solve.  ``product(x, out)`` is the bound product with the
+    matrix, and ``ax`` holds A x of the last x that ``solve`` returned."""
 
     def __init__(self, a_csr):
         self.a = sp.csr_matrix(a_csr, dtype=np.float64)
@@ -75,28 +85,37 @@ class SpdSolver:
         # ||A||_inf; no row is empty, as every row holds its positive pivot
         self._norm = float(np.add.reduceat(np.abs(self.a.data),
                                            self.a.indptr[:-1]).max())
-        self._product = csr_product(self.a)
+        self.product = csr_product(self.a)
+        self.ax = np.zeros(self.a.shape[0])
         self._r = np.empty(self.a.shape[0])
 
     def solve(self, b):
         b = np.asarray(b, dtype=np.float64)
-        nb = math.sqrt(ddot(b, b))
+        nb = _norm2(b)
         if not math.isfinite(nb):
             raise SolverError("right-hand side is not finite")
         if nb == 0.0:
+            self.ax.fill(0.0)
             return np.zeros_like(b)
         x, info = dpbtrs(self._band, b, lower=1)
         if info != 0:
             raise SolverError(f"pbtrs failed (info={info})")
-        r = self._product(x, self._r)
-        r -= b
-        eta = math.sqrt(ddot(r, r)) / (self._norm * math.sqrt(ddot(x, x))
-                                       + nb)
+        r = np.subtract(self.product(x, self.ax), b, out=self._r)
+        eta = _norm2(r) / (self._norm * _norm2(x) + nb)
         if not eta <= self.tol:
             raise SolverError(
                 f"solve backward error {eta:.3e} exceeds tolerance "
                 f"{self.tol:.1e}", residual=eta)
         return x
+
+
+def _norm2(v):
+    """||v||_2: one ``ddot`` where the sum of squares is a normal number,
+    the scaled ``dnrm2`` where it under- or overflowed (a NaN stays NaN)."""
+    s = ddot(v, v)
+    if s < _TINY or s == math.inf:
+        return dnrm2(v)
+    return math.sqrt(s)
 
 
 def _gamma(n):

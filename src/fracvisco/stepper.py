@@ -17,18 +17,42 @@ accumulates in row n of the velocity history, which step n then overwrites
 with U2_n, so a run holds exactly its two (N+1) x nf histories and no
 scratch copy of either.
 
-A step does two CSR products for its right-hand side, one banded ``pbtrs``
-and one residual product.  Everything that does not change from step to
-step is set up once: ``run`` reads the steps and the diagonal omega_nn as
-Python floats, binds the CSR kernel arguments of Kff and Mff
-(``solvers.csr_product``, scipy's kernel without scipy's dispatch), keeps
-k_n (Fbar_n + Gbar_n) with each factorization and reuses two scratch
-vectors; each ``SpdSolver`` binds its own matrix's product and reuses one
-residual vector; ``history_sums`` adds its 1 x 1 squares (every other step)
-through one scratch row.  ``advance`` writes U1_n and U2_n straight into
-their history rows.  Each operation is the one of the plain expression in
-the same order, so the histories are bit for bit those of
-``Mff @ u2 + Kff @ (h - co u1) + k load`` solved step by step.
+A step does one CSR product for its right-hand side, one banded ``pbtrs``
+and one product for its check.  With A_n = M + k_n (k_n - omega_nn) K the
+step matrix, M = A_n - k_n co_n K (co_n = k_n - omega_nn) turns the
+right-hand side into
+
+    A_n U2_{n-1} + K [(H_n - co_n U1_{n-1}) - k_n co_n U2_{n-1}]
+        + k_n (Fbar_n + Gbar_n),
+
+and A_n U2_{n-1} is the product that step n - 1's solve formed for its
+backward-error check (``SpdSolver.ax``) whenever A_{n-1} = A_n.  Only when
+the step matrix changes (at step 1, and on a nonuniform grid at each change
+of (k_n, co_n)) does ``run`` form A_n U2_{n-1} with a product of its own.
+A run on a uniform grid thus does 2N + 1 CSR products, against 3N with Mff
+applied each step.  The histories agree with that form to about 1e-13 of
+their size (5e-14 where k co K outweighs M by 6e10) as long as a step
+travels no farther than the size of the displacement, k_n |U2| <= |U1|, as
+in every run the CLI starts.  Where k co K outweighs M, A_n U2_{n-1} and
+k_n co_n K U2_{n-1} cancel, so U2_n carries roundoff of the size of
+U2_{n-1} rather than of U2_n: started from a large velocity beside a small
+displacement, U1 agrees with the Mff form to 1e-14 of k |U2| but not of its
+own size (7.5e-7 of it in ``tests/test_stepper.py``).
+
+Everything that does not change from step to step is set up once: ``run``
+reads the steps and the diagonal omega_nn as Python floats, binds the CSR
+kernel arguments of Kff (``solvers.csr_product``, scipy's kernel without
+scipy's dispatch), keeps k_n (Fbar_n + Gbar_n) with each factorization and
+reuses two scratch vectors; each ``SpdSolver`` binds its own matrix's
+product and reuses its product and residual vectors; ``history_sums`` adds
+its 1 x 1 squares (every other step) through one scratch row.  ``advance``
+writes U1_n and U2_n straight into their history rows.  Each operation is
+the one of the plain expression in the same order, so the histories are
+bit for bit those of
+
+    A @ u2 + Kff @ ((h - co u1) - (k co) u2) + k load
+
+solved step by step, with A the step matrix as a CSR ``Mff + (k co) Kff``.
 
 The loads are constant in time, so Fbar_n + Gbar_n is the system's free-dof
 ``load`` at every step.  The whole computation lives on the free dofs, and
@@ -194,30 +218,32 @@ def time_average_load(sys: AssembledSystem):
     return sys.load
 
 
-def advance(products, k, co, kload, solver, u1_prev, u2_prev, hist, u1, u2,
+def advance(kff, k, co, kload, solver, ax, u1_prev, u2_prev, hist, u1, u2,
             work):
     """One dG(0) step on free dofs with step k and co = k - omega_nn, given
-    kload = k (Fbar_n + Gbar_n) and the step matrix's ``solver``: writes
-    U1_n into ``u1`` and U2_n into ``u2``.
+    kload = k (Fbar_n + Gbar_n), the step matrix's ``solver`` and
+    ax = A U2_{n-1}, its product with ``u2_prev``: writes U1_n into ``u1``
+    and U2_n into ``u2``.
 
-    ``products`` holds the products with Kff and Mff, each a
-    ``solvers.csr_product``; ``work`` holds two scratch vectors of the
-    free-dof size.  ``hist`` may be ``u2`` itself: the right-hand side is
-    complete before U2_n is written.  Every operation is the one of
+    ``kff`` is the product with Kff, a ``solvers.csr_product``; ``work``
+    holds two scratch vectors of the free-dof size.  ``hist`` may be ``u2``
+    itself, and ``ax`` may be ``solver.ax``: the right-hand side is complete
+    before U2_n is written and the solve overwrites ``solver.ax`` with
+    A U2_n.  Every operation is the one of
 
-        rhs = Mff @ u2_prev + Kff @ (hist - co * u1_prev) + kload
+        rhs = ax + Kff @ ((hist - co * u1_prev) - (k * co) * u2_prev) + kload
 
     in the same order, so the step is bitwise that expression solved.
     """
-    kff, mff = products
     w, kw = work
     np.multiply(u1_prev, co, out=w)
     np.subtract(hist, w, out=w)
+    np.multiply(u2_prev, k * co, out=kw)
+    w -= kw
     kff(w, kw)
-    mff(u2_prev, w)
-    w += kw
-    w += kload
-    u2[:] = solver.solve(w)
+    kw += ax
+    kw += kload
+    u2[:] = solver.solve(kw)
     np.multiply(u2, k, out=u1)
     u1 += u1_prev
 
@@ -249,19 +275,26 @@ def run(sys: AssembledSystem, table: WeightTable, u0, v0):
     ks = grid.steps.tolist()
     diag = table.omega.diagonal().tolist()
     load = time_average_load(sys)
-    products = (csr_product(sys.Kff), csr_product(sys.Mff))
+    kff = csr_product(sys.Kff)
     work = (np.empty(nf), np.empty(nf))
+    fresh = np.empty(nf)    # A_n U2_{n-1} where A_n is not A_{n-1}
     solvers = {}    # (k, co) -> (solver, k * load)
+    last = None
     for n, hist in enumerate(history_sums(table, u1f, u2f), start=1):
         k = ks[n - 1]
         co = k - diag[n - 1]
         key = (k, co)
         if key not in solvers:
             solvers[key] = (make_spd_solver(sys.Mff + (k * co) * sys.Kff),
-                          k * load)
+                            k * load)
         solver, kload = solvers[key]
+        if solver is last:
+            ax = solver.ax      # A_n U2_{n-1} from step n - 1's check
+        else:
+            ax = solver.product(u2f[n - 1], fresh)
+            last = solver
         try:
-            advance(products, k, co, kload, solver, u1f[n - 1], u2f[n - 1],
+            advance(kff, k, co, kload, solver, ax, u1f[n - 1], u2f[n - 1],
                     hist, u1f[n], u2f[n], work)
         except SolverError as err:
             raise SolverError(f"step {n} failed: {err}",

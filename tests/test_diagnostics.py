@@ -210,7 +210,11 @@ class TestEnergyLedger:
                                          kernel_sec6, downward_traction,
                                          monkeypatch):
         # every step's solution gets relative noise eps: the ledger residual
-        # must sit at roundoff for eps = 0 and grow with the injected error
+        # must sit at roundoff for eps = 0 and grow with the injected error.
+        # The noisy solve keeps the solver's contract, ax = A x of the x it
+        # returns, as the next step's right-hand side is built from ax; a
+        # stale ax is caught by the bitwise reference loop of
+        # test_stepper.py, not by the ledger
         loaded = assemble(mesh8, elastic_soft, traction=downward_traction)
         u0 = quasi_static_solve(loaded, scale=0.5)
         sys_ = assemble(mesh8, elastic_soft)
@@ -221,8 +225,10 @@ class TestEnergyLedger:
 
         def noisy_solve(self, b):
             x = exact_solve(self, b)
-            return x * (1.0 + noise["eps"] * noise["rng"].standard_normal(
+            x = x * (1.0 + noise["eps"] * noise["rng"].standard_normal(
                 x.shape))
+            self.product(x, self.ax)
+            return x
 
         monkeypatch.setattr(SpdSolver, "solve", noisy_solve)
         epsilons = (0.0, 1e-10, 1e-8, 1e-6)

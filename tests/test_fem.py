@@ -339,6 +339,46 @@ class TestSolvers:
             np.zeros(loaded_system8.free_dofs.size))
         assert np.all(x == 0.0)
 
+    def test_norms_keep_the_range_of_the_vector(self):
+        # a sum of squares that under- or overflows decides nothing: only
+        # an exactly zero b takes the zero shortcut, and a finite b is
+        # solved, also where its squares leave the range of a double
+        import scipy.sparse as sp
+
+        solver = SpdSolver(sp.identity(4, format="csr"))
+        for b in (np.full(4, 1e-170), np.full(4, 1e160), np.full(4, 5e-324)):
+            x = solver.solve(b)
+            assert np.array_equal(x, b) and np.array_equal(solver.ax, b)
+
+    @pytest.mark.parametrize("scale", [1e-170, 1.0, 1e160])
+    def test_scaled_rhs_same_solution_and_decision(self, loaded_system8,
+                                                   monkeypatch, scale):
+        # s b solves to s x, accepted, and with a relative error of 1e-8
+        # injected into the solution refused with the same backward error
+        from fracvisco import solvers
+
+        a = loaded_system8.Mff + 0.3 * loaded_system8.Kff
+        b = np.random.default_rng(8).standard_normal(a.shape[0])
+        solver = SpdSolver(a)
+        x = solver.solve(b)
+        got = solver.solve(scale * b)
+        assert np.max(np.abs(got - scale * x)) <= 1e-14 * scale * np.max(
+            np.abs(x))
+        noise = 1.0 + 1e-8 * np.random.default_rng(9).standard_normal(x.size)
+        pbtrs = solvers.dpbtrs
+
+        def perturbed(*args, **kwargs):
+            y, info = pbtrs(*args, **kwargs)
+            return y * noise, info
+
+        monkeypatch.setattr(solvers, "dpbtrs", perturbed)
+        etas = []
+        for s in (1.0, scale):
+            with pytest.raises(SolverError, match="exceeds tolerance") as err:
+                solver.solve(s * b)
+            etas.append(err.value.residual)
+        assert etas[1] == pytest.approx(etas[0], rel=1e-6)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_rhs_raises(self, loaded_system8, bad):
         a = loaded_system8.Kff

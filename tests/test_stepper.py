@@ -67,9 +67,15 @@ def square_tiled_sums(table, u):
     return acc[1:]
 
 
-def reference_run(sys_, table, u0, v0):
+def reference_run(sys_, table, u0, v0, mass_form=False):
     """(u1f, u2f) of ``run`` as a plain loop: ``history_sums``, the right-hand
-    side as one scipy expression and a fresh ``SpdSolver`` per step."""
+    side as one scipy expression and a fresh ``SpdSolver`` per step.
+
+    The right-hand side is ``A @ u2 + Kff @ ((h - co u1) - (k co) u2)
+    + k load`` with A the step matrix, as ``run`` forms it; with
+    ``mass_form`` it is ``Mff @ u2 + Kff @ (h - co u1) + k load``, as it
+    was formed before A u2 came from the previous solve's check: the same
+    value, as Mff = A - k co Kff, but not the same bits."""
     n_steps = table.grid.n_steps
     nf = sys_.free_dofs.size
     u1 = np.empty((n_steps + 1, nf))
@@ -79,9 +85,16 @@ def reference_run(sys_, table, u0, v0):
     k = table.grid.steps
     for n, h in enumerate(history_sums(table, u1, u2), start=1):
         co = k[n - 1] - table.omega[n - 1, n - 1]
-        rhs = (sys_.Mff @ u2[n - 1] + sys_.Kff @ (h - co * u1[n - 1])
-               + k[n - 1] * sys_.load)
-        x = SpdSolver(sys_.Mff + (k[n - 1] * co) * sys_.Kff).solve(rhs)
+        a = sys_.Mff + (k[n - 1] * co) * sys_.Kff
+        if mass_form:
+            rhs = (sys_.Mff @ u2[n - 1] + sys_.Kff @ (h - co * u1[n - 1])
+                   + k[n - 1] * sys_.load)
+        else:
+            rhs = (a @ u2[n - 1]
+                   + sys_.Kff @ ((h - co * u1[n - 1])
+                                 - (k[n - 1] * co) * u2[n - 1])
+                   + k[n - 1] * sys_.load)
+        x = SpdSolver(a).solve(rhs)
         u2[n] = x
         u1[n] = u1[n - 1] + k[n - 1] * x
     return u1, u2
@@ -267,6 +280,128 @@ class TestRun:
         u1, u2 = reference_run(sys_, table, u0, v0)
         assert np.array_equal(hist.u1f.view(np.int64), u1.view(np.int64))
         assert np.array_equal(hist.u2f.view(np.int64), u2.view(np.int64))
+
+    @staticmethod
+    def mass_form_case(case, kernel):
+        """(system, table, u0, v0) of a comparison with the Mff form.
+
+        "soft": sec6's soft material on 4x4 from random data.  "stiff": 16x16
+        with mu = lam = 1e9 and rho = 1, where k co K outweighs M by about
+        6e10, started as ``energy-check`` starts an unloaded run, from rest
+        in the relaxed static shape of the unit traction.  "stiff_velocity":
+        the same mesh and material from a random velocity of size 1 beside
+        a displacement of size 5e-9."""
+        rng = np.random.default_rng(5)
+        traction = side_traction({"right": (0.0, -1.0)})
+        if case == "soft":
+            sys_ = assemble(build_rect_mesh(4, 4),
+                            ElasticParams(mu=1.0, lam=1.0, rho=3000.0),
+                            traction=traction)
+            nf = sys_.free_dofs.size
+            u0, v0 = (sys_.expand(rng.standard_normal(nf)) for _ in range(2))
+            return sys_, build_weights(TimeGrid.uniform(2.0, 96), kernel), \
+                u0, v0
+        ep = ElasticParams(mu=1e9, lam=1e9, rho=1.0)
+        mesh = build_rect_mesh(16, 16)
+        sys_ = assemble(mesh, ep)
+        u0 = quasi_static_solve(assemble(mesh, ep, traction=traction),
+                                scale=1.0 - kernel.gamma)
+        v0 = np.zeros_like(u0)
+        if case == "stiff_velocity":
+            v0 = sys_.expand(rng.standard_normal(sys_.free_dofs.size))
+        return sys_, build_weights(TimeGrid.uniform(6.4, 64), kernel), u0, v0
+
+    @pytest.mark.parametrize("case", ["soft", "stiff"])
+    def test_matches_mass_form(self, kernel_sec6, case):
+        # the right-hand side built from A u2 agrees with the Mff form to
+        # roundoff of each history's size
+        sys_, table, u0, v0 = self.mass_form_case(case, kernel_sec6)
+        k = table.grid.steps[0]
+        ratio = (abs(sys_.Kff).sum(axis=1).max()
+                 / abs(sys_.Mff).sum(axis=1).max())
+        stiffness = k * (k - table.omega[0, 0]) * ratio
+        assert (stiffness > 1e10) == (case == "stiff")
+        hist = run(sys_, table, u0, v0)
+        want = reference_run(sys_, table, u0, v0, mass_form=True)
+        for got, ref in zip((hist.u1f, hist.u2f), want):
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_stiff_velocity_start_to_roundoff_of_the_motion(self,
+                                                            kernel_sec6):
+        # A u2 - k co K u2 cancels where k co K outweighs M, so a step's U2_n
+        # carries roundoff of the size of U2_{n-1}, not of U2_n, and U1_n
+        # that roundoff times k.  From a velocity of size 1 beside a
+        # displacement of 5e-9, U1 then moves by 7.5e-7 of its own size
+        # (the Mff form stays within 5.4e-14 of it in an extended-precision
+        # loop), but by 1.4e-14 of k |U2|, the distance a step can travel;
+        # the velocity history stays within 1.4e-14 of its size
+        sys_, table, u0, v0 = self.mass_form_case("stiff_velocity",
+                                                  kernel_sec6)
+        k = table.grid.steps[0]
+        hist = run(sys_, table, u0, v0)
+        u1, u2 = reference_run(sys_, table, u0, v0, mass_form=True)
+        travel = k * np.max(np.abs(u2))
+        assert np.max(np.abs(u1)) < 1e-7 * travel
+        assert np.max(np.abs(hist.u1f - u1)) <= 1e-12 * travel
+        assert np.max(np.abs(hist.u2f - u2)) <= 1e-12 * np.max(np.abs(u2))
+
+    @pytest.mark.parametrize("loaded", [True, False])
+    def test_ax_is_product_of_returned_x(self, elastic_soft, kernel_sec6,
+                                         monkeypatch, loaded):
+        # after every solve of a run, the zero right-hand-side shortcut of
+        # an unloaded run from rest included, ax is A x bit for bit
+        sys_ = assemble(build_rect_mesh(4, 4), elastic_soft,
+                        traction=(side_traction({"right": (0.0, -1.0)})
+                                  if loaded else None))
+        table = build_weights(TimeGrid.uniform(2.0, 24), kernel_sec6)
+        solve = SpdSolver.solve
+        seen = []
+
+        def checked(self, b):
+            self.ax.fill(np.nan)
+            x = solve(self, b)
+            assert np.array_equal(self.ax.view(np.int64),
+                                  (self.a @ x).view(np.int64))
+            seen.append(np.any(x))
+            return x
+
+        monkeypatch.setattr(SpdSolver, "solve", checked)
+        z = np.zeros(sys_.n_dofs)
+        run(sys_, table, z, z)
+        assert len(seen) == 24
+        assert all(seen) == loaded and any(seen) == loaded
+
+    @pytest.mark.parametrize("steps,changes", [
+        ("uniform", 1), ("two_blocks", 2), ("alternating", 40),
+        ("random", 40)])
+    def test_products_per_run(self, elastic_soft, kernel_sec6, monkeypatch,
+                              steps, changes):
+        # one product with Kff and one for the check per step, plus one
+        # A U2_{n-1} each time the step matrix changes
+        from scipy.sparse import _sparsetools
+
+        if steps == "uniform":
+            grid = TimeGrid.uniform(2.0, 40)
+        else:
+            k = {"two_blocks": np.repeat([2.0 ** -5, 2.0 ** -4], 20),
+                 "alternating": np.tile([2.0 ** -5, 2.0 ** -4], 20),
+                 "random": np.random.default_rng(4).uniform(0.5, 2.0, 40)
+                 / 40}[steps]
+            grid = TimeGrid(np.concatenate([[0.0], np.cumsum(k)]))
+        table = build_weights(grid, kernel_sec6)
+        sys_ = assemble(build_rect_mesh(4, 4), elastic_soft,
+                        traction=side_traction({"right": (0.0, -1.0)}))
+        kernel = _sparsetools.csr_matvec
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return kernel(*args)
+
+        monkeypatch.setattr(_sparsetools, "csr_matvec", counted)
+        z = np.zeros(sys_.n_dofs)
+        run(sys_, table, z, z)
+        assert len(calls) == 2 * 40 + changes
 
     def test_zero_data_zero_loads(self, mesh8, elastic_soft, kernel_sec6):
         sys_ = assemble(mesh8, elastic_soft)
