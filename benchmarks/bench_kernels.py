@@ -17,10 +17,9 @@ that matrix, the energy ledger of ``energy-check`` on a stored history, and
 the CSV writer on the probe trace of an 8192-step run.  Times are per call;
 the solve rows are per solve, backward-error check included, and the step
 rows per step, with the products and the solver bound once as ``run`` binds
-them and A U2_{n-1} given, as the previous step's check leaves it.  The
-memory rows give the tracemalloc peaks of
-``stepper.run`` and of ``energy_ledger`` on the 25x25 mesh with N=2048, next
-to the two (N+1) x nf histories a run must hold.
+them.  The memory rows give the tracemalloc peaks of ``stepper.run`` and of
+``energy_ledger`` on the 25x25 mesh with N=2048, next to the two (N+1) x nf
+histories a run must hold.
 
 Run:  python benchmarks/bench_kernels.py [--quick]
 """
@@ -100,13 +99,12 @@ def solve_rows(nx, repeat):
     kload = k * sys_.load
     u1, u2 = np.empty(nf), np.empty(nf)
     kff = csr_product(sys_.Kff)
-    ax = solver.product(u2_prev, np.empty(nf))
     work = (np.empty(nf), np.empty(nf))
 
     def many_steps():
         for _ in range(calls):
-            stepper.advance(kff, k, k, kload, solver, ax, u1_prev, u2_prev,
-                            hist, u1, u2, work)
+            stepper.advance(kff, k, k, kload, solver, u1_prev, u2_prev, hist,
+                            u1, u2, work)
     t_step, _ = timed(many_steps, repeat)
     tag = f"[nf={nf},bw={bw}]"
     return [(f"direct_solve{tag}", t_solve / calls),

@@ -168,6 +168,10 @@ def _reference_sweep(model, t_final, k_ref, m_g, startup_steps):
     m_u = int(round((t_final - t_g) / k_ref))
     graded = _graded_nodes(t_g, m_g)
     nodes = np.concatenate([graded, t_g + k_ref * np.arange(1, m_u + 1)])
+    if abs(nodes[-1] - t_final) > 1e-9 * t_final:
+        raise ValueError(f"k = {k_ref!r} does not divide t_final - t_g = "
+                         f"{t_final - t_g!r}: the sweep would end at "
+                         f"{float(nodes[-1])!r}, not at t_final = {t_final!r}")
     M = nodes.size - 1
     u = np.zeros(M + 1)
     v = np.zeros(M + 1)
@@ -206,9 +210,12 @@ def scalar_reference(model: ScalarModel, t_final, k_ref, m_g=64,
     and 4k_ref; the pairwise final-value differences give an error estimate
     and an observed order.  An estimate above 1e-6, or an order far from 2,
     is flagged (richardson_ok False) and warned about, never silently hidden.
+    Each sweep's uniform tail must end at t_final to 1e-9 relative, or
+    ValueError is raised.
     """
-    if not t_final > 0.0:
-        raise ValueError("t_final must be positive")
+    if not (0.0 < t_final < np.inf and 0.0 < k_ref < np.inf):
+        raise ValueError(f"t_final and k_ref must be positive and finite, "
+                         f"got t_final = {t_final!r}, k_ref = {k_ref!r}")
     nodes, u, v = _reference_sweep(model, t_final, k_ref, m_g, startup_steps)
     _, u2, _ = _reference_sweep(model, t_final, 2.0 * k_ref, m_g,
                                 max(startup_steps // 2, 1))

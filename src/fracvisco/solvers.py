@@ -31,21 +31,17 @@ has eta of about 3e-9.  The relative residual ||b - A x|| / ||b|| this check
 replaces grows with the condition number: the static solve of a 64x64 mesh
 reached 1.0e-12 on an exact factorization.
 
-A solve costs one ``pbtrs``, one product A x and three norms, of b, x and
-the residual.  The product is kept: after every solve ``SpdSolver.ax`` holds
-A x of the x it returned, bit for bit ``solver.a @ x`` (zeros when the
-zero right-hand-side shortcut returned zeros), until the next solve
-overwrites it; the residual is formed from it.  ``stepper.run`` builds the
-next step's right-hand side from it.  A norm is one BLAS ``ddot`` and a
-square root, and the scaled ``dnrm2`` when the sum of squares comes out 0,
-subnormal or infinite: the norms feed only the check, so their last bits
-are free, but their range is that of the vector, so a right-hand side as
-small as 1e-170 or as large as 1e160 is solved and checked as it is, and
-only an exactly zero one takes the shortcut.  Products with a CSR matrix go
-through ``csr_product``, which binds the arguments of the kernel behind
-scipy's ``a @ x`` (``scipy.sparse._sparsetools.csr_matvec``) once and calls
-it without scipy's dispatch: the same kernel on the same zeroed output, so
-bit for bit the same product.  ``_sparsetools`` is private scipy API;
+A solve costs one ``pbtrs``, one residual product and three norms, of b, x
+and the residual.  A norm is one BLAS ``ddot`` and a square root, and the
+scaled ``dnrm2`` when the sum of squares comes out 0, subnormal or infinite:
+the norms feed only the check, so their last bits are free, but their range
+is that of the vector, so a right-hand side as small as 1e-170 or as large
+as 1e160 is solved and checked as it is, and only an exactly zero one takes
+the shortcut.  Products with a CSR matrix go through ``csr_product``, which
+binds the arguments of the kernel behind scipy's ``a @ x``
+(``scipy.sparse._sparsetools.csr_matvec``) once and calls it without scipy's
+dispatch: the same kernel on the same zeroed output, so bit for bit the same
+product.  ``_sparsetools`` is private scipy API;
 ``tests/test_fem.py::TestMatvec`` fails if it moves or changes.
 """
 
@@ -74,8 +70,7 @@ class SolverError(RuntimeError):
 class SpdSolver:
     """Banded Cholesky factor of a fixed SPD matrix in its given order,
     solved with a check of the solution's backward error against ``tol``
-    on every solve.  ``product(x, out)`` is the bound product with the
-    matrix, and ``ax`` holds A x of the last x that ``solve`` returned."""
+    on every solve."""
 
     def __init__(self, a_csr):
         self.a = sp.csr_matrix(a_csr, dtype=np.float64)
@@ -85,8 +80,7 @@ class SpdSolver:
         # ||A||_inf; no row is empty, as every row holds its positive pivot
         self._norm = float(np.add.reduceat(np.abs(self.a.data),
                                            self.a.indptr[:-1]).max())
-        self.product = csr_product(self.a)
-        self.ax = np.zeros(self.a.shape[0])
+        self._product = csr_product(self.a)
         self._r = np.empty(self.a.shape[0])
 
     def solve(self, b):
@@ -95,12 +89,12 @@ class SpdSolver:
         if not math.isfinite(nb):
             raise SolverError("right-hand side is not finite")
         if nb == 0.0:
-            self.ax.fill(0.0)
             return np.zeros_like(b)
         x, info = dpbtrs(self._band, b, lower=1)
         if info != 0:
             raise SolverError(f"pbtrs failed (info={info})")
-        r = np.subtract(self.product(x, self.ax), b, out=self._r)
+        r = self._product(x, self._r)
+        r -= b
         eta = _norm2(r) / (self._norm * _norm2(x) + nb)
         if not eta <= self.tol:
             raise SolverError(

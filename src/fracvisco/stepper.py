@@ -17,40 +17,32 @@ accumulates in row n of the velocity history, which step n then overwrites
 with U2_n, so a run holds exactly its two (N+1) x nf histories and no
 scratch copy of either.
 
-A step does one CSR product for its right-hand side, one banded ``pbtrs``
-and one product for its check.  With A_n = M + k_n (k_n - omega_nn) K the
-step matrix, M = A_n - k_n co_n K (co_n = k_n - omega_nn) turns the
-right-hand side into
+A step solves for its velocity increment.  Subtracting A_n U2_{n-1}, with
+A_n = M + k_n co_n K the step matrix and co_n = k_n - omega_nn, from both
+sides of the step equation gives
 
-    A_n U2_{n-1} + K [(H_n - co_n U1_{n-1}) - k_n co_n U2_{n-1}]
-        + k_n (Fbar_n + Gbar_n),
+    A_n (U2_n - U2_{n-1}) = K [(H_n - co_n U1_{n-1}) - k_n co_n U2_{n-1}]
+                            + k_n (Fbar_n + Gbar_n),
 
-and A_n U2_{n-1} is the product that step n - 1's solve formed for its
-backward-error check (``SpdSolver.ax``) whenever A_{n-1} = A_n.  Only when
-the step matrix changes (at step 1, and on a nonuniform grid at each change
-of (k_n, co_n)) does ``run`` form A_n U2_{n-1} with a product of its own.
-A run on a uniform grid thus does 2N + 1 CSR products, against 3N with Mff
-applied each step.  The histories agree with that form to about 1e-13 of
-their size (5e-14 where k co K outweighs M by 6e10) as long as a step
-travels no farther than the size of the displacement, k_n |U2| <= |U1|, as
-in every run the CLI starts.  Where k co K outweighs M, A_n U2_{n-1} and
-k_n co_n K U2_{n-1} cancel, so U2_n carries roundoff of the size of
-U2_{n-1} rather than of U2_n: started from a large velocity beside a small
-displacement, U1 agrees with the Mff form to 1e-14 of k |U2| but not of its
-own size (7.5e-7 of it in ``tests/test_stepper.py``).
+so a step does one CSR product with Kff for its right-hand side, one banded
+``pbtrs`` and one product for its check, and a run does 2N CSR products on
+any grid.  The solve's roundoff is relative to the increment rather than to
+U2_n.  Where k co K outweighs M, U2_{n-1} and the increment cancel in
+U2_n = U2_{n-1} + (U2_n - U2_{n-1}), so U2_n still carries roundoff of the
+size of U2_{n-1}: started from a large velocity beside a small displacement,
+U1 agrees with the Mff form to 1e-14 of k |U2| but not of its own size
+(``tests/test_stepper.py``).
 
 Everything that does not change from step to step is set up once: ``run``
 reads the steps and the diagonal omega_nn as Python floats, binds the CSR
 kernel arguments of Kff (``solvers.csr_product``, scipy's kernel without
 scipy's dispatch), keeps k_n (Fbar_n + Gbar_n) with each factorization and
-reuses two scratch vectors; each ``SpdSolver`` binds its own matrix's
-product and reuses its product and residual vectors; ``history_sums`` adds
-its 1 x 1 squares (every other step) through one scratch row.  ``advance``
-writes U1_n and U2_n straight into their history rows.  Each operation is
-the one of the plain expression in the same order, so the histories are
-bit for bit those of
+reuses two scratch vectors; ``history_sums`` adds its 1 x 1 squares (every
+other step) through one scratch row.  ``advance`` writes U1_n and U2_n
+straight into their history rows.  Each operation is the one of the plain
+expression in the same order, so the histories are bit for bit those of
 
-    A @ u2 + Kff @ ((h - co u1) - (k co) u2) + k load
+    u2 + SpdSolver(A).solve(Kff @ ((h - co u1) - (k co) u2) + k load)
 
 solved step by step, with A the step matrix as a CSR ``Mff + (k co) Kff``.
 
@@ -218,22 +210,20 @@ def time_average_load(sys: AssembledSystem):
     return sys.load
 
 
-def advance(kff, k, co, kload, solver, ax, u1_prev, u2_prev, hist, u1, u2,
-            work):
+def advance(kff, k, co, kload, solver, u1_prev, u2_prev, hist, u1, u2, work):
     """One dG(0) step on free dofs with step k and co = k - omega_nn, given
-    kload = k (Fbar_n + Gbar_n), the step matrix's ``solver`` and
-    ax = A U2_{n-1}, its product with ``u2_prev``: writes U1_n into ``u1``
-    and U2_n into ``u2``.
+    kload = k (Fbar_n + Gbar_n) and the step matrix's ``solver``: writes
+    U1_n into ``u1`` and U2_n into ``u2``.
 
     ``kff`` is the product with Kff, a ``solvers.csr_product``; ``work``
     holds two scratch vectors of the free-dof size.  ``hist`` may be ``u2``
-    itself, and ``ax`` may be ``solver.ax``: the right-hand side is complete
-    before U2_n is written and the solve overwrites ``solver.ax`` with
-    A U2_n.  Every operation is the one of
+    itself: the right-hand side is complete before U2_n is written.  Every
+    operation is the one of
 
-        rhs = ax + Kff @ ((hist - co * u1_prev) - (k * co) * u2_prev) + kload
+        u2 = u2_prev + solver.solve(
+            Kff @ ((hist - co * u1_prev) - (k * co) * u2_prev) + kload)
 
-    in the same order, so the step is bitwise that expression solved.
+    in the same order, so the step is bitwise that expression.
     """
     w, kw = work
     np.multiply(u1_prev, co, out=w)
@@ -241,9 +231,8 @@ def advance(kff, k, co, kload, solver, ax, u1_prev, u2_prev, hist, u1, u2,
     np.multiply(u2_prev, k * co, out=kw)
     w -= kw
     kff(w, kw)
-    kw += ax
     kw += kload
-    u2[:] = solver.solve(kw)
+    np.add(u2_prev, solver.solve(kw), out=u2)
     np.multiply(u2, k, out=u1)
     u1 += u1_prev
 
@@ -277,9 +266,7 @@ def run(sys: AssembledSystem, table: WeightTable, u0, v0):
     load = time_average_load(sys)
     kff = csr_product(sys.Kff)
     work = (np.empty(nf), np.empty(nf))
-    fresh = np.empty(nf)    # A_n U2_{n-1} where A_n is not A_{n-1}
     solvers = {}    # (k, co) -> (solver, k * load)
-    last = None
     for n, hist in enumerate(history_sums(table, u1f, u2f), start=1):
         k = ks[n - 1]
         co = k - diag[n - 1]
@@ -288,14 +275,9 @@ def run(sys: AssembledSystem, table: WeightTable, u0, v0):
             solvers[key] = (make_spd_solver(sys.Mff + (k * co) * sys.Kff),
                             k * load)
         solver, kload = solvers[key]
-        if solver is last:
-            ax = solver.ax      # A_n U2_{n-1} from step n - 1's check
-        else:
-            ax = solver.product(u2f[n - 1], fresh)
-            last = solver
         try:
-            advance(kff, k, co, kload, solver, ax, u1f[n - 1], u2f[n - 1],
-                    hist, u1f[n], u2f[n], work)
+            advance(kff, k, co, kload, solver, u1f[n - 1], u2f[n - 1], hist,
+                    u1f[n], u2f[n], work)
         except SolverError as err:
             raise SolverError(f"step {n} failed: {err}",
                               residual=err.residual) from err

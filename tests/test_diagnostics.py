@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from fracvisco import diagnostics
+from fracvisco import diagnostics, stepper
 from fracvisco.diagnostics import EnergyLedger, energy_ledger, long_time_limit
 from fracvisco.fem import (ElasticParams, assemble, build_rect_mesh,
                            quasi_static_solve, side_traction)
 from fracvisco.mlf import KernelParams
-from fracvisco.solvers import SpdSolver
 from fracvisco.stepper import SolutionHistory, run, time_average_load
 from fracvisco.weights import TimeGrid, build_weights
 
@@ -209,28 +208,25 @@ class TestEnergyLedger:
     def test_residual_tracks_solve_error(self, mesh8, elastic_soft,
                                          kernel_sec6, downward_traction,
                                          monkeypatch):
-        # every step's solution gets relative noise eps: the ledger residual
-        # must sit at roundoff for eps = 0 and grow with the injected error.
-        # The noisy solve keeps the solver's contract, ax = A x of the x it
-        # returns, as the next step's right-hand side is built from ax; a
-        # stale ax is caught by the bitwise reference loop of
-        # test_stepper.py, not by the ledger
+        # every step's velocity U2_n gets relative noise eps, and U1_n
+        # follows it, U1_n = U1_{n-1} + k U2_n: the ledger residual must sit
+        # at roundoff for eps = 0 and grow with the injected error
         loaded = assemble(mesh8, elastic_soft, traction=downward_traction)
         u0 = quasi_static_solve(loaded, scale=0.5)
         sys_ = assemble(mesh8, elastic_soft)
         grid = TimeGrid.uniform(1.0, 16)
         table = build_weights(grid, kernel_sec6)
-        exact_solve = SpdSolver.solve
+        exact_advance = stepper.advance
         noise = {}
 
-        def noisy_solve(self, b):
-            x = exact_solve(self, b)
-            x = x * (1.0 + noise["eps"] * noise["rng"].standard_normal(
-                x.shape))
-            self.product(x, self.ax)
-            return x
+        def noisy_advance(kff, k, co, kload, solver, u1_prev, u2_prev, hist,
+                          u1, u2, work):
+            exact_advance(kff, k, co, kload, solver, u1_prev, u2_prev, hist,
+                          u1, u2, work)
+            u2 *= 1.0 + noise["eps"] * noise["rng"].standard_normal(u2.shape)
+            u1[:] = u1_prev + k * u2
 
-        monkeypatch.setattr(SpdSolver, "solve", noisy_solve)
+        monkeypatch.setattr(stepper, "advance", noisy_advance)
         epsilons = (0.0, 1e-10, 1e-8, 1e-6)
         residuals = []
         for eps in epsilons:

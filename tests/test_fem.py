@@ -348,7 +348,7 @@ class TestSolvers:
         solver = SpdSolver(sp.identity(4, format="csr"))
         for b in (np.full(4, 1e-170), np.full(4, 1e160), np.full(4, 5e-324)):
             x = solver.solve(b)
-            assert np.array_equal(x, b) and np.array_equal(solver.ax, b)
+            assert np.array_equal(x, b)
 
     @pytest.mark.parametrize("scale", [1e-170, 1.0, 1e160])
     def test_scaled_rhs_same_solution_and_decision(self, loaded_system8,

@@ -87,6 +87,34 @@ class TestScalarReference:
         assert np.isfinite(ref.est_error) and ref.est_error <= 1e-6
         assert np.isfinite(ref.richardson_order)
 
+    @pytest.mark.parametrize("t_final,k_ref", [
+        (1.0, 0.3), (1.0, 2.0), (1.0, 0.1)])
+    def test_sweep_must_end_at_t_final(self, kernel_sec6, t_final, k_ref):
+        # the uniform tails would end at 1.1, at 0.5 and, for the 2k and 4k
+        # sweeps of k_ref = 0.1, at 0.9
+        m = ScalarModel(rho=1.0, kappa=1.0, kernel=kernel_sec6, u0=1.0)
+        with pytest.raises(ValueError, match="does not divide"):
+            scalar_reference(m, t_final, k_ref)
+
+    @pytest.mark.parametrize("t_final,k_ref", [
+        (1.0, 0.0), (1.0, np.nan), (1.0, -0.1), (np.inf, 0.1), (0.0, 0.1),
+        (np.nan, 0.1)])
+    def test_step_and_horizon_positive_and_finite(self, kernel_sec6, t_final,
+                                                 k_ref):
+        m = ScalarModel(rho=1.0, kappa=1.0, kernel=kernel_sec6, u0=1.0)
+        with pytest.raises(ValueError, match="positive and finite"):
+            scalar_reference(m, t_final, k_ref)
+
+    @pytest.mark.parametrize("t_final,k_ref", [
+        (3.0, 0.003), (4.0, 1.0 / 96), (4.0, 0.1 / 32)])
+    def test_rounded_steps_accepted(self, kernel_sec6, t_final, k_ref):
+        # steps that divide t_final only up to rounding still end there
+        m = ScalarModel(rho=1.0, kappa=1.0, kernel=kernel_sec6, u0=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the self-check may still warn
+            ref = scalar_reference(m, t_final, k_ref)
+        assert ref.times[-1] == pytest.approx(t_final, rel=1e-9)
+
     def test_row_weights_match_per_pair(self, fractional_model, monkeypatch):
         # every call takes B and C once per node and differences neighbours;
         # the same sweep with the two-endpoint formula, one interval at a
