@@ -24,7 +24,7 @@ from .fem import (AssembledSystem, ElasticParams, Mesh, assemble,
 from .mlf import (KernelParams, beta_double_primitive, beta_primitive,
                   kernel_beta, ml_e)
 from .scalar import (ScalarModel, convergence_study, scalar_dg0,
-                     scalar_reference, self_convergence_study)
+                     scalar_reference)
 from .solvers import SolverError, make_spd_solver
 from .stepper import SolutionHistory, run, time_average_load
 from .weights import (TimeGrid, WeightTable, build_weights,

@@ -211,8 +211,9 @@ def main(argv=None):
         for e in err.errors:
             print(f"error: {args.command}: {e}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, RuntimeError) as err:
-        print(f"error: {args.command}: {err}", file=sys.stderr)
+    except (ValueError, OSError, RuntimeError, MemoryError) as err:
+        print(f"error: {args.command}: {str(err) or type(err).__name__}",
+              file=sys.stderr)
         return 1
 
 

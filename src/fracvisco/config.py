@@ -9,7 +9,8 @@ Grammar (documented in the README):
   bare words, or 2-vectors written ``(a, b)``,
 * ``probe`` may repeat inside ``[probes]``; every other key is single-valued,
 * numbers must be finite, and ``dt`` (an alternative to ``steps``) must be
-  positive and divide ``t_final`` to 1e-9 relative (``TimeGrid.with_step``),
+  positive and divide ``t_final`` to 1e-9 relative
+  (``weights.dividing_step_count``; no grid is built),
 * every ``[solver]`` key and ``g_left`` are retired: each parses only at
   the one value the program still implements and sets nothing,
 * unknown sections or keys are errors; all errors are collected with their
@@ -26,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .weights import TimeGrid
+from .weights import dividing_step_count
 
 __all__ = ["RunConfig", "ConfigError", "parse_config"]
 
@@ -209,7 +210,7 @@ def parse_config(text):
             errors.append("time: give either steps or dt, not both")
         else:
             try:
-                steps = TimeGrid.with_step(cfg.t_final, dt).n_steps
+                steps = dividing_step_count(cfg.t_final, dt)
             except ValueError as err:
                 errors.append(f"line {line_of['dt']}: dt: {err}")
             else:

@@ -16,8 +16,7 @@ holds to solver-residual accuracy because eta_n is derived from the weight
 row sums; it is asserted by tests only in the homogeneous case, with the
 load work 2 sum_n k_n (Fbar_n + Gbar_n, U2_n) reported otherwise.  A history
 carries the system and weight table of its run, so the ledger takes nothing
-else, and its load comes from ``stepper.time_average_load`` as the run's
-did.
+else, and its load is the system's free-dof ``load``, as the run's is.
 
 No Gram matrix a(U1_i, U1_j) is formed.  Expanding a(W_nj, W_nj) reduces
 the memory double sum to per-step scalars: a(U1_n, U1_n), a(U1_n, U1_{n-1}),
@@ -47,7 +46,7 @@ from scipy import sparse
 from scipy.fft import irfft, next_fast_len, rfft
 
 from .fem import AssembledSystem
-from .stepper import SolutionHistory, time_average_load
+from .stepper import SolutionHistory
 from .weights import WeightTable
 
 __all__ = ["EnergyLedger", "energy_ledger", "long_time_limit", "TailReport"]
@@ -153,8 +152,7 @@ def energy_ledger(history: SolutionHistory):
     v0 = sys.expand(u2f[0])
     initial = float(u0 @ (sys.K @ u0) + v0 @ (sys.M @ v0))
 
-    load = time_average_load(sys)
-    load_work = 2.0 * float(k @ (u2f[1:] @ load))
+    load_work = 2.0 * float(k @ (u2f[1:] @ sys.load))
 
     return EnergyLedger(final_elastic=float(final_elastic),
                         final_kinetic=float(final_kinetic),

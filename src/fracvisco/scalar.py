@@ -30,7 +30,7 @@ import numpy as np
 
 from .mlf import KernelParams, beta_double_primitive, beta_primitive
 from .stepper import history_sums
-from .weights import TimeGrid, WeightTable, build_weights
+from .weights import TimeGrid, WeightTable, build_weights, step_count
 
 __all__ = [
     "ScalarModel",
@@ -39,7 +39,6 @@ __all__ = [
     "scalar_dg0",
     "scalar_reference",
     "convergence_study",
-    "self_convergence_study",
 ]
 
 # convergence_study's reference step is the smallest k divided by this.
@@ -106,11 +105,6 @@ def scalar_dg0(model: ScalarModel, table: WeightTable):
     return ScalarTrace(times=grid.nodes.copy(), u1=u1, u2=u2)
 
 
-def _graded_nodes(t_g, m_g):
-    i = np.arange(m_g + 1, dtype=np.float64)
-    return t_g * (i / m_g) ** 2
-
-
 def _pl_weights(p, lags, h):
     """Product weights of (u_lo, u_hi) for the intervals between consecutive
     nodes, seen from one target: the kernel integrated exactly against the
@@ -165,8 +159,8 @@ def _reference_sweep(model, t_final, k_ref, m_g, startup_steps):
     t_g = startup_steps * k_ref
     if t_g >= 0.5 * t_final:
         t_g = 0.5 * t_final
-    m_u = int(round((t_final - t_g) / k_ref))
-    graded = _graded_nodes(t_g, m_g)
+    m_u = step_count(t_final - t_g, k_ref)
+    graded = t_g * (np.arange(m_g + 1, dtype=np.float64) / m_g) ** 2
     nodes = np.concatenate([graded, t_g + k_ref * np.arange(1, m_u + 1)])
     if abs(nodes[-1] - t_final) > 1e-9 * t_final:
         raise ValueError(f"k = {k_ref!r} does not divide t_final - t_g = "
@@ -253,8 +247,21 @@ class ConvergenceStudy:
         return [r.order for r in self.rows]
 
 
-def _dg0_study(model, k_list, grids, u_ref):
-    """dG(0) final-value errors against u_ref and the observed orders."""
+def convergence_study(model: ScalarModel, k_list, t_final,
+                      reference: ReferenceTrace = None):
+    """Observed dG(0) temporal orders against the product-integration reference.
+
+    k_list must be decreasing, and each k must divide t_final to 1e-9
+    relative; the reference step is k_min/REF_FACTOR unless a precomputed
+    reference is supplied.
+    """
+    k_list = list(k_list)
+    if any(k2 >= k1 for k1, k2 in zip(k_list, k_list[1:])):
+        raise ValueError("k_list must be strictly decreasing")
+    grids = [TimeGrid.with_step(t_final, k) for k in k_list]
+    if reference is None:
+        reference = scalar_reference(model, t_final, min(k_list) / REF_FACTOR)
+    u_ref = reference.at_final()
     finals = [scalar_dg0(model, build_weights(grid, model.kernel)).u1[-1]
               for grid in grids]
     errors = [float(abs(u - u_ref)) for u in finals]
@@ -270,30 +277,3 @@ def _dg0_study(model, k_list, grids, u_ref):
                                    order=order))
     return ConvergenceStudy(rows=rows, reference_value=u_ref,
                             degenerate=all(e == 0.0 for e in errors))
-
-
-def convergence_study(model: ScalarModel, k_list, t_final,
-                      reference: ReferenceTrace = None):
-    """Observed dG(0) temporal orders against the product-integration reference.
-
-    k_list must be decreasing, and each k must divide t_final to 1e-9
-    relative; the reference step is k_min/REF_FACTOR unless a precomputed
-    reference is supplied.
-    """
-    k_list = list(k_list)
-    if any(k2 >= k1 for k1, k2 in zip(k_list, k_list[1:])):
-        raise ValueError("k_list must be strictly decreasing")
-    grids = [TimeGrid.with_step(t_final, k) for k in k_list]
-    if reference is None:
-        reference = scalar_reference(model, t_final, min(k_list) / REF_FACTOR)
-    return _dg0_study(model, k_list, grids, reference.at_final())
-
-
-def self_convergence_study(model: ScalarModel, k_list, t_final, k_fine):
-    """Orders measured against a fine dG(0) run (same scheme, smaller step)."""
-    if k_fine >= min(k_list):
-        raise ValueError("k_fine must be below every entry of k_list")
-    grids = [TimeGrid.with_step(t_final, k) for k in k_list]
-    fine = build_weights(TimeGrid.with_step(t_final, k_fine), model.kernel)
-    u_ref = float(scalar_dg0(model, fine).u1[-1])
-    return _dg0_study(model, k_list, grids, u_ref)

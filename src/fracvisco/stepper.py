@@ -10,9 +10,9 @@ solve for the velocity plus an explicit displacement update:
 with the memory term H_n = sum_{j<n} omega_nj U1_j.  M here is the
 rho-weighted mass, so the density never appears explicitly.  The memory
 terms come from ``history_sums``, an online blocked convolution: O(N log^2 N)
-work per unknown on uniform grids, O(N^2) on nonuniform ones.  The N solves
-reuse one factorization across steps that share k_n and omega_nn (all of
-them on a uniform grid, whose ``TimeGrid.steps`` are exactly equal).  H_n
+work per unknown on uniform grids, O(N^2) on nonuniform ones.  A run holds
+one factorization at a time, refactored when (k_n, k_n - omega_nn)
+changes: once on a uniform grid (``TimeGrid.steps`` exactly equal).  H_n
 accumulates in row n of the velocity history, which step n then overwrites
 with U2_n, so a run holds exactly its two (N+1) x nf histories and no
 scratch copy of either.
@@ -36,7 +36,7 @@ U1 agrees with the Mff form to 1e-14 of k |U2| but not of its own size
 Everything that does not change from step to step is set up once: ``run``
 reads the steps and the diagonal omega_nn as Python floats, binds the CSR
 kernel arguments of Kff (``solvers.csr_product``, scipy's kernel without
-scipy's dispatch), keeps k_n (Fbar_n + Gbar_n) with each factorization and
+scipy's dispatch), keeps k_n (Fbar_n + Gbar_n) with the factorization and
 reuses two scratch vectors; ``history_sums`` adds its 1 x 1 squares (every
 other step) through one scratch row.  ``advance`` writes U1_n and U2_n
 straight into their history rows.  Each operation is the one of the plain
@@ -266,15 +266,15 @@ def run(sys: AssembledSystem, table: WeightTable, u0, v0):
     load = time_average_load(sys)
     kff = csr_product(sys.Kff)
     work = (np.empty(nf), np.empty(nf))
-    solvers = {}    # (k, co) -> (solver, k * load)
+    key = None
     for n, hist in enumerate(history_sums(table, u1f, u2f), start=1):
         k = ks[n - 1]
         co = k - diag[n - 1]
-        key = (k, co)
-        if key not in solvers:
-            solvers[key] = (make_spd_solver(sys.Mff + (k * co) * sys.Kff),
-                            k * load)
-        solver, kload = solvers[key]
+        if (k, co) != key:
+            # one live factorization: the old one goes before the next
+            key, solver = (k, co), None
+            solver = make_spd_solver(sys.Mff + (k * co) * sys.Kff)
+            kload = k * load
         try:
             advance(kff, k, co, kload, solver, u1f[n - 1], u2f[n - 1], hist,
                     u1f[n], u2f[n], work)

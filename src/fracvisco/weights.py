@@ -34,6 +34,8 @@ from .mlf import KernelParams, beta_double_primitive, beta_primitive
 
 __all__ = [
     "TimeGrid",
+    "step_count",
+    "dividing_step_count",
     "WeightTable",
     "build_weights",
     "verify_sign_structure",
@@ -72,15 +74,9 @@ class TimeGrid:
 
     @classmethod
     def with_step(cls, t_final, k):
-        """The uniform grid of step k on [0, t_final]; both must be positive
-        and finite, and k must divide t_final to 1e-9 relative."""
-        if not (0.0 < t_final < np.inf and 0.0 < k < np.inf):
-            raise ValueError(f"t_final and k must be positive and finite, "
-                             f"got t_final = {t_final!r}, k = {k!r}")
-        steps = round(t_final / k)
-        if steps < 1 or abs(steps * k - t_final) > 1e-9 * t_final:
-            raise ValueError(f"k = {k!r} does not divide t_final = {t_final!r}")
-        return cls.uniform(t_final, steps)
+        """The uniform grid of step k on [0, t_final], of the step count
+        ``dividing_step_count`` gives."""
+        return cls.uniform(t_final, dividing_step_count(t_final, k))
 
     @cached_property
     def steps(self):
@@ -104,6 +100,27 @@ class TimeGrid:
     def is_uniform(self):
         k = self.steps
         return bool(np.all(k == k[0]))
+
+
+def step_count(span, k):
+    """round(span / k) as an int; ValueError, not round's OverflowError,
+    when span / k is not finite (a subnormal k, say)."""
+    count = span / k
+    if not np.isfinite(count):
+        raise ValueError(f"k = {k!r} gives {count} steps, not a finite count")
+    return int(round(count))
+
+
+def dividing_step_count(t_final, k):
+    """round(t_final / k), with no grid built: both must be positive and
+    finite, and k must divide t_final to 1e-9 relative (else ValueError)."""
+    if not (0.0 < t_final < np.inf and 0.0 < k < np.inf):
+        raise ValueError(f"t_final and k must be positive and finite, "
+                         f"got t_final = {t_final!r}, k = {k!r}")
+    steps = step_count(t_final, k)
+    if steps < 1 or abs(steps * k - t_final) > 1e-9 * t_final:
+        raise ValueError(f"k = {k!r} does not divide t_final = {t_final!r}")
+    return steps
 
 
 @dataclass

@@ -97,6 +97,16 @@ class TestParse:
             parse_config("[time]\nt_final = 1.0\ndt = 0.3\n")
         assert any(e.startswith("line 3:") for e in err.value.errors)
 
+    def test_dt_step_count_must_be_finite(self):
+        with pytest.raises(ConfigError, match="not a finite count") as err:
+            parse_config("[time]\nt_final = 1.0\ndt = 5e-324\n")
+        assert [e[:12] for e in err.value.errors] == ["line 3: dt: "]
+
+    def test_dt_counts_steps_without_a_grid(self):
+        with pytest.warns(UserWarning):
+            cfg = parse_config("[time]\nt_final = 1.0\ndt = 1e-12\n")
+        assert cfg.steps == 10 ** 12
+
     def test_duplicate_key(self):
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config("[kernel]\nalpha = 0.5\nalpha = 0.6\n")
@@ -274,6 +284,20 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: simulate:")
+
+    def test_memory_error_is_one_line(self, tmp_path, monkeypatch, capsys):
+        from fracvisco import cli
+
+        def no_memory(*args):
+            raise MemoryError("Unable to allocate 7.28 TiB")
+
+        monkeypatch.setattr(cli, "build_weights", no_memory)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("[mesh]\nnx = 2\nny = 2\n[time]\nsteps = 4\n")
+        code = run_cli(["simulate", str(cfg)], tmp_path, monkeypatch)
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: simulate: Unable to allocate 7.28 TiB\n")
 
     def test_missing_file_exit_code(self, tmp_path, monkeypatch, capsys):
         code = run_cli(["simulate", str(tmp_path / "nope.cfg")],

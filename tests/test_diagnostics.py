@@ -11,7 +11,7 @@ from fracvisco.diagnostics import EnergyLedger, energy_ledger, long_time_limit
 from fracvisco.fem import (ElasticParams, assemble, build_rect_mesh,
                            quasi_static_solve, side_traction)
 from fracvisco.mlf import KernelParams
-from fracvisco.stepper import SolutionHistory, run, time_average_load
+from fracvisco.stepper import SolutionHistory, run
 from fracvisco.weights import TimeGrid, build_weights
 
 
@@ -397,22 +397,19 @@ class TestAgainstGramOracle:
             if name != "residual_rel":
                 assert abs(a - b) <= tol, (name, a, b)
 
-    def test_constant_load_evaluated_once(self, mesh8, elastic_soft,
-                                          kernel_sec6, monkeypatch):
-        calls = []
-
-        def counted(sys_):
-            calls.append(sys_)
-            return time_average_load(sys_)
-
+    def test_load_work_reads_the_system_load(self, mesh8, elastic_soft,
+                                             kernel_sec6):
+        # the ledger's load is the free-dof load of the history's system,
+        # the vector every step of the run added
         table = build_weights(TimeGrid.uniform(1.0, 24), kernel_sec6)
         sys_ = assemble(mesh8, elastic_soft,
                         traction=side_traction({"right": (0.3, -1.0)}))
         z = np.zeros(sys_.n_dofs)
         hist = run(sys_, table, z, z)
-        monkeypatch.setattr(diagnostics, "time_average_load", counted)
-        assert energy_ledger(hist).load_work != 0.0
-        assert len(calls) == 1 and calls[0] is sys_
+        load_work = energy_ledger(hist).load_work
+        assert load_work != 0.0
+        assert load_work == 2.0 * float(table.grid.steps
+                                        @ (hist.u2f[1:] @ sys_.load))
 
 
 class TestLongTimeLimit:

@@ -6,7 +6,7 @@ import pytest
 from fracvisco import mlf, scalar
 from fracvisco.mlf import KernelParams
 from fracvisco.scalar import (ScalarModel, convergence_study, scalar_dg0,
-                              scalar_reference, self_convergence_study)
+                              scalar_reference)
 from fracvisco.weights import TimeGrid, build_weights
 
 
@@ -104,6 +104,12 @@ class TestScalarReference:
         m = ScalarModel(rho=1.0, kappa=1.0, kernel=kernel_sec6, u0=1.0)
         with pytest.raises(ValueError, match="positive and finite"):
             scalar_reference(m, t_final, k_ref)
+
+    def test_subnormal_step_is_a_value_error(self, kernel_sec6):
+        # (t_final - t_g) / k_ref overflows: the step count says so
+        m = ScalarModel(rho=1.0, kappa=1.0, kernel=kernel_sec6, u0=1.0)
+        with pytest.raises(ValueError, match="not a finite count"):
+            scalar_reference(m, 1.0, 5e-324)
 
     @pytest.mark.parametrize("t_final,k_ref", [
         (3.0, 0.003), (4.0, 1.0 / 96), (4.0, 0.1 / 32)])
@@ -218,13 +224,3 @@ class TestConvergence:
     def test_k_must_divide_t_final(self, fractional_model):
         with pytest.raises(ValueError, match="does not divide"):
             convergence_study(fractional_model, [0.3, 0.1], 1.0)
-        with pytest.raises(ValueError, match="does not divide"):
-            self_convergence_study(fractional_model, [0.25, 0.125], 1.0,
-                                   k_fine=0.03)
-
-    def test_self_convergence_mode(self, fractional_model):
-        study = self_convergence_study(fractional_model,
-                                       [2.0 ** -e for e in range(2, 6)], 4.0,
-                                       k_fine=2.0 ** -9)
-        orders = study.orders()[1:]
-        assert all(0.7 <= o <= 1.3 for o in orders), orders

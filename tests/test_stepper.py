@@ -271,27 +271,6 @@ class TestRun:
         run(sys_, table, z, z)
         assert len(calls) == 1
 
-    def test_nonuniform_grid_factors_once_per_step_value(
-            self, elastic_soft, kernel_sec6, monkeypatch):
-        # steps alternate between two dyadic values on a dense table: one
-        # factorization per distinct (k, co)
-        steps = np.tile([2.0 ** -5, 2.0 ** -4], 20)
-        grid = TimeGrid(np.concatenate([[0.0], np.cumsum(steps)]))
-        assert not grid.is_uniform
-        table = build_weights(grid, kernel_sec6)
-        sys_ = assemble(build_rect_mesh(4, 4), elastic_soft,
-                        traction=side_traction({"right": (0.0, -1.0)}))
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return make_spd_solver(*args, **kwargs)
-
-        monkeypatch.setattr(stepper, "make_spd_solver", counted)
-        z = np.zeros(sys_.n_dofs)
-        run(sys_, table, z, z)
-        assert len(calls) == 2
-
     @pytest.mark.parametrize("uniform", [True, False])
     def test_bitwise_reference_loop(self, elastic_soft, kernel_sec6, uniform):
         sys_ = assemble(build_rect_mesh(4, 4), elastic_soft,
@@ -396,7 +375,9 @@ class TestRun:
     def test_products_per_run(self, elastic_soft, kernel_sec6, monkeypatch,
                               steps, changes):
         # one product with Kff and one for the check per step, however
-        # often the step matrix changes from one step to the next
+        # often the step matrix changes from one step to the next, and one
+        # factorization per change of (k, co): the run keeps only the
+        # current one, so alternating steps refactor at every step
         from scipy.sparse import _sparsetools
 
         if steps == "uniform":
@@ -414,15 +395,22 @@ class TestRun:
                         traction=side_traction({"right": (0.0, -1.0)}))
         kernel = _sparsetools.csr_matvec
         calls = []
+        factors = []
 
         def counted(*args):
             calls.append(1)
             return kernel(*args)
 
+        def counted_factor(*args, **kwargs):
+            factors.append(1)
+            return make_spd_solver(*args, **kwargs)
+
         monkeypatch.setattr(_sparsetools, "csr_matvec", counted)
+        monkeypatch.setattr(stepper, "make_spd_solver", counted_factor)
         z = np.zeros(sys_.n_dofs)
         run(sys_, table, z, z)
         assert len(calls) == 2 * 40
+        assert len(factors) == changes
 
     def test_zero_data_zero_loads(self, mesh8, elastic_soft, kernel_sec6):
         sys_ = assemble(mesh8, elastic_soft)
@@ -583,6 +571,27 @@ class TestRun:
             tracemalloc.stop()
         assert hist.u1f.nbytes > 17e6
         assert peak < 2 * hist.u1f.nbytes + 8e6
+
+    def test_graded_grid_holds_one_factorization(self, kernel_sec6,
+                                                 elastic_soft):
+        # every step of a graded grid has its own step matrix; a run that
+        # kept each factorization peaked at 34 MB here (16x16, nf = 544,
+        # N = 128, 1.1 MB of histories), one live factorization at 1.7 MB;
+        # the bound is the histories plus 2 MB, 3.1 MB
+        sys_ = assemble(build_rect_mesh(16, 16), elastic_soft,
+                        traction=side_traction({"right": (0.0, -1.0)}))
+        n_steps = 128
+        grid = TimeGrid((np.arange(n_steps + 1) / n_steps) ** 2)
+        table = build_weights(grid, kernel_sec6)
+        z = np.zeros(sys_.n_dofs)
+        tracemalloc.start()
+        try:
+            hist = run(sys_, table, z, z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.any(hist.u1f)
+        assert peak < 2 * hist.u1f.nbytes + 2e6
 
 
 class TestBandOrder:

@@ -5,6 +5,7 @@ import pytest
 
 from fracvisco.mlf import KernelParams
 from fracvisco.weights import (TimeGrid, WeightTable, build_weights,
+                               dividing_step_count, step_count,
                                verify_sign_structure)
 from oracles import omega_by_quadrature
 
@@ -59,6 +60,14 @@ class TestTimeGrid:
     def test_with_step_needs_positive_finite_data(self, t_final, k):
         with pytest.raises(ValueError, match="positive and finite"):
             TimeGrid.with_step(t_final, k)
+
+    def test_step_count_must_be_finite(self):
+        # 1 / 5e-324 overflows to inf, which round() cannot take
+        for count in (lambda: step_count(1.0, 5e-324),
+                      lambda: dividing_step_count(1.0, 5e-324),
+                      lambda: TimeGrid.with_step(1.0, 5e-324)):
+            with pytest.raises(ValueError, match="not a finite count"):
+                count()
 
 
 class TestBuildWeights:
