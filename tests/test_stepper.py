@@ -271,6 +271,30 @@ class TestRun:
         run(sys_, table, z, z)
         assert len(calls) == 1
 
+    def test_nonuniform_grid_factors_once_per_step_value(
+            self, elastic_soft, kernel_sec6, monkeypatch):
+        # steps take three dyadic values, each in one contiguous block: one
+        # factorization per distinct (k, co), since the run refactors only
+        # when (k, co) changes
+        steps = np.repeat([2.0 ** -5, 2.0 ** -4, 2.0 ** -6], [12, 8, 16])
+        grid = TimeGrid(np.concatenate([[0.0], np.cumsum(steps)]))
+        assert not grid.is_uniform
+        table = build_weights(grid, kernel_sec6)
+        keys = set(zip(grid.steps, grid.steps - table.omega.diagonal()))
+        assert len(keys) == 3
+        sys_ = assemble(build_rect_mesh(4, 4), elastic_soft,
+                        traction=side_traction({"right": (0.0, -1.0)}))
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return make_spd_solver(*args, **kwargs)
+
+        monkeypatch.setattr(stepper, "make_spd_solver", counted)
+        z = np.zeros(sys_.n_dofs)
+        run(sys_, table, z, z)
+        assert len(calls) == 3
+
     @pytest.mark.parametrize("uniform", [True, False])
     def test_bitwise_reference_loop(self, elastic_soft, kernel_sec6, uniform):
         sys_ = assemble(build_rect_mesh(4, 4), elastic_soft,
