@@ -239,7 +239,8 @@ def _in_blocks(fn, x, size):
 
 
 def eval_ml_neg(alpha, b, xs):
-    """E_{alpha,b}(-x) elementwise over xs >= 0.
+    """E_{alpha,b}(-x) elementwise over xs >= 0, for b in {1, 2, alpha}
+    (``mlf.ml_e`` checks b).
 
     alpha == 1 is dispatched to exact exponential forms.
     """
@@ -249,10 +250,10 @@ def eval_ml_neg(alpha, b, xs):
             safe = np.where(xs == 0.0, 1.0, xs)
             return np.where(xs == 0.0, 1.0, -np.expm1(-xs) / safe)
         return np.exp(-xs)
-    if b not in (1.0, 2.0, alpha):
-        raise ValueError(f"unsupported second parameter b={b!r}")
     srat, st0 = series_coefficients(alpha, b)
-    s_arg = np.where(xs > 0.0, xs, 1.0) ** (1.0 / alpha)
+    # only picks the branch: an s that overflows to inf is asymptotic
+    with np.errstate(over="ignore"):
+        s_arg = np.where(xs > 0.0, xs, 1.0) ** (1.0 / alpha)
     zero = xs == 0.0
     ser = (~zero) & (s_arg <= S_SERIES)
     asy = (~zero) & (s_arg >= S_ASYM)

@@ -112,7 +112,8 @@ _FIELD_OF = {("elastic", "lambda"): "lam", ("probes", "probe"): "probes",
 # Keys that no longer select anything: the one value each still accepts.
 # cg_tol was the relative residual bound of the step solves (every solve is
 # now checked by its backward error, ``solvers.SpdSolver``); the other
-# [solver] keys named removed paths.  The x = 0 side is clamped, so a traction there would do nothing.
+# [solver] keys named removed paths.  g_left is retired: side SIDE_LEFT
+# (x = 0) is the clamp (``fem``), so a traction there would do nothing.
 _RETIRED = {"method": "direct", "cg_tol": 1e-10,
             "weights_mode": "closed_form", "mass_lumping": False,
             "g_left": (0.0, 0.0)}

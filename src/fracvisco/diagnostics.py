@@ -250,6 +250,11 @@ def _stiffness_products(u1f, sys: AssembledSystem, weigh):
     return diag, sub, p, q
 
 
+def _interval_mean(t, v):
+    """Trapezoidal mean of samples v over the span of the nodes t."""
+    return float(np.trapezoid(v, t) / max(t[-1] - t[0], 1e-300))
+
+
 @dataclass
 class TailReport:
     tail_mean: float
@@ -279,14 +284,12 @@ def long_time_limit(history: SolutionHistory, vertex, component=1,
         raise ValueError("tail window has too few samples")
     tail_t = t[sel]
     tail_v = vals[sel]
-    tail_mean = float(np.trapezoid(tail_v, tail_t) / (tail_t[-1] - tail_t[0]))
+    tail_mean = _interval_mean(tail_t, tail_v)
     mid = tail_t[0] + 0.5 * (tail_t[-1] - tail_t[0])
     first = tail_t <= mid
-    m1 = float(np.trapezoid(tail_v[first], tail_t[first])
-               / max(tail_t[first][-1] - tail_t[first][0], 1e-300))
+    m1 = _interval_mean(tail_t[first], tail_v[first])
     second = tail_t >= mid
-    m2 = float(np.trapezoid(tail_v[second], tail_t[second])
-               / max(tail_t[second][-1] - tail_t[second][0], 1e-300))
+    m2 = _interval_mean(tail_t[second], tail_v[second])
     scale = max(abs(tail_mean), 1e-300)
     halves_gap = abs(m1 - m2) / scale
     settled = halves_gap <= SETTLE_TOL

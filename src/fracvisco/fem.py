@@ -29,8 +29,6 @@ __all__ = [
     "Mesh",
     "ElasticParams",
     "AssembledSystem",
-    "DIRICHLET",
-    "NEUMANN",
     "build_rect_mesh",
     "assemble",
     "traction_load",
@@ -39,10 +37,8 @@ __all__ = [
     "side_traction",
 ]
 
-DIRICHLET = 0
-NEUMANN = 1
-
-# boundary side ids for structured rectangles
+# boundary side ids for structured rectangles; an edge of side SIDE_LEFT is
+# clamped, every other boundary edge is free to take a traction
 SIDE_LEFT, SIDE_RIGHT, SIDE_BOTTOM, SIDE_TOP = 0, 1, 2, 3
 SIDE_NAMES = {"left": SIDE_LEFT, "right": SIDE_RIGHT,
               "bottom": SIDE_BOTTOM, "top": SIDE_TOP}
@@ -67,8 +63,7 @@ class Mesh:
     vertices: np.ndarray       # (nv, 2) float
     triangles: np.ndarray      # (nt, 3) int, counterclockwise
     boundary_edges: np.ndarray  # (ne, 2) int vertex pairs
-    edge_tags: np.ndarray      # (ne,) DIRICHLET or NEUMANN
-    edge_sides: np.ndarray     # (ne,) side id on structured meshes
+    edge_sides: np.ndarray     # (ne,) side id; SIDE_LEFT edges are clamped
 
     def __post_init__(self):
         areas = self.signed_areas()
@@ -85,7 +80,7 @@ class Mesh:
         return self.vertices.shape[0]
 
     def dirichlet_vertices(self):
-        edges = self.boundary_edges[self.edge_tags == DIRICHLET]
+        edges = self.boundary_edges[self.edge_sides == SIDE_LEFT]
         return np.unique(edges)
 
     def nearest_vertex(self, point, tol=1e-9):
@@ -108,7 +103,7 @@ class Mesh:
 def build_rect_mesh(nx, ny, lx=1.0, ly=1.0):
     """Uniform nx-by-ny grid on [0,lx]x[0,ly], cells split along one diagonal.
 
-    Edges on x = 0 are tagged Dirichlet, the rest Neumann.
+    Edges on x = 0 have side SIDE_LEFT, so they are clamped.
     """
     if nx < 1 or ny < 1:
         raise ValueError("need nx, ny >= 1")
@@ -137,8 +132,6 @@ def build_rect_mesh(nx, ny, lx=1.0, ly=1.0):
                 triangles=triangles.astype(np.int32),
                 boundary_edges=np.column_stack(
                     [starts, starts + steps]).astype(np.int32),
-                edge_tags=np.where(sides == SIDE_LEFT, DIRICHLET,
-                                   NEUMANN).astype(np.int8),
                 edge_sides=sides.astype(np.int8))
 
 
@@ -211,7 +204,7 @@ class AssembledSystem:
 
 
 def assemble(mesh, ep, volume=None, traction=None, extra_fixed_dofs=None):
-    """Assemble stiffness, mass and load; Dirichlet set from mesh tags.
+    """Assemble stiffness, mass and load; Dirichlet set from side SIDE_LEFT.
 
     ``volume`` is a constant body force (fx, fy) and ``traction`` a
     ``side_traction`` table; either may be None (no load).
@@ -252,9 +245,9 @@ def assemble(mesh, ep, volume=None, traction=None, extra_fixed_dofs=None):
 
 def traction_load(mesh, table):
     """Nodal load of the per-side traction ``table`` (a ``side_traction``)
-    on the Neumann edges: half of each edge's length times its side's
-    traction at each of its two endpoints."""
-    sel = mesh.edge_tags == NEUMANN
+    on the edges not of side SIDE_LEFT (clamped): half of each edge's length
+    times its side's traction at each of its two endpoints."""
+    sel = mesh.edge_sides != SIDE_LEFT
     edges = mesh.boundary_edges[sel]
     pa = mesh.vertices[edges[:, 0]]
     pb = mesh.vertices[edges[:, 1]]
@@ -269,7 +262,7 @@ def traction_load(mesh, table):
 def volume_load(mesh, vec):
     """Nodal load of the constant body force ``vec`` = (fx, fy): a third of
     each triangle's area times ``vec`` at each of its vertices."""
-    contrib = (np.abs(mesh.signed_areas()) / 3.0)[:, None] * np.asarray(
+    contrib = (mesh.signed_areas() / 3.0)[:, None] * np.asarray(
         vec, dtype=np.float64)
     # each dof sums its terms in triangle order, first vertices before
     # second and third ones; the order fixes the last bits of the load
@@ -281,8 +274,8 @@ def volume_load(mesh, vec):
 
 def side_traction(spec):
     """The (4, 2) per-side traction table of {side name: (gx, gy)}, rows in
-    side-id order; zero on the sides ``spec`` leaves out.  Only the Neumann
-    sides right, bottom and top take a traction: left is clamped."""
+    side-id order; zero on the sides ``spec`` leaves out.  Only the sides
+    right, bottom and top take a traction: an edge of side left is clamped."""
     table = np.zeros((4, 2))
     for name, vec in spec.items():
         if SIDE_NAMES.get(name) in (None, SIDE_LEFT):

@@ -27,9 +27,7 @@ eta <= g(3 bw + 4) (2 bw + 1), and forming the residual adds at most
 g(2 bw + 2).  That is 2.2e-13 at bw = 17 and 1.1e-11 at bw = 129, whatever
 the conditioning; the solves of this package measure 4e-17 to 1.4e-16 from
 8x8 to 128x128 meshes, and a solution with a random relative error of 1e-8
-has eta of about 3e-9.  The relative residual ||b - A x|| / ||b|| this check
-replaces grows with the condition number: the static solve of a 64x64 mesh
-reached 1.0e-12 on an exact factorization.
+has eta of about 3e-9.
 
 A solve costs one ``pbtrs``, one residual product and three norms, of b, x
 and the residual.  A norm is one BLAS ``ddot`` and a square root, and the

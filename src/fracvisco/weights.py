@@ -154,32 +154,30 @@ def build_weights(grid: TimeGrid, p: KernelParams):
     k = grid.steps
     n = grid.n_steps
     if grid.is_uniform:
-        h = k[0]
-        w_of = np.zeros(n)  # w_of[d] = omega_{j+d, j}, d = 0 the diagonal
+        lags = np.zeros(n)  # lags[d] = omega_{j+d, j}, d = 0 the diagonal
         if p.gamma > 0.0:
-            cl = beta_double_primitive(p, np.arange(n + 1) * h)
+            cl = beta_double_primitive(p, np.arange(n + 1) * k[0])
             # second difference in the lag index; row-independent
-            w_of[0] = cl[1]  # C(k): diagonal entry
-            d = np.arange(1, n)
-            w_of[1:] = cl[d + 1] - 2.0 * cl[d] + cl[d - 1]
-        w_of.flags.writeable = False  # omega is a view of a copy of it
-        eta_bar = np.empty(n + 1)
-        eta_bar[0] = 1.0
-        eta_bar[1:] = 1.0 - np.cumsum(w_of) / k
-        return WeightTable(omega=_toeplitz_view(w_of), eta_bar=eta_bar,
-                           grid=grid, params=p, lags=w_of)
-    if p.gamma == 0.0:
-        omega = np.zeros((n, n))
+            lags[0] = cl[1]  # C(k): diagonal entry
+            lags[1:] = cl[2:] - 2.0 * cl[1:-1] + cl[:-2]
+        lags.flags.writeable = False  # omega is a view of a copy of it
+        omega = _toeplitz_view(lags)
+        row_sums = np.cumsum(lags)
     else:
-        # the pairwise table is zero at lags <= 0, so the diagonal comes out
-        # as C(k_n) and the upper triangle as zeros
-        c = _pairwise_primitive(p, nodes)
-        omega = c[1:, :-1] - c[1:, 1:] - c[:-1, :-1] + c[:-1, 1:]
-    row_sums = omega.sum(axis=1)
+        lags = None
+        if p.gamma == 0.0:
+            omega = np.zeros((n, n))
+        else:
+            # the pairwise table is zero at lags <= 0, so the diagonal comes
+            # out as C(k_n) and the upper triangle as zeros
+            c = _pairwise_primitive(p, nodes)
+            omega = c[1:, :-1] - c[1:, 1:] - c[:-1, :-1] + c[:-1, 1:]
+        row_sums = omega.sum(axis=1)
     eta_bar = np.empty(n + 1)
     eta_bar[0] = 1.0
     eta_bar[1:] = 1.0 - row_sums / k
-    return WeightTable(omega=omega, eta_bar=eta_bar, grid=grid, params=p)
+    return WeightTable(omega=omega, eta_bar=eta_bar, grid=grid, params=p,
+                       lags=lags)
 
 
 def _toeplitz_view(w_of):

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from fracvisco.fem import (DIRICHLET, NEUMANN, ElasticParams, Mesh, assemble,
-                           build_rect_mesh, quasi_static_solve, side_traction,
-                           traction_load, volume_load)
+from fracvisco.fem import (SIDE_BOTTOM, SIDE_LEFT, SIDE_TOP, ElasticParams,
+                           Mesh, assemble, build_rect_mesh, quasi_static_solve,
+                           side_traction, traction_load, volume_load)
 from fracvisco.solvers import (SolverError, SpdSolver, csr_product,
                                make_spd_solver)
 from oracles import sorted_order
@@ -19,7 +19,7 @@ class TestMesh:
         m = build_rect_mesh(1, 1)
         assert m.triangles.shape[0] == 2
         assert m.n_vertices == 4
-        dir_edges = m.boundary_edges[m.edge_tags == DIRICHLET]
+        dir_edges = m.boundary_edges[m.edge_sides == SIDE_LEFT]
         assert dir_edges.shape[0] == 1  # one edge on x = 0 for ny = 1
         assert np.all(m.vertices[np.unique(dir_edges)][:, 0] == 0.0)
 
@@ -41,11 +41,10 @@ class TestMesh:
         want = {"triangles": [[0, 1, 4], [0, 4, 3], [1, 2, 5], [1, 5, 4]],
                 "boundary_edges": [[0, 3], [2, 5], [0, 1], [3, 4], [1, 2],
                                    [4, 5]],
-                "edge_tags": [0, 1, 1, 1, 1, 1],
                 "edge_sides": [0, 1, 2, 3, 2, 3]}
         for name, dtype in (("triangles", np.int32),
                             ("boundary_edges", np.int32),
-                            ("edge_tags", np.int8), ("edge_sides", np.int8)):
+                            ("edge_sides", np.int8)):
             got = getattr(m, name)
             assert got.dtype == dtype, name
             assert np.array_equal(got, want[name]), name
@@ -66,8 +65,7 @@ class TestMesh:
         vertices = m.vertices.copy()
         vertices[3, 0] = np.nan     # one triangle's area becomes nan
         with pytest.raises(ValueError, match="counterclockwise"):
-            Mesh(vertices, m.triangles, m.boundary_edges, m.edge_tags,
-                 m.edge_sides)
+            Mesh(vertices, m.triangles, m.boundary_edges, m.edge_sides)
 
     def test_probe_snapping_warns(self):
         m = build_rect_mesh(2, 2)
@@ -247,7 +245,7 @@ class TestLoads:
         mesh = Mesh(vertices=grid.vertices + jitter,
                     triangles=grid.triangles,
                     boundary_edges=grid.boundary_edges,
-                    edge_tags=grid.edge_tags, edge_sides=grid.edge_sides)
+                    edge_sides=grid.edge_sides)
         f = (0.3, -0.7)
         spec = {"right": (0.25, -1.0), "bottom": (-0.5, 0.125),
                 "top": (0.75, 0.4)}
@@ -256,9 +254,8 @@ class TestLoads:
         side_names = ("left", "right", "bottom", "top")
         traction = np.zeros(2 * mesh.n_vertices)
         for end in (0, 1):
-            for edge, tag, side in zip(mesh.boundary_edges, mesh.edge_tags,
-                                       mesh.edge_sides):
-                if tag != NEUMANN:
+            for edge, side in zip(mesh.boundary_edges, mesh.edge_sides):
+                if side == SIDE_LEFT:
                     continue
                 pa, pb = mesh.vertices[edge[0]], mesh.vertices[edge[1]]
                 half = 0.5 * np.hypot(pb[0] - pa[0], pb[1] - pa[1])
@@ -294,9 +291,27 @@ class TestDirichlet:
 
     def test_empty_dirichlet_rejected(self):
         m = build_rect_mesh(2, 2)
-        m.edge_tags[:] = 1  # all Neumann
+        m.edge_sides[m.edge_sides == SIDE_LEFT] = SIDE_TOP  # nothing clamped
         with pytest.raises(ValueError, match="Dirichlet"):
             assemble(m, ElasticParams(1.0, 1.0, 1.0))
+
+    def test_side_left_label_is_the_clamp(self):
+        # relabelling the bottom edges SIDE_LEFT clamps them: their
+        # vertices join the Dirichlet set and drop out of the free dofs,
+        # and a bottom traction no longer loads anything
+        m = build_rect_mesh(2, 2)
+        m.edge_sides[m.edge_sides == SIDE_BOTTOM] = SIDE_LEFT
+        clamped = np.array([0, 1, 2, 3, 6])  # x = 0 or y = 0 of the 3x3
+        assert np.array_equal(m.dirichlet_vertices(), clamped)
+        sys_ = assemble(m, ElasticParams(1.0, 1.0, 1.0))
+        fixed = np.concatenate([2 * clamped, 2 * clamped + 1])
+        assert np.array_equal(np.sort(sys_.free_dofs),
+                              np.setdiff1d(np.arange(18), fixed))
+        bottom = side_traction({"bottom": (0.5, -1.0)})
+        assert not np.any(traction_load(m, bottom))
+        top = side_traction({"top": (0.25, 0.75)})
+        both = side_traction({"bottom": (0.5, -1.0), "top": (0.25, 0.75)})
+        assert np.array_equal(traction_load(m, both), traction_load(m, top))
 
     def test_hand_assembled_two_dof_system(self, downward_traction):
         # 2-triangle unit square with vertex (1,0) also pinned leaves the

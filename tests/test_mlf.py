@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -51,6 +52,21 @@ class TestMlE:
                 ml_e(0.5, 1.0, x)
         for alpha, b in ((0.5, 1.0), (2.0 / 3.0, 2.0 / 3.0), (0.9, 2.0)):
             assert ml_e(alpha, b, np.inf) == 0.0
+
+    def test_huge_x_warns_nothing(self):
+        # x**(1/alpha) overflows to inf for huge x; that only selects the
+        # asymptotic branch and must not leak an overflow warning
+        xs = np.concatenate([[0.0], np.geomspace(1e-300, 1.7e308, 400),
+                             [np.inf]])
+        for alpha in (0.1, 0.3, 0.5, 2.0 / 3.0, 0.9, 0.999, 1.0):
+            for b in (1.0, 2.0, alpha):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    v = ml_e(alpha, b, xs)
+                    tail = ml_e(alpha, b, xs[-2])
+                assert np.all(np.isfinite(v)), (alpha, b)
+                assert np.all(np.abs(v) <= v[0]), (alpha, b)
+                assert v[-1] == 0.0 and tail == v[-2], (alpha, b)
 
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 2.0 / 3.0, 0.9, 1.0])
     @pytest.mark.parametrize("bsel", ["one", "two", "alpha"])
