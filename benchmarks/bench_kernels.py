@@ -3,7 +3,8 @@
 
 They are batched Mittag-Leffler evaluation (feeds every weight table; one
 row over all three branches, one over the ascending series alone, one over
-the descending asymptotic series alone (s in [40, 400]), and the uniform
+the descending asymptotic series alone (s in [40, 400]), one over the
+spectral integral alone (s in [5, 40]), and the uniform
 weight table of the long-memory run, N=8192 steps over 40 relaxation
 times, whose lags fall mostly in the spectral branch),
 weight-table construction on a nonuniform grid (O(N^2) distinct lags), the
@@ -189,6 +190,11 @@ def main():
                                            n_ser) ** (2.0 / 3.0)
     t, _ = timed(lambda: eval_ml_neg(2.0 / 3.0, 2.0, xs), repeat)
     rows.append((f"ml_asym[{n_ser}]", t))
+    n_spec = 20_000 if args.quick else 200_000
+    xs = np.random.default_rng(13).uniform(S_SERIES, S_ASYM,
+                                           n_spec) ** (2.0 / 3.0)
+    t, _ = timed(lambda: eval_ml_neg(2.0 / 3.0, 2.0, xs), repeat)
+    rows.append((f"ml_spectral[{n_spec}]", t))
 
     ker = KernelParams(alpha=2.0 / 3.0, tau=1.0, gamma=0.5)
     t, _ = timed(lambda: build_weights(TimeGrid.uniform(40.0, 8192), ker),

@@ -11,17 +11,29 @@ evaluation branches are selected by s = x**(1/alpha):
                   v**(1/alpha) endpoint branch point are both resolved by a
                   fixed tanh-sinh + Gauss-Legendre panel pair
 
+The spectral rule has one node table per (alpha, b) (``spectral_nodes``),
+on the panels that the window's left edge s = S_SERIES needs, which are as
+wide as any point of the window needs.  A point then costs one power
+s = x**(1/alpha) and, at each node, -a_i s, one exp (expm1 for b = 2) and
+a term of one row sum.
+
 The windows and node counts were calibrated against a 140-digit series
-oracle: each branch stays within ~3e-11 relative over its window for
-alpha in [0.25, 0.999], and well under 1e-12 for alpha in [0.3, 0.99].
+oracle.  Against the 60-digit ``ml_e_reference`` of the tests, the worst
+relative errors at 30, 80 and 30 points of s in [1e-3, 5], [5, 40] and
+[40, 400], b in {1, 2, alpha}, are
+
+  alpha     series   spectral   asymptotic
+  0.25      3.1e-13  2.6e-15    9.6e-16
+  0.3       2.8e-12  4.0e-15    6.7e-16
+  0.99      9.4e-12  4.0e-15    1.0e-13
+  0.999     2.5e-11  2.5e-11    5.8e-12
+
+and every branch stays within ~3e-11 for alpha in [0.25, 0.999].
 
 Every branch is pointwise, so all three run on blocks that keep their
 working arrays in cache: SERIES_BLOCK points for the series and asymptotic
-branches, SPECTRAL_BLOCK points for the spectral one.  A spectral block
-works in place in three (points x nodes) buffers; next to the
-allocate-per-operation formulas only the operand order of commutative
-operations differs.  Neither blocking nor the in-place panels change a bit:
-a point's value does not depend on the batch it is in.
+branches, SPECTRAL_BLOCK points for the spectral one.  Blocking never
+changes a bit: a point's value does not depend on the batch it is in.
 """
 
 from __future__ import annotations
@@ -55,7 +67,7 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(160)
 @lru_cache(maxsize=64)
 def series_coefficients(alpha, b):
     """Ratios r_k = Gamma(b+alpha k)/Gamma(b+alpha(k+1)) and the k=0 term."""
-    n = min(1600, int(45.0 / alpha) + 64)
+    n = min(1600, int(min(45.0 / alpha, 1600.0)) + 64)
     g = gammaln(b + alpha * np.arange(n + 1))
     return np.exp(g[:-1] - g[1:]), float(np.exp(-g[0]))
 
@@ -69,7 +81,7 @@ def asym_coefficients(alpha, b):
     unimodal in k, so the first increase marks the optimal truncation),
     log |1/Gamma(b - alpha k)|, and the sign of the full term.
     """
-    n = min(2000, int(42.0 / alpha) + 32)
+    n = min(2000, int(min(42.0 / alpha, 2000.0)) + 32)
     k = np.arange(1, n + 1)
     y = b - alpha * k
     lenv = np.empty(n)
@@ -156,75 +168,77 @@ def _asymptotic(x, lenv, lmag, sgn):
     return acc
 
 
-def _g(b, u, x, out):
-    # the spectral integrand's g(u) into out, u kept: exp(-u) for b = 1,
-    # -expm1(-u) / u (1 - u/2 where u <= 1e-8) for b = 2, u exp(-u) / x
-    # for b = alpha
-    np.negative(u, out=out)
-    if b == 2.0:
-        np.expm1(out, out=out)
-        np.negative(out, out=out)
-        big = u > 1e-8
-        np.divide(out, u, out=out, where=big)
-        small = ~big
-        if small.any():
-            out[small] = 1.0 - 0.5 * u[small]
-        return out
-    np.exp(out, out=out)
-    if b != 1.0:
-        out *= u
-        out /= x
-    return out
+@lru_cache(maxsize=64)
+def spectral_nodes(alpha, b):
+    """The spectral rule's node table (a, k, k0) for one (alpha, b).
 
+    The rule is E_{alpha,b}(-x) = sum_i c_i g_b(a_i s) at s = x**(1/alpha),
+    with g_1(u) = exp(-u), g_alpha(u) = u exp(-u) / x and
+    g_2(u) = -expm1(-u) / u.  Its nodes y_i are those of the panels of the
+    window's left edge s = S_SERIES: tanh-sinh from v = 0 to the exp(-u)
+    cut u = U_CUT, and for b = 2 Gauss-Legendre on to where the algebraic
+    tail is below double rounding; every point of the window needs panels
+    no wider than these.  At v_i = -cos(pi alpha) + sin(pi alpha) sinh(y_i),
+    a_i = v_i**(1/alpha) and c_i = h w_i / (cosh(y_i) alpha pi).  The factor
+    of g_b that is not an exponential goes into the weights k:
 
-def _panel(alpha, b, x, lo, hi, nodes, weights, work):
-    # hw * sum_i weights_i g(u_i) / cosh(y_i) at y_i = mid + hw nodes_i on
-    # each point's panel (lo, hi), in place in the three flat buffers of
-    # work; only the operand order of commutative operations differs from
-    # the elementwise formulas, so every bit is theirs
-    w = math.sin(math.pi * alpha)
-    vstar = -math.cos(math.pi * alpha)
-    hw = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    shape = (x.size, nodes.size)
-    y, u, g = (buf[:x.size * nodes.size].reshape(shape) for buf in work)
-    np.multiply(hw[:, None], nodes, out=y)
-    y += mid[:, None]
-    np.sinh(y, out=u)
-    u *= w
-    u += vstar
-    np.maximum(u, 0.0, out=u)      # a no-op on the tail, where v > 1
-    u *= x[:, None]
-    u **= 1.0 / alpha
-    _g(b, u, x[:, None], g)
-    g /= np.cosh(y, out=y)
-    # einsum sums each row on its own; a BLAS matrix-vector product rounds
-    # rows differently by their position in the call, which would make a
-    # point's value depend on the block it is evaluated in
-    return hw * np.einsum("ij,j->i", g, weights)
+      b = 1      sum_i c_i exp(-a_i s)
+      b = alpha  (s / x) sum_i (c_i a_i) exp(-a_i s)
+      b = 2      k0 + (1 / s) sum_i (-c_i / a_i) expm1(-a_i s)
 
-
-def _spectral(alpha, b, x):
+    where k0 sums the c_i of the nodes with a_i < 1e-300 (g_2 = 1 to double
+    rounding there), whose k_i are 0.
+    """
     ia = 1.0 / alpha
     w = math.sin(math.pi * alpha)
     vstar = -math.cos(math.pi * alpha)
     y0 = math.asinh(-vstar / w)
-    v_exp = U_CUT ** alpha / x
+    v_exp = (U_CUT / S_SERIES) ** alpha
+    ym = math.asinh((v_exp - vstar) / w)
+    panels = [(y0, ym, _DE_X, _DE_W)]
     if b == 2.0:
-        v_alg = (x ** (-ia) / (1.0 + ia) * 1e16) ** (alpha / (1.0 + alpha))
-        v_top = np.maximum(np.maximum(v_exp, v_alg), vstar + 4.0 * w)
+        v_alg = (1e16 / (S_SERIES * (1.0 + ia))) ** (alpha / (1.0 + alpha))
+        v_top = max(v_exp, v_alg, vstar + 4.0 * w)
+        panels.append((ym, math.asinh((v_top - vstar) / w), _GL_X, _GL_W))
+    y = np.concatenate([0.5 * (hi + lo) + 0.5 * (hi - lo) * nodes
+                        for lo, hi, nodes, _ in panels])
+    hw = np.concatenate([0.5 * (hi - lo) * weights
+                         for lo, hi, _, weights in panels])
+    # v < 0 only by rounding at the v = 0 end
+    a = np.maximum(vstar + w * np.sinh(y), 0.0) ** ia
+    c = hw / (np.cosh(y) * (alpha * math.pi))
+    k0 = 0.0
+    if b == 1.0:
+        k = c
+    elif b == 2.0:
+        flat = a < 1e-300
+        k = np.zeros_like(c)
+        k[~flat] = -c[~flat] / a[~flat]
+        k0 = float(c[flat].sum())
     else:
-        v_top = v_exp
-    ym = np.arcsinh((v_exp - vstar) / w)
-    yt = np.arcsinh((v_top - vstar) / w)
-    ym = np.minimum(ym, yt)
-    work = np.empty((3, x.size * _DE_X.size))
-    acc = _panel(alpha, b, x, y0, ym, _DE_X, _DE_W, work)
-    tail = yt > ym
-    if np.any(tail):
-        acc[tail] += _panel(alpha, b, x[tail], ym[tail], yt[tail],
-                            _GL_X, _GL_W, work)
-    return acc * (1.0 / (alpha * math.pi))
+        k = c * a
+    # every caller shares the cached arrays
+    a.flags.writeable = k.flags.writeable = False
+    return a, k, k0
+
+
+def _spectral(alpha, b, x):
+    a, k, k0 = spectral_nodes(alpha, b)
+    s = x ** (1.0 / alpha)
+    t = np.multiply.outer(-s, a)
+    if b == 2.0:
+        np.expm1(t, out=t)
+    else:
+        np.exp(t, out=t)
+    # einsum sums each row on its own; a BLAS matrix-vector product rounds
+    # rows differently by their position in the call, which would make a
+    # point's value depend on the block it is evaluated in
+    acc = np.einsum("ij,j->i", t, k)
+    if b == 2.0:
+        return acc / s + k0
+    if b != 1.0:
+        acc *= s / x
+    return acc
 
 
 def _in_blocks(fn, x, size):

@@ -251,7 +251,10 @@ def _stiffness_products(u1f, sys: AssembledSystem, weigh):
 
 
 def _interval_mean(t, v):
-    """Trapezoidal mean of samples v over the span of the nodes t."""
+    """Trapezoidal mean of samples v over the span of the nodes t; the
+    mean of a single node is its value."""
+    if t.size == 1:
+        return float(v[0])
     return float(np.trapezoid(v, t) / max(t[-1] - t[0], 1e-300))
 
 

@@ -12,6 +12,7 @@ def test_benchmark_script_smoke():
     assert "ml_eval" in out.stdout
     assert "ml_series[" in out.stdout
     assert "ml_asym[" in out.stdout
+    assert "ml_spectral[" in out.stdout
     assert "ml_weights[N=8192,T=40]" in out.stdout
     assert "scalar_reference[" in out.stdout
     assert "direct_solve[nf=" in out.stdout

@@ -299,6 +299,27 @@ class TestCli:
         assert capsys.readouterr().err == (
             "error: simulate: Unable to allocate 7.28 TiB\n")
 
+    @pytest.mark.parametrize("command,csv,first", [
+        ("simulate", "probe_trace.csv", 0),
+        ("energy-check", "energy_ledger.csv", 1)])     # after the term name
+    def test_smallest_alpha_runs_or_errs_in_one_line(self, tmp_path,
+                                                     monkeypatch, capsys,
+                                                     command, csv, first):
+        # alpha = 5e-324 parses; 45 / alpha is inf, so the Mittag-Leffler
+        # coefficient tables must cap their term counts before int()
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text("[kernel]\nalpha = 5e-324\n[mesh]\nnx = 4\nny = 4\n"
+                       "[time]\nt_final = 1.0\nsteps = 16\n"
+                       "[loads]\ng_right = (0.0, -1.0)\n")
+        code = run_cli([command, str(cfg)], tmp_path, monkeypatch)
+        if code == 0:
+            rows = (tmp_path / csv).read_text().splitlines()[1:]
+            cells = [cell for row in rows for cell in row.split(",")[first:]]
+            assert rows and all(math.isfinite(float(cell)) for cell in cells)
+        else:
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error:")
+
     def test_missing_file_exit_code(self, tmp_path, monkeypatch, capsys):
         code = run_cli(["simulate", str(tmp_path / "nope.cfg")],
                        tmp_path, monkeypatch)

@@ -468,6 +468,22 @@ class TestLongTimeLimit:
             rep = long_time_limit(hist, vertex, component=1, reference=ref)
         assert not rep.settled
 
+    def test_one_node_tail_half_is_its_value(self, elastic_soft,
+                                             kernel_sec6):
+        # the tail of nodes 0, 0.5, 0.76, 0.77, 0.78, 1 starts at 0.75 and
+        # splits at 0.88, so its second half holds the node t = 1 alone
+        sys_ = assemble(build_rect_mesh(2, 2), elastic_soft)
+        grid = TimeGrid(np.array([0.0, 0.5, 0.76, 0.77, 0.78, 1.0]))
+        u1f = np.full((grid.n_steps + 1, sys_.free_dofs.size), 3.0)
+        hist = SolutionHistory(u1f=u1f, u2f=np.zeros_like(u1f), system=sys_,
+                               table=build_weights(grid, kernel_sec6))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = long_time_limit(hist, 8, reference=3.0)
+        assert rep.halves_gap == 0.0
+        assert rep.settled
+        assert rep.tail_mean == 3.0 and rep.rel_gap == 0.0
+
     def test_out_of_range_dof_rejected(self, elastic_soft, kernel_sec6,
                                        downward_traction):
         # a 2x2 mesh has 9 vertices, dofs 0..17; vertex 0 is clamped

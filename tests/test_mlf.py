@@ -170,8 +170,8 @@ class TestMlE:
 
     @staticmethod
     def _allocating_g_of(b, u, x):
-        # the spectral branch as first written: a fresh (points x nodes)
-        # array for every operation, np.where over both b = 2 branches
+        # the spectral integrand with a fresh (points x nodes) array for
+        # every operation, np.where over both b = 2 branches
         if b == 1.0:
             return np.exp(-u)
         if b == 2.0:
@@ -180,7 +180,9 @@ class TestMlE:
         return u * np.exp(-u) / x
 
     @classmethod
-    def _allocating_spectral(cls, alpha, b, x):
+    def _per_point_spectral(cls, alpha, b, x):
+        # the spectral rule as first written: each point's own panels, from
+        # v = 0 to its exp(-u) cut and, for b = 2, on to its algebraic cut
         K = _kernels
         ia = 1.0 / alpha
         w = math.sin(math.pi * alpha)
@@ -213,29 +215,50 @@ class TestMlE:
             acc[tail] += hw2 * np.einsum("ij,j->i", g2 / np.cosh(y2), K._GL_W)
         return acc * (1.0 / (alpha * math.pi))
 
-    @pytest.mark.parametrize("alpha", [0.3, 2.0 / 3.0, 0.9, 0.99])
-    def test_spectral_bitwise_equal_to_allocating_oracle(self, alpha,
-                                                         monkeypatch):
-        seen = {"tail": 0, "u_zero": 0}
-        g_in_place = _kernels._g
-
-        def spy(b, u, x, out):
-            seen["tail"] += u.shape[1] == _kernels._GL_X.size
-            seen["u_zero"] += int(np.count_nonzero(u == 0.0))
-            return g_in_place(b, u, x, out)
-
-        monkeypatch.setattr(_kernels, "_g", spy)
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 2.0 / 3.0, 0.9, 0.99])
+    def test_spectral_node_table_matches_per_point_panels(self, alpha):
+        # one node table per (alpha, b), on the panels of the window's left
+        # edge, against the per-point panels it replaced; they differ by
+        # rounding, and at alpha = 0.99 by the per-point rule's own 2e-14
+        # error against the oracle
         lo, hi = _kernels.S_SERIES ** alpha, _kernels.S_ASYM ** alpha
+        edges = np.array([_kernels.S_SERIES * (1.0 + 1e-9),
+                          _kernels.S_ASYM * (1.0 - 1e-9)]) ** alpha
         # a generator of its own: the session rng's later draws stay put
-        xs = np.concatenate([np.linspace(lo, hi, 300),
+        xs = np.concatenate([edges, np.linspace(lo, hi, 300),
                              np.random.default_rng(11).uniform(lo, hi, 700)])
+        rel = 1e-14 if alpha <= 0.9 else 5e-14
         for b in (1.0, 2.0, alpha):
-            want = self._allocating_spectral(alpha, b, xs)
-            assert np.array_equal(_kernels._spectral(alpha, b, xs), want)
-        assert seen["tail"] > 0     # b = 2 runs the Gauss-Legendre tail
-        if alpha == 0.3:
-            # nodes clamped to v = 0 give u = 0, the 1 - u/2 patch of b = 2
-            assert seen["u_zero"] > 0
+            want = self._per_point_spectral(alpha, b, xs)
+            got = _kernels._spectral(alpha, b, xs)
+            assert np.max(np.abs(got - want) / want) <= rel, b
+        # only b = 2 has the Gauss-Legendre tail
+        n_de, n_gl = _kernels._DE_X.size, _kernels._GL_X.size
+        a, _, k0 = _kernels.spectral_nodes(alpha, 2.0)
+        assert a.size == n_de + n_gl
+        assert _kernels.spectral_nodes(alpha, 1.0)[0].size == n_de
+        assert _kernels.spectral_nodes(alpha, alpha)[0].size == n_de
+        # the nodes next to v = 0, where the per-point rule takes its
+        # 1 - u/2 patch of b = 2, are compared above; at alpha = 0.5 one is
+        # clamped to v = 0, u = 0 exactly, and goes into k0
+        assert np.any(a * _kernels.S_ASYM <= 1e-8)
+        if alpha == 0.5:
+            assert np.any(a == 0.0) and k0 > 0.0
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.999])
+    @pytest.mark.parametrize("bsel", ["one", "two", "alpha"])
+    def test_edge_orders_against_oracle(self, alpha, bsel):
+        # the calibrated range is alpha in [0.25, 0.999] at 3e-11; both
+        # ends, over all three windows and both seams
+        b = {"one": 1.0, "two": 2.0, "alpha": alpha}[bsel]
+        s = np.concatenate([np.geomspace(1e-3, 60.0, 12),
+                            [5.0 * (1.0 + 1e-9), 5.0 * (1.0 - 1e-9),
+                             40.0 * (1.0 + 1e-9), 40.0 * (1.0 - 1e-9)]])
+        xs = s ** alpha
+        got = ml_e(alpha, b, xs)
+        for x, g in zip(xs, got):
+            ref = ml_e_reference(alpha, b, x)
+            assert g == pytest.approx(ref, rel=3e-11, abs=1e-300), (b, x)
 
 
 class TestKernelQuantities:
