@@ -135,37 +135,42 @@ def _series(x, srat, st0):
                 return out
             t, acc, comp, prev, neg = (t[keep], acc[keep], comp[keep],
                                        prev[keep], neg[keep])
-    out[live] = acc
-    return out
+    raise ValueError(f"Mittag-Leffler series not converged in "
+                     f"{srat.shape[0]} terms at x = {float(-neg[0])!r}")
 
 
 def _asymptotic(x, lenv, lmag, sgn):
+    # as in _series, the working arrays hold only the points still summing.
+    # A point leaves before term k when its envelope has stopped falling
+    # (the optimal truncation) or when term k - 1 fell below the stop
+    # tolerance of its sum, so each term makes one compaction
+    out = np.empty_like(x)
+    live = np.arange(x.size)
     lx = np.log(x)
     acc = np.zeros_like(x)
     comp = np.zeros_like(x)
-    prev_env = np.full(x.shape, 1e308)
-    active = np.ones(x.shape, dtype=bool)
+    prev = np.full(x.shape, 1e308)
+    done = np.zeros(x.shape, dtype=bool)
     for k in range(lenv.shape[0]):
-        e = lenv[k] - (k + 1) * lx[active]
-        idx = np.where(active)[0]
-        stop = e >= prev_env[active]
-        live = idx[~stop]
-        active[idx[stop]] = False
-        if live.size == 0:
-            break
-        el = lenv[k] - (k + 1) * lx[live]
-        prev_env[live] = el
-        lt = lmag[k] - (k + 1) * lx[live]
+        env = lenv[k] - (k + 1) * lx
+        drop = done | (env >= prev)
+        if drop.any():
+            out[live[drop]] = acc[drop]
+            keep = ~drop
+            live = live[keep]
+            if live.size == 0:
+                return out
+            lx, acc, comp, env = lx[keep], acc[keep], comp[keep], env[keep]
+        prev = env
+        lt = lmag[k] - (k + 1) * lx
         t = np.where(lt > -700.0, sgn[k] * np.exp(np.maximum(lt, -700.0)), 0.0)
-        y = t - comp[live]
-        tt = acc[live] + y
-        comp[live] = (tt - acc[live]) - y
-        acc[live] = tt
-        conv = el < _LOG_STOP + np.log(np.abs(acc[live]) + 1e-300)
-        active[live[conv]] = False
-        if not np.any(active):
-            break
-    return acc
+        y = t - comp
+        tt = acc + y
+        comp = (tt - acc) - y
+        acc = tt
+        done = env < _LOG_STOP + np.log(np.abs(acc) + 1e-300)
+    out[live] = acc
+    return out
 
 
 @lru_cache(maxsize=64)

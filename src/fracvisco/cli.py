@@ -3,7 +3,9 @@
 Every subcommand writes deterministic CSV artifacts (documented headers) into
 the configured output directory, overridable with FRACVISCO_OUTPUT_DIR.
 Errors exit nonzero after printing one machine-readable line
-``error: <subcommand>: <message>`` on stderr.
+``error: <subcommand>: <message>`` on stderr; a floating-point overflow or
+invalid operation is such an error.  ``energy-check`` writes its ledger and
+then fails when the balance residual is not within ``RESIDUAL_MAX``.
 """
 
 from __future__ import annotations
@@ -36,6 +38,10 @@ def _out_dir(cfg):
     path.mkdir(parents=True, exist_ok=True)
     return path
 
+
+# Largest ledger residual_rel that energy-check accepts: the bound of
+# acceptance criterion 1.
+RESIDUAL_MAX = 1e-8
 
 # Rows per write of ``_write_csv``: 0.4 to 0.8 MB of text per block.
 CSV_BLOCK = 8192
@@ -125,6 +131,9 @@ def cmd_energy_check(args):
     path = out / "energy_ledger.csv"
     _write_csv(path, "term,value", led.rows())
     print(f"wrote {path} (residual_rel = {led.residual_rel:.3e})")
+    if not led.residual_rel <= RESIDUAL_MAX:
+        raise RuntimeError(f"energy balance does not close: residual_rel = "
+                           f"{led.residual_rel:.3e} > {RESIDUAL_MAX:.0e}")
     return 0
 
 
@@ -206,12 +215,14 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        with np.errstate(over="raise", invalid="raise"):
+            return args.fn(args)
     except ConfigError as err:
         for e in err.errors:
             print(f"error: {args.command}: {e}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, RuntimeError, MemoryError) as err:
+    except (ValueError, OSError, RuntimeError, MemoryError,
+            ArithmeticError) as err:
         print(f"error: {args.command}: {str(err) or type(err).__name__}",
               file=sys.stderr)
         return 1

@@ -19,17 +19,18 @@ carries the system and weight table of its run, so the ledger takes nothing
 else, and its load is the system's free-dof ``load``, as the run's is.
 
 No Gram matrix a(U1_i, U1_j) is formed.  Expanding a(W_nj, W_nj) reduces
-the memory double sum to per-step scalars: a(U1_n, U1_n), a(U1_n, U1_{n-1}),
-the row sums R_n = sum_{j<n} omega_nj, Z_n = sum_{j<n} omega_nj a(U1_j, U1_j),
-and a(U1_n, H_n), a(U1_{n-1}, H_n) with H_n = sum_{j<n} omega_nj U1_j.  On
-uniform grids K H_n (in blocks of free dofs) and Z_n are real-FFT
-convolutions of the weight lags, so the ledger costs O(N log N * nf) work;
-nonuniform grids use their dense table.  Each block of free dofs copies
-dof-major only the band window of history columns that its stiffness rows
-touch, so beyond the history the ledger holds a few blocks of about _CHUNK
-numbers.  The ledger does not call ``stepper.history_sums``, so it stays an
-independent check of the stepper.  Its terms agree with the Gram-matrix sums
-to about 1e-13 of the energy.
+the memory double sum to per-step scalars: a(U1_n, U1_n), the increment's
+a(U1_n - U1_{n-1}, U1_n - U1_{n-1}), the row sums R_n = sum_{j<n} omega_nj,
+Z_n = sum_{j<n} omega_nj a(U1_j, U1_j), and a(U1_n, H_n), a(U1_{n-1}, H_n)
+with H_n = sum_{j<n} omega_nj U1_j, all from the free-dof Kff; no full-size
+operator is used.  On uniform grids K H_n (in blocks of free dofs) and Z_n
+are real-FFT convolutions of the weight lags, so the ledger costs
+O(N log N * nf) work; nonuniform grids use their dense table.  Each block
+of free dofs copies dof-major only the band window of history columns that
+its stiffness rows touch, so beyond the history the ledger holds a few
+blocks of about _CHUNK numbers.  The ledger does not call
+``stepper.history_sums``, so it stays an independent check of the stepper.
+Its terms agree with the Gram-matrix sums to about 1e-13 of the energy.
 
 The memory double sum is also reported in a second grouping (summation by
 parts in n) as an internal algebra check.
@@ -120,21 +121,19 @@ def energy_ledger(history: SolutionHistory):
     u2f = history.u2f
 
     weigh, reach = _lower_weights(table, n)
-    diag, sub, p, q = _stiffness_products(history.u1f, sys, weigh)
+    diag, dsq, p, q = _stiffness_products(history.u1f, sys, weigh)
     z = weigh(diag)
 
     final_elastic = eta[n] * diag[n]
-    deta = np.diff(eta[:n + 1]) / k
-    du_sq = (diag[1:] - 2.0 * sub[1:] + diag[:-1]) / k ** 2
-    eta_diss = float(np.sum(k * (-deta) * diag[:-1])
-                     + np.sum(k ** 2 * eta[1:n + 1] * du_sq))
+    eta_diss = float(np.sum(-np.diff(eta[:n + 1]) * diag[:-1])
+                     + np.sum(eta[1:n + 1] * dsq[1:]))
 
     # sum_j omega_nj |W_nj|^2 / k_n for W = U1_n - U1_j (a_n) and for
     # W = U1_{n-1} - U1_j (b_n), n = 2..N; a_1 = 0 exactly
     a_n = (reach[2:] * diag[2:] + z[2:] - 2.0 * p[2:]) / k[1:]
     b_n = (reach[2:] * diag[1:-1] + z[2:] - 2.0 * q[2:]) / k[1:]
     a_prev = np.concatenate([[0.0], a_n[:-1]])
-    ksq_term = math.fsum(reach[2:] * k[1:] * du_sq[1:])
+    ksq_term = math.fsum(reach[2:] * dsq[2:] / k[1:])
     hist_diss = math.fsum(a_n - b_n) + ksq_term
     # summation by parts in n: a_N - sum_{n>=2} (b_n - a_{n-1})
     hist_diss_alt = (math.fsum(np.concatenate([a_n[-1:], a_prev - b_n]))
@@ -148,9 +147,7 @@ def energy_ledger(history: SolutionHistory):
         jump_diss += float(np.einsum("ni,ni->", jumps,
                                      (sys.Mff @ jumps.T).T))
 
-    u0 = sys.expand(history.u1f[0])
-    v0 = sys.expand(u2f[0])
-    initial = float(u0 @ (sys.K @ u0) + v0 @ (sys.M @ v0))
+    initial = float(diag[0] + u2f[0] @ (sys.Mff @ u2f[0]))
 
     load_work = 2.0 * float(k @ (u2f[1:] @ sys.load))
 
@@ -213,9 +210,10 @@ def _stiffness_products(u1f, sys: AssembledSystem, weigh):
     """Per-step stiffness products of a free-dof displacement history u1f
     (N+1 rows).
 
-    Returns diag[n] = a(U_n, U_n), sub[n] = a(U_n, U_{n-1}), p[n] =
+    Returns diag[n] = a(U_n, U_n), dsq[n] = a(U_n - U_{n-1}, U_n - U_{n-1})
+    (from the step differences of a block's U and K U rows), p[n] =
     a(U_n, H_n) and q[n] = a(U_{n-1}, H_n) with H_n = weigh(U)[n], each of
-    length N + 1 (sub[0], p[0], q[0], p[1], q[1] zero).  The free dofs are
+    length N + 1 (dsq[0], p[0], q[0], p[1], q[1] zero).  The free dofs are
     processed in blocks of ``width``.  A block's rows of ``Kff`` touch only
     the dofs of its band window lo..hi, so only that window of the history
     is copied dof-major; the block's CSR rows, with columns shifted by lo,
@@ -226,7 +224,7 @@ def _stiffness_products(u1f, sys: AssembledSystem, weigh):
     kff = sys.Kff
     ptr, idx = kff.indptr, kff.indices
     diag = np.zeros(n_cols)
-    sub = np.zeros(n_cols)
+    dsq = np.zeros(n_cols)
     p = np.zeros(n_cols)
     q = np.zeros(n_cols)
     width = max(1, _CHUNK // (2 * n_cols))
@@ -242,12 +240,12 @@ def _stiffness_products(u1f, sys: AssembledSystem, weigh):
         u = window[c - lo:e - lo]
         ku = block @ window
         diag += np.einsum("in,in->n", u, ku)
-        sub[1:] += np.einsum("in,in->n", u[:, 1:], ku[:, :-1])
+        dsq[1:] += np.einsum("in,in->n", np.diff(u), np.diff(ku))
         kh = weigh(ku)
         p += np.einsum("in,in->n", u, kh)
         q[1:] += np.einsum("in,in->n", u[:, :-1], kh[:, 1:])
         del window, u, ku, kh       # before the next block's copy
-    return diag, sub, p, q
+    return diag, dsq, p, q
 
 
 def _interval_mean(t, v):

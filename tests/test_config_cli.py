@@ -227,6 +227,31 @@ class TestCli:
         res = {k: v for k, v in (ln.split(",") for ln in lines[1:])}
         assert float(res["residual_rel"]) <= 1e-8
 
+    @pytest.mark.parametrize("shift", [1e-6, math.nan])
+    def test_energy_check_fails_on_open_balance(self, tmp_path, monkeypatch,
+                                                capsys, shift):
+        # the ledger is still written; then a residual above RESIDUAL_MAX,
+        # or one that is not a number, is one error line and exit 1
+        from fracvisco import cli
+
+        ledger = cli.energy_ledger
+
+        def shifted(history):
+            led = ledger(history)
+            return dataclasses.replace(
+                led, load_work=led.load_work + shift * led.rhs_total)
+
+        monkeypatch.setattr(cli, "energy_ledger", shifted)
+        code = run_cli(["energy-check", str(CONFIG_DIR / "homogeneous.cfg")],
+                       tmp_path, monkeypatch)
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(
+            "error: energy-check: energy balance does not close")
+        lines = (tmp_path / "energy_ledger.csv").read_text().splitlines()
+        res = float(dict(ln.split(",") for ln in lines[1:])["residual_rel"])
+        assert not res <= 1e-8
+
     def test_weights_dump(self, tmp_path, monkeypatch):
         cfg = tmp_path / "w.cfg"
         cfg.write_text("[time]\nt_final = 1.0\nsteps = 4\n")

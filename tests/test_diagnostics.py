@@ -96,17 +96,17 @@ def blocked_products(u1f, kff, weigh, chunk):
     taken on the whole history, ``kff[c:e] @ u1f.T``, in blocks of the same
     width."""
     n_cols, nf = u1f.shape
-    diag, sub, p, q = (np.zeros(n_cols) for _ in range(4))
+    diag, dsq, p, q = (np.zeros(n_cols) for _ in range(4))
     width = max(1, chunk // (2 * n_cols))
     for c in range(0, nf, width):
         u = np.ascontiguousarray(u1f[:, c:c + width].T)
         ku = kff[c:c + width] @ u1f.T
         kh = weigh(ku)
         diag += np.einsum("in,in->n", u, ku)
-        sub[1:] += np.einsum("in,in->n", u[:, 1:], ku[:, :-1])
+        dsq[1:] += np.einsum("in,in->n", np.diff(u), np.diff(ku))
         p += np.einsum("in,in->n", u, kh)
         q[1:] += np.einsum("in,in->n", u[:, :-1], kh[:, 1:])
-    return diag, sub, p, q
+    return diag, dsq, p, q
 
 
 @pytest.fixture(scope="module")
@@ -137,6 +137,19 @@ class TestEnergyLedger:
         led = energy_ledger(hist)
         assert led.residual_rel <= 1e-8
         assert led.load_work == 0.0
+
+    def test_tiny_steps_close(self, mesh8, elastic_soft, kernel_sec6,
+                              downward_traction):
+        # k = 1e-300 / 16: the square of a step underflows, so no term may
+        # pass through k**2
+        u0 = quasi_static_solve(assemble(mesh8, elastic_soft,
+                                         traction=downward_traction),
+                                scale=0.5)
+        sys_ = assemble(mesh8, elastic_soft)
+        table = build_weights(TimeGrid.uniform(1e-300, 16), kernel_sec6)
+        led = energy_ledger(run(sys_, table, u0, np.zeros_like(u0)))
+        assert all(np.isfinite(value) for _, value in led.rows())
+        assert led.initial_energy > 0.0 and led.residual_rel <= 1e-8
 
     def test_dissipation_terms_nonnegative(self, homogeneous_run):
         sys_, grid, table, hist = homogeneous_run
@@ -365,24 +378,30 @@ class TestAgainstGramOracle:
         # (nf/4, nf - 1), so that the windows of those dofs' blocks span
         # half the dofs and more, or a symmetric permutation of the whole
         # problem (stiffness, mass and history), under which every window
-        # spans nearly all dofs; chunk 330 makes blocks of 5 dofs
+        # spans nearly all dofs; chunk 330 makes blocks of 5 dofs.  The
+        # full-size K and free-dof order change with Kff, so that the Gram
+        # oracle's a(u0, u0), taken through expand and K, is of the same
+        # stiffness as every other term
         monkeypatch.setattr(diagnostics, "_CHUNK", chunk)
         sys_, _, _, hist = homogeneous_run
-        kff, mff = sys_.Kff, sys_.Mff
+        kff, mff, big_k, free = sys_.Kff, sys_.Mff, sys_.K, sys_.free_dofs
         nf = kff.shape[0]
         u1f, u2f = hist.u1f, hist.u2f
         if coupling == "far_pairs":
-            i = [0, nf // 2, nf // 4, nf - 1]
-            j = [nf // 2, 0, nf - 1, nf // 4]
-            far = sp.csr_matrix((np.full(4, 0.1 * kff[0, 0]), (i, j)),
-                                shape=kff.shape)
-            kff = (kff + far).tocsr()
+            i = np.array([0, nf // 2, nf // 4, nf - 1])
+            j = np.array([nf // 2, 0, nf - 1, nf // 4])
+            value = np.full(4, 0.1 * kff[0, 0])
+            kff = (kff + sp.csr_matrix((value, (i, j)),
+                                       shape=kff.shape)).tocsr()
+            big_k = (big_k + sp.csr_matrix((value, (free[i], free[j])),
+                                           shape=big_k.shape)).tocsr()
         else:
             perm = np.random.default_rng(8).permutation(nf)
             kff, mff = kff[perm][:, perm], mff[perm][:, perm]
             u1f, u2f = u1f[:, perm], u2f[:, perm]
-        wide_sys = dataclasses.replace(sys_, Kff=kff.tocsr(),
-                                       Mff=mff.tocsr())
+            free = free[perm]
+        wide_sys = dataclasses.replace(sys_, K=big_k, free_dofs=free,
+                                       Kff=kff.tocsr(), Mff=mff.tocsr())
         wide_hist = SolutionHistory(u1f=u1f, u2f=u2f, system=wide_sys,
                                     table=hist.table)
         weigh, _ = diagnostics._lower_weights(hist.table, hist.table.n_steps)

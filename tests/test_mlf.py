@@ -137,6 +137,64 @@ class TestMlE:
                 want = self._masked_series(xs, srat, st0)
                 assert np.array_equal(_kernels._series(xs, srat, st0), want)
 
+    @staticmethod
+    def _masked_asymptotic(x, lenv, lmag, sgn):
+        # the descending series as first written: full-size working arrays
+        # and masks, the live points found anew on every term
+        lx = np.log(x)
+        acc = np.zeros_like(x)
+        comp = np.zeros_like(x)
+        prev_env = np.full(x.shape, 1e308)
+        active = np.ones(x.shape, dtype=bool)
+        for k in range(lenv.shape[0]):
+            e = lenv[k] - (k + 1) * lx[active]
+            idx = np.where(active)[0]
+            stop = e >= prev_env[active]
+            live = idx[~stop]
+            active[idx[stop]] = False
+            if live.size == 0:
+                break
+            el = lenv[k] - (k + 1) * lx[live]
+            prev_env[live] = el
+            lt = lmag[k] - (k + 1) * lx[live]
+            t = np.where(lt > -700.0,
+                         sgn[k] * np.exp(np.maximum(lt, -700.0)), 0.0)
+            y = t - comp[live]
+            tt = acc[live] + y
+            comp[live] = (tt - acc[live]) - y
+            acc[live] = tt
+            conv = el < _kernels._LOG_STOP + np.log(np.abs(acc[live]) + 1e-300)
+            active[live[conv]] = False
+            if not np.any(active):
+                break
+        return acc
+
+    @pytest.mark.parametrize("alpha", [0.02, 0.05, 0.25, 0.3, 0.5, 2.0 / 3.0,
+                                       0.9, 0.99, 0.999])
+    def test_asymptotic_bitwise_equal_to_masked_loop(self, alpha):
+        # from the window's edge s = S_ASYM to the largest double and inf
+        xs = np.concatenate([[_kernels.S_ASYM ** alpha, 1.7e308, np.inf],
+                             np.geomspace(_kernels.S_ASYM ** alpha, 1.7e308,
+                                          3000)])
+        for b in (1.0, 2.0, alpha):
+            coef = _kernels.asym_coefficients(alpha, b)
+            want = self._masked_asymptotic(xs, *coef)
+            assert np.array_equal(_kernels._asymptotic(xs, *coef), want), b
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.25, 2.0 / 3.0, 0.999])
+    def test_series_converges_in_its_window(self, alpha):
+        xs = np.linspace(0.0, _kernels.S_SERIES, 2001)[1:] ** alpha
+        for b in (1.0, 2.0, alpha):
+            assert np.all(np.isfinite(ml_e(alpha, b, xs))), b
+
+    @pytest.mark.parametrize("bsel", ["one", "two", "alpha"])
+    def test_unconverged_series_raises(self, bsel):
+        # alpha = 0.01 needs more terms than the table holds at x near 1;
+        # its partial sums were 7e-3 (b = 1) to 23 (b = alpha) off
+        b = {"one": 1.0, "two": 2.0, "alpha": 0.01}[bsel]
+        with pytest.raises(ValueError, match="not converged in 1600 terms"):
+            ml_e(0.01, b, 1.0)
+
     @pytest.mark.parametrize(
         "n_points", sorted({1, 1024, 1025, 5000, _kernels.SPECTRAL_BLOCK,
                             _kernels.SPECTRAL_BLOCK + 1}))
