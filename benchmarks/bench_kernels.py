@@ -11,36 +11,58 @@ weight-table construction on a nonuniform grid (O(N^2) distinct lags), the
 product-integration sweep of the scalar reference solver (O(M^2) memory work),
 the dG(0) history sum (dense row products against ``stepper.history_sums``
 at three FFT thresholds, the middle one the default ``DIRECT_BLOCK``), one
-direct solve of the dG(0) step matrix by banded Cholesky in the band order
-``assemble`` gives the free dofs (the rows name the half-bandwidth bw), one
-dG(0) step (``stepper.advance``: right-hand side and checked solve) with
-that matrix, the energy ledger of ``energy-check`` on a stored history, and
-the CSV writer on the probe trace of an 8192-step run.  Times are per call;
-the solve rows are per solve, backward-error check included, and the step
+direct solve of the dG(0) step matrix with its upper banded Cholesky factor
+(A = U^T U in LAPACK upper band storage, ``pbtrs`` sweeping U^T y = b and
+U x = y) in the band order ``assemble`` gives the free dofs (the rows name
+the half-bandwidth bw), one dG(0) step (``stepper.advance``: right-hand side
+and checked solve) with that matrix, a whole ``stepper.run`` of the sec6
+physics per step, the energy ledger of ``energy-check`` on a stored history,
+and the CSV writer on the probe trace of an 8192-step run.  Times are per
+call; the solve rows are per solve, backward-error check included, the step
 rows per step, with the products and the solver bound once as ``run`` binds
-them.  The memory rows give the tracemalloc peaks of ``stepper.run`` and of
-``energy_ledger`` on the 25x25 mesh with N=2048, next to the two (N+1) x nf
-histories a run must hold.
+them, and the run rows per step of the run, factorization and history sum
+included.  The memory rows give the tracemalloc peaks of ``stepper.run`` and
+of ``energy_ledger`` on the 25x25 mesh with N=2048, next to the two
+(N+1) x nf histories a run must hold.  Last comes the wall time of a fresh
+interpreter that imports ``fracvisco.cli``, the start-up every CLI call pays.
+BLAS runs on one thread, as in perfbench: every solve is single-vector.
 
-Run:  python benchmarks/bench_kernels.py [--quick]
+``--json PATH`` also writes the record: the machine (nproc, CPU model, BLAS
+threads, numba), the Python, numpy and scipy versions, the git revision,
+and per row N and nf where they apply, best and median of the k timed
+calls, and k; then the memory peaks and the import wall time.
+
+Run:  python benchmarks/bench_kernels.py [--quick] [--json PATH]
 """
 
 import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
 import sys
 import tempfile
 import time
 import tracemalloc
 from pathlib import Path
 
-import numpy as np
+BLAS_THREADS = 1
+for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_name] = str(BLAS_THREADS)     # before numpy loads BLAS
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+import numpy as np  # noqa: E402
+import scipy  # noqa: E402
 
-from fracvisco import cli, stepper  # noqa: E402
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+sys.path.insert(0, str(SRC))
+
+from fracvisco import _accel, cli, stepper  # noqa: E402
 from fracvisco._kernels import S_ASYM, S_SERIES, eval_ml_neg  # noqa: E402
 from fracvisco.diagnostics import energy_ledger  # noqa: E402
 from fracvisco.fem import (ElasticParams, assemble,  # noqa: E402
-                           build_rect_mesh)
+                           build_rect_mesh, side_traction)
 from fracvisco.mlf import KernelParams  # noqa: E402
 from fracvisco.scalar import ScalarModel, scalar_reference  # noqa: E402
 from fracvisco.solvers import SpdSolver, csr_product  # noqa: E402
@@ -48,12 +70,21 @@ from fracvisco.weights import TimeGrid, build_weights  # noqa: E402
 
 
 def timed(fn, repeat=3):
-    best = np.inf
+    """The wall times of ``repeat`` calls of fn."""
+    times = []
     for _ in range(repeat):
         t0 = time.perf_counter()
-        out = fn()
-        best = min(best, time.perf_counter() - t0)
-    return best, out
+        fn()
+        times.append(time.perf_counter() - t0)
+    return times
+
+
+def row(name, times, per=1, n_steps=None, nf=None):
+    """A result row: best and median of the timed calls, each divided by
+    ``per``, the calls or steps one timed call makes."""
+    return {"name": name, "N": n_steps, "nf": nf, "k": len(times),
+            "best_s": min(times) / per,
+            "median_s": statistics.median(times) / per}
 
 
 def dense_history(lags, u):
@@ -94,7 +125,7 @@ def solve_rows(nx, repeat):
     def many_solves():
         for _ in range(calls):
             solver.solve(b)
-    t_solve, _ = timed(many_solves, repeat)
+    t_solve = timed(many_solves, repeat)
 
     u1_prev, u2_prev, hist = rng.standard_normal((3, nf))
     kload = k * sys_.load
@@ -106,10 +137,24 @@ def solve_rows(nx, repeat):
         for _ in range(calls):
             stepper.advance(kff, k, k, kload, solver, u1_prev, u2_prev, hist,
                             u1, u2, work)
-    t_step, _ = timed(many_steps, repeat)
+    t_step = timed(many_steps, repeat)
     tag = f"[nf={nf},bw={bw}]"
-    return [(f"direct_solve{tag}", t_solve / calls),
-            (f"step{tag}", t_step / calls)]
+    return [row(f"direct_solve{tag}", t_solve, per=calls, nf=nf),
+            row(f"step{tag}", t_step, per=calls, nf=nf)]
+
+
+def run_row(nx, n_steps, ker, repeat):
+    """``stepper.run`` per step, factorization and history sum included, on
+    the sec6 physics (unit downward traction on the right side, T = 40)
+    from rest on an nx-by-nx mesh; the weight table is built beforehand."""
+    sys_ = assemble(build_rect_mesh(nx, nx), ElasticParams(1e5, 1e5, 3000.0),
+                    traction=side_traction({"right": (0.0, -1.0)}))
+    table = build_weights(TimeGrid.uniform(40.0, n_steps), ker)
+    zero = np.zeros(sys_.n_dofs)
+    t = timed(lambda: stepper.run(sys_, table, zero, zero), repeat)
+    nf = sys_.free_dofs.size
+    return row(f"run[N={n_steps},nf={nf}]", t, per=n_steps, n_steps=n_steps,
+               nf=nf)
 
 
 def ledger_row(nx, n_steps, ker, repeat):
@@ -122,8 +167,8 @@ def ledger_row(nx, n_steps, ker, repeat):
     hist = stepper.SolutionHistory(
         u1f=rng.standard_normal((n_steps + 1, nf)),
         u2f=rng.standard_normal((n_steps + 1, nf)), system=sys_, table=table)
-    t, _ = timed(lambda: energy_ledger(hist), repeat)
-    return (f"ledger[N={n_steps},nf={nf}]", t)
+    t = timed(lambda: energy_ledger(hist), repeat)
+    return row(f"ledger[N={n_steps},nf={nf}]", t, n_steps=n_steps, nf=nf)
 
 
 def csv_row(n_steps, repeat):
@@ -134,9 +179,9 @@ def csv_row(n_steps, repeat):
                             rng.standard_normal((n_steps + 1, 4))]).tolist()
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "probe_trace.csv"
-        t, _ = timed(lambda: cli._write_csv(path, "t,u1_x,u1_y,u2_x,u2_y",
-                                            rows), repeat)
-    return (f"csv[probe_trace,N={n_steps}]", t)
+        t = timed(lambda: cli._write_csv(path, "t,u1_x,u1_y,u2_x,u2_y",
+                                         rows), repeat)
+    return row(f"csv[probe_trace,N={n_steps}]", t, n_steps=n_steps)
 
 
 def traced_peak(fn):
@@ -164,14 +209,55 @@ def memory_rows():
     _, ledger_mb = traced_peak(lambda: energy_ledger(hist))
     tag = f"[N={n_steps},nf={nf}]"
     history_mb = hist.u1f.nbytes / 1e6
-    return [(f"memory{tag},run", run_mb, history_mb),
-            (f"memory{tag},ledger", ledger_mb, history_mb)]
+    return [{"name": f"memory{tag},{what}", "N": n_steps, "nf": nf,
+             "peak_mb": peak, "history_mb": history_mb}
+            for what, peak in (("run", run_mb), ("ledger", ledger_mb))]
+
+
+def import_times(k):
+    """Wall times of k fresh interpreters that import ``fracvisco.cli``."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+    times = []
+    for _ in range(k):
+        t0 = time.perf_counter()
+        subprocess.run([sys.executable, "-c", "import fracvisco.cli"],
+                       env=env, check=True)
+        times.append(time.perf_counter() - t0)
+    return times
+
+
+def cpu_model():
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as f:
+            for line in f:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or "unknown"
+
+
+def git_revision():
+    """HEAD's commit id, with "-dirty" when the program or this script
+    differs from it, or "unknown" outside a git checkout."""
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=ROOT, capture_output=True,
+                              text=True, check=True).stdout.strip()
+    try:
+        rev = git("rev-parse", "HEAD")
+        dirty = git("status", "--porcelain", "--", "src", "benchmarks")
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+    return rev + ("-dirty" if dirty else "")
 
 
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--quick", action="store_true",
                         help="small sizes, single repeat (CI smoke)")
+    parser.add_argument("--json", type=Path, metavar="PATH",
+                        help="also write the record as JSON to PATH")
     args = parser.parse_args()
     repeat = 1 if args.quick else 3
     n_ml = 20_000 if args.quick else 400_000
@@ -180,69 +266,96 @@ def main():
 
     rows = []
     xs = np.geomspace(1e-4, 60.0, n_ml)
-    t, _ = timed(lambda: eval_ml_neg(2.0 / 3.0, 2.0, xs), repeat)
-    rows.append((f"ml_eval[{n_ml}]", t))
+    t = timed(lambda: eval_ml_neg(2.0 / 3.0, 2.0, xs), repeat)
+    rows.append(row(f"ml_eval[{n_ml}]", t))
     n_ser = 20_000 if args.quick else 1_000_000
     xs = np.random.default_rng(11).uniform(0.0, S_SERIES ** (2.0 / 3.0), n_ser)
-    t, _ = timed(lambda: eval_ml_neg(2.0 / 3.0, 2.0, xs), repeat)
-    rows.append((f"ml_series[{n_ser}]", t))
+    t = timed(lambda: eval_ml_neg(2.0 / 3.0, 2.0, xs), repeat)
+    rows.append(row(f"ml_series[{n_ser}]", t))
     xs = np.random.default_rng(12).uniform(S_ASYM, 10.0 * S_ASYM,
                                            n_ser) ** (2.0 / 3.0)
-    t, _ = timed(lambda: eval_ml_neg(2.0 / 3.0, 2.0, xs), repeat)
-    rows.append((f"ml_asym[{n_ser}]", t))
+    t = timed(lambda: eval_ml_neg(2.0 / 3.0, 2.0, xs), repeat)
+    rows.append(row(f"ml_asym[{n_ser}]", t))
     n_spec = 20_000 if args.quick else 200_000
     xs = np.random.default_rng(13).uniform(S_SERIES, S_ASYM,
                                            n_spec) ** (2.0 / 3.0)
-    t, _ = timed(lambda: eval_ml_neg(2.0 / 3.0, 2.0, xs), repeat)
-    rows.append((f"ml_spectral[{n_spec}]", t))
+    t = timed(lambda: eval_ml_neg(2.0 / 3.0, 2.0, xs), repeat)
+    rows.append(row(f"ml_spectral[{n_spec}]", t))
 
     ker = KernelParams(alpha=2.0 / 3.0, tau=1.0, gamma=0.5)
-    t, _ = timed(lambda: build_weights(TimeGrid.uniform(40.0, 8192), ker),
-                 repeat)
-    rows.append(("ml_weights[N=8192,T=40]", t))
+    t = timed(lambda: build_weights(TimeGrid.uniform(40.0, 8192), ker),
+              repeat)
+    rows.append(row("ml_weights[N=8192,T=40]", t, n_steps=8192))
 
     rng = np.random.default_rng(7)
     steps = rng.uniform(0.5, 2.0, n_grid)
     steps *= 4.0 / steps.sum()
     grid = TimeGrid(np.concatenate([[0.0], np.cumsum(steps)]))
-    t, _ = timed(lambda: build_weights(grid, ker), repeat)
-    rows.append((f"build_weights[N={n_grid}]", t))
+    t = timed(lambda: build_weights(grid, ker), repeat)
+    rows.append(row(f"build_weights[N={n_grid}]", t, n_steps=n_grid))
 
     model = ScalarModel(rho=1.0, kappa=1.0, kernel=ker, u0=1.0)
-    t, _ = timed(lambda: scalar_reference(model, 4.0, k_ref=k_ref), repeat)
-    rows.append((f"scalar_reference[k={k_ref:g}]", t))
+    t = timed(lambda: scalar_reference(model, 4.0, k_ref=k_ref), repeat)
+    rows.append(row(f"scalar_reference[k={k_ref:g}]", t))
 
     n_hist = 1024 if args.quick else 8192
     table = build_weights(TimeGrid.uniform(40.0, n_hist), ker)
     u = rng.standard_normal((n_hist + 1, 144))
     tag = f"[N={n_hist},nf=144"
-    t, _ = timed(lambda: dense_history(table.lags, u), repeat)
-    rows.append((f"history{tag},dense rows]", t))
+    t = timed(lambda: dense_history(table.lags, u), repeat)
+    rows.append(row(f"history{tag},dense rows]", t, n_steps=n_hist, nf=144))
     for block, label in ((64, "fft above 64"),
                          (stepper.DIRECT_BLOCK,
                           f"fft above {stepper.DIRECT_BLOCK}"),
                          (n_hist, "no fft")):
-        t, _ = timed(lambda: online_history(table, u, block), repeat)
-        rows.append((f"history{tag},online {label}]", t))
+        t = timed(lambda: online_history(table, u, block), repeat)
+        rows.append(row(f"history{tag},online {label}]", t, n_steps=n_hist,
+                        nf=144))
 
     for nx in ((8, 16) if args.quick else (6, 7, 8, 10, 16, 25)):
         rows.extend(solve_rows(nx, repeat))
+    for nx, n_steps in (((8, 256),) if args.quick
+                        else ((8, 8192), (16, 2560), (25, 2048))):
+        rows.append(run_row(nx, n_steps, ker, repeat))
 
     for n_steps in ((128, 512) if args.quick else (512, 2048)):
         rows.append(ledger_row(8 if args.quick else 25, n_steps, ker, repeat))
 
     rows.append(csv_row(8192, repeat))
 
-    width = max(len(name) for name, _ in rows)
-    print(f"{'kernel':<{width}}  best time")
-    for name, t in rows:
-        print(f"{name:<{width}}  {t * 1e3:11.4f} ms")
+    width = max(len(r["name"]) for r in rows)
+    print(f"{'kernel':<{width}}  {'best time':>14}  {'median':>14}")
+    for r in rows:
+        print(f"{r['name']:<{width}}  {r['best_s'] * 1e3:11.4f} ms"
+              f"  {r['median_s'] * 1e3:11.4f} ms")
 
     mem = memory_rows()
-    width = max(len(name) for name, _, _ in mem)
+    width = max(len(m["name"]) for m in mem)
     print(f"\n{'memory':<{width}}  tracemalloc peak (one history array)")
-    for name, peak, history_mb in mem:
-        print(f"{name:<{width}}  {peak:8.1f} MB ({history_mb:.1f} MB)")
+    for m in mem:
+        print(f"{m['name']:<{width}}  {m['peak_mb']:8.1f} MB "
+              f"({m['history_mb']:.1f} MB)")
+
+    import_cli = row("import fracvisco.cli", import_times(1 if args.quick
+                                                           else 5))
+    print(f"\nfresh-process import of fracvisco.cli: median "
+          f"{import_cli['median_s'] * 1e3:.1f} ms of {import_cli['k']}")
+
+    if args.json is not None:
+        record = {
+            "machine": {"nproc": len(os.sched_getaffinity(0)),
+                        "cpu_model": cpu_model(),
+                        "blas_threads": BLAS_THREADS,
+                        "numba": bool(_accel.USE_NUMBA)},
+            "software": {"python": platform.python_version(),
+                         "numpy": np.__version__, "scipy": scipy.__version__,
+                         "git_revision": git_revision()},
+            "quick": args.quick,
+            "rows": rows,
+            "memory": mem,
+            "import_cli": import_cli,
+        }
+        args.json.write_text(json.dumps(record, indent=1) + "\n")
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ Grammar (documented in the README):
 * ``key = value`` assigns; values are numbers, booleans (true/false),
   bare words, or 2-vectors written ``(a, b)``,
 * ``probe`` may repeat inside ``[probes]``; every other key is single-valued,
+* a probe must lie in the closed rectangle [0, lx] x [0, ly] of the mesh,
 * numbers must be finite, and ``dt`` (an alternative to ``steps``) must be
   positive and divide ``t_final`` to 1e-9 relative
   (``weights.dividing_step_count``; no grid is built),
@@ -90,6 +91,11 @@ class RunConfig:
             errors.append(("t_final", "t_final must be positive"))
         if self.steps < 1:
             errors.append(("steps", "steps must be >= 1"))
+        for i, (x, y) in enumerate(self.probes):
+            if not (0.0 <= x <= self.lx and 0.0 <= y <= self.ly):
+                errors.append((f"probes[{i}]",
+                               f"probe ({x!r}, {y!r}) lies outside the mesh "
+                               f"[0, {self.lx!r}] x [0, {self.ly!r}]"))
         return errors
 
 
@@ -183,6 +189,7 @@ def parse_config(text):
         if value is None:
             continue
         if section == "probes":
+            line_of[f"probes[{len(probes)}]"] = lineno
             probes.append(value)
             continue
         fname = _FIELD_OF.get((section, key), key)

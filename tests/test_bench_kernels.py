@@ -1,13 +1,17 @@
+import json
 import os
 import subprocess
 import sys
 
+ROW_KEYS = {"name", "N", "nf", "k", "best_s", "median_s"}
 
-def test_benchmark_script_smoke():
+
+def test_benchmark_script_smoke(tmp_path):
     bench = os.path.join(os.path.dirname(__file__), "..", "benchmarks",
                          "bench_kernels.py")
-    out = subprocess.run([sys.executable, bench, "--quick"],
-                         capture_output=True, text=True)
+    record = tmp_path / "bench.json"
+    out = subprocess.run([sys.executable, bench, "--quick", "--json",
+                          str(record)], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert "ml_eval" in out.stdout
     assert "ml_series[" in out.stdout
@@ -17,7 +21,40 @@ def test_benchmark_script_smoke():
     assert "scalar_reference[" in out.stdout
     assert "direct_solve[nf=" in out.stdout
     assert "step[nf=144,bw=" in out.stdout
+    assert "run[N=256,nf=144]" in out.stdout
     assert "ledger[" in out.stdout
     assert "csv[probe_trace,N=8192]" in out.stdout
     assert "memory[N=2048,nf=1300],run" in out.stdout
     assert "memory[N=2048,nf=1300],ledger" in out.stdout
+    assert "import of fracvisco.cli" in out.stdout
+
+    rec = json.loads(record.read_text())
+    assert set(rec) == {"machine", "software", "quick", "rows", "memory",
+                        "import_cli"}
+    assert set(rec["machine"]) == {"nproc", "cpu_model", "blas_threads",
+                                   "numba"}
+    assert rec["machine"]["nproc"] >= 1 and rec["machine"]["cpu_model"]
+    assert rec["machine"]["blas_threads"] == 1
+    assert rec["machine"]["numba"] in (True, False)
+    assert set(rec["software"]) == {"python", "numpy", "scipy",
+                                    "git_revision"}
+    assert all(isinstance(v, str) and v for v in rec["software"].values())
+    assert rec["quick"] is True
+    # the rows printed, each with its sizes where they apply
+    assert len(rec["rows"]) == 19
+    assert all(r["name"] in out.stdout for r in rec["rows"])
+    for r in rec["rows"] + [rec["import_cli"]]:
+        assert set(r) == ROW_KEYS, r
+        assert r["k"] == 1 and 0.0 < r["best_s"] <= r["median_s"], r
+        assert all(r[key] is None or r[key] >= 1 for key in ("N", "nf")), r
+    by_name = {r["name"]: r for r in rec["rows"]}
+    assert (by_name["run[N=256,nf=144]"]["N"],
+            by_name["run[N=256,nf=144]"]["nf"]) == (256, 144)
+    assert by_name["direct_solve[nf=144,bw=17]"]["nf"] == 144
+    assert by_name["ml_weights[N=8192,T=40]"]["N"] == 8192
+    assert [m["name"] for m in rec["memory"]] == [
+        "memory[N=2048,nf=1300],run", "memory[N=2048,nf=1300],ledger"]
+    for m in rec["memory"]:
+        assert set(m) == {"name", "N", "nf", "peak_mb", "history_mb"}
+        assert (m["N"], m["nf"]) == (2048, 1300)
+        assert m["peak_mb"] > 0.0 and m["history_mb"] > 0.0

@@ -3,7 +3,8 @@
 Each case either runs (exit 0, every CSV cell finite and, for
 energy-check, the balance closed within ``cli.RESIDUAL_MAX``) or is
 refused with exactly one line on stderr, ``error: <subcommand>: ...``, and
-nothing else: no warning ahead of it.
+nothing else: no warning ahead of it.  A probe outside the unit square is
+always refused.
 """
 
 import math
@@ -62,6 +63,8 @@ def test_runs_or_errs_in_one_line(tmp_path, monkeypatch, capsys, section,
         warnings.simplefilter("always")
         code = main([command, str(cfg)])
     err = capsys.readouterr().err.splitlines()
+    if key == "probe" and float(value) > 1.0:
+        assert code != 0
     if code == 0:
         rows = [row.split(",") for row in
                 (tmp_path / csv).read_text().splitlines()[1:]]

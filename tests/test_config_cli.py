@@ -172,6 +172,33 @@ class TestParse:
             parse_config(f"[{section}]\n# retired keys only\n\n{line}\n")
         assert err.value.errors == [f"line 4: {message}"]
 
+    @pytest.mark.parametrize("probes,line,point", [
+        ("probe = (1.5, 0.5)\n", 3, "(1.5, 0.5)"),
+        ("probe = (1.0, 1.0)\n\nprobe = (0.5, -0.25)\n", 5, "(0.5, -0.25)"),
+        ("probe = (1e300, 1e300)\n", 3, "(1e+300, 1e+300)"),
+        ("probe = (1.7e308, 1.7e308)\n", 3, "(1.7e+308, 1.7e+308)"),
+    ], ids=["right-of-square", "second-probe", "1e300", "1.7e308"])
+    def test_probe_outside_mesh_rejected_with_line(self, probes, line, point):
+        # refused at parse time, with the probe's own line and the rectangle,
+        # before the mesh snaps it or measures its distance
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"[mesh]\n[probes]\n{probes}")
+        assert err.value.errors == [
+            f"line {line}: probe {point} lies outside the mesh "
+            "[0, 1.0] x [0, 1.0]"]
+
+    def test_probe_in_closed_rectangle_accepted(self):
+        # corners and edges belong to the mesh; a point off the vertices
+        # still parses and snaps later, with the mesh's warning
+        text = ("[mesh]\nlx = 2.0\nly = 0.5\n[probes]\nprobe = (0.0, 0.0)\n"
+                "probe = (2.0, 0.5)\nprobe = (0.51, 0.25)\n")
+        with pytest.warns(UserWarning, match="using defaults for"):
+            cfg = parse_config(text)
+        assert cfg.probes == ((0.0, 0.0), (2.0, 0.5), (0.51, 0.25))
+        assert RunConfig(probes=((np.nan, 0.5),)).validate() == [
+            ("probes[0]", "probe (nan, 0.5) lies outside the mesh "
+             "[0, 1.0] x [0, 1.0]")]
+
     def test_retired_cg_tol_parses_to_default(self):
         # the value perfbench writes into every config it generates
         with pytest.warns(UserWarning, match="using defaults for"):

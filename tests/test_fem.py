@@ -466,6 +466,38 @@ class TestSolvers:
         co = k - beta_double_primitive(KernelParams(2.0 / 3.0, 1.0, 0.5), k)
         _assert_matches_dense(sys_.Mff + (k * co) * sys_.Kff, seed=nx * ny)
 
+    @pytest.mark.parametrize("nx", [8, 16, 25])
+    def test_band_is_upper_cholesky_factor(self, nx):
+        # _band is U of A = U^T U in LAPACK upper band storage,
+        # band[bw + i - j, j] = U[i, j]: on the sec6 step matrix U^T U
+        # rebuilds A within Higham's Theorem 10.3 bound for a band of
+        # half-bandwidth bw, |U^T U - A|_ij <= g(bw + 2) sqrt(a_ii a_jj)
+        from fracvisco.mlf import KernelParams, beta_double_primitive
+
+        sys_ = assemble(build_rect_mesh(nx, nx),
+                        ElasticParams(1e5, 1e5, 3000.0))
+        k = 40.0 / 2560
+        co = k - beta_double_primitive(KernelParams(2.0 / 3.0, 1.0, 0.5), k)
+        a = sys_.Mff + (k * co) * sys_.Kff
+        solver = SpdSolver(a)
+        band = solver._band
+        bw, n = band.shape[0] - 1, band.shape[1]
+        u = np.zeros((n, n))
+        for d in range(bw + 1):
+            u[np.arange(n - d), np.arange(d, n)] = band[bw - d, d:]
+        dense = a.toarray()
+        root = np.sqrt(np.diag(dense))
+        g = (bw + 2) * 2.0 ** -53 / (1 - (bw + 2) * 2.0 ** -53)
+        assert (np.abs(u.T @ u - dense) / np.outer(root, root)).max() <= g
+        rng = np.random.default_rng(nx)
+        for _ in range(5):
+            b = rng.standard_normal(n)
+            x = solver.solve(b)
+            eta = np.linalg.norm(b - dense @ x) / (
+                np.abs(dense).sum(axis=1).max() * np.linalg.norm(x)
+                + np.linalg.norm(b))
+            assert eta <= solver.tol
+
     @pytest.mark.parametrize("diag", [[2.5], [1.0, 3.0, 0.5, 7.0, 2.0]])
     def test_banded_matches_dense_diagonal(self, diag):
         # one unknown, and half-bandwidth 0
