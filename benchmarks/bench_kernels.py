@@ -24,13 +24,16 @@ them, and the run rows per step of the run, factorization and history sum
 included.  The memory rows give the tracemalloc peaks of ``stepper.run`` and
 of ``energy_ledger`` on the 25x25 mesh with N=2048, next to the two
 (N+1) x nf histories a run must hold.  Last comes the wall time of a fresh
-interpreter that imports ``fracvisco.cli``, the start-up every CLI call pays.
+interpreter that imports ``fracvisco.cli``, the start-up every CLI call pays,
+with that interpreter's peak resident size, and the wall times of fresh
+``simulate`` and ``energy-check`` calls on ``configs/paper_sec6.cfg``.
 BLAS runs on one thread, as in perfbench: every solve is single-vector.
 
 ``--json PATH`` also writes the record: the machine (nproc, CPU model, BLAS
 threads, numba), the Python, numpy and scipy versions, the git revision,
 and per row N and nf where they apply, best and median of the k timed
-calls, and k; then the memory peaks and the import wall time.
+calls, and k; then the memory peaks, the import wall time and resident
+size, and the one-shot CLI walls (k = 5; 1 under ``--quick``).
 
 Run:  python benchmarks/bench_kernels.py [--quick] [--json PATH]
 """
@@ -214,17 +217,46 @@ def memory_rows():
             for what, peak in (("run", run_mb), ("ledger", ledger_mb))]
 
 
-def import_times(k):
-    """Wall times of k fresh interpreters that import ``fracvisco.cli``."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
-    times = []
+# The import's peak resident size is VmHWM, the peak of the interpreter's
+# own address space.  ru_maxrss would not do: Linux carries the launching
+# process's peak across exec, so it would report this script's size.
+IMPORT_CLI = """import fracvisco.cli
+with open("/proc/self/status", encoding="ascii") as f:
+    print(next(line.split()[1] for line in f if line.startswith("VmHWM:")))"""
+
+
+def fresh_runs(args, k, out_dir):
+    """Wall times and stdouts of k fresh interpreters ``python args`` (one
+    BLAS thread, outputs into out_dir)."""
+    env = dict(os.environ, FRACVISCO_OUTPUT_DIR=str(out_dir),
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+    times, outs = [], []
     for _ in range(k):
         t0 = time.perf_counter()
-        subprocess.run([sys.executable, "-c", "import fracvisco.cli"],
-                       env=env, check=True)
+        out = subprocess.run([sys.executable, *args], env=env, check=True,
+                             capture_output=True, text=True)
         times.append(time.perf_counter() - t0)
-    return times
+        outs.append(out.stdout)
+    return times, outs
+
+
+def fresh_process_rows(k):
+    """The start-up and one-shot CLI calls a user waits for, each in k fresh
+    interpreters: the import of ``fracvisco.cli`` with the median of its
+    peak resident sizes (VmHWM in KiB / 1024, the unit of perfbench's
+    ``peak_rss_mb``), then ``simulate`` and ``energy-check`` on
+    ``configs/paper_sec6.cfg``, import included."""
+    cfg = str(ROOT / "configs" / "paper_sec6.cfg")
+    with tempfile.TemporaryDirectory() as tmp:
+        times, outs = fresh_runs(["-c", IMPORT_CLI], k, tmp)
+        import_cli = row("import fracvisco.cli", times)
+        rss_mb = statistics.median(int(o) for o in outs) / 1024
+        cli_rows = [row(f"{cmd} configs/paper_sec6.cfg",
+                        fresh_runs(["-m", "fracvisco.cli", cmd, cfg], k,
+                                   tmp)[0])
+                    for cmd in ("simulate", "energy-check")]
+    return import_cli, rss_mb, cli_rows
 
 
 def cpu_model():
@@ -336,10 +368,14 @@ def main():
         print(f"{m['name']:<{width}}  {m['peak_mb']:8.1f} MB "
               f"({m['history_mb']:.1f} MB)")
 
-    import_cli = row("import fracvisco.cli", import_times(1 if args.quick
-                                                           else 5))
+    import_cli, import_rss_mb, cli_rows = fresh_process_rows(
+        1 if args.quick else 5)
     print(f"\nfresh-process import of fracvisco.cli: median "
-          f"{import_cli['median_s'] * 1e3:.1f} ms of {import_cli['k']}")
+          f"{import_cli['median_s'] * 1e3:.1f} ms of {import_cli['k']}, "
+          f"peak RSS {import_rss_mb:.1f} MB")
+    for r in cli_rows:
+        print(f"fresh-process {r['name']}: median "
+              f"{r['median_s'] * 1e3:.1f} ms of {r['k']}")
 
     if args.json is not None:
         record = {
@@ -354,6 +390,8 @@ def main():
             "rows": rows,
             "memory": mem,
             "import_cli": import_cli,
+            "import_cli_peak_rss_mb": import_rss_mb,
+            "cli": cli_rows,
         }
         args.json.write_text(json.dumps(record, indent=1) + "\n")
 

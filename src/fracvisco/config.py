@@ -8,7 +8,8 @@ Grammar (documented in the README):
 * ``key = value`` assigns; values are numbers, booleans (true/false),
   bare words, or 2-vectors written ``(a, b)``,
 * ``probe`` may repeat inside ``[probes]``; every other key is single-valued,
-* a probe must lie in the closed rectangle [0, lx] x [0, ly] of the mesh,
+* a probe must lie in the closed rectangle [0, lx] x [0, ly] of the mesh;
+  without a ``[probes]`` section the one probe is its far corner (lx, ly),
 * numbers must be finite, and ``dt`` (an alternative to ``steps``) must be
   positive and divide ``t_final`` to 1e-9 relative
   (``weights.dividing_step_count``; no grid is built),
@@ -64,7 +65,8 @@ class RunConfig:
     g_right: tuple = (0.0, 0.0)
     g_bottom: tuple = (0.0, 0.0)
     g_top: tuple = (0.0, 0.0)
-    # probes
+    # probes; without a [probes] section ``parse_config`` puts the one
+    # probe at the far corner (lx, ly)
     probes: tuple = ((1.0, 1.0),)
     # output
     out_dir: str = "out"
@@ -213,6 +215,8 @@ def parse_config(text):
     else:
         defaulted.append("probes")
     cfg = replace(cfg, **assigned)
+    if not probes:
+        cfg = replace(cfg, probes=((cfg.lx, cfg.ly),))
     if dt is not None:
         if "steps" in assigned:
             errors.append("time: give either steps or dt, not both")

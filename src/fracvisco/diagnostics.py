@@ -43,11 +43,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.fft import irfft, rfft
 from scipy import sparse
-from scipy.fft import irfft, next_fast_len, rfft
 
 from .fem import AssembledSystem
-from .stepper import SolutionHistory
+from .stepper import SolutionHistory, fft_size
 from .weights import WeightTable
 
 __all__ = ["EnergyLedger", "energy_ledger", "long_time_limit", "TailReport"]
@@ -185,7 +185,7 @@ def _lower_weights(table: WeightTable, n):
     # weigh(x)[m] = sum_{d=1}^{m-1} lags[d] x[m - d], entry m - 2 of the
     # linear convolution of lags[1:n] with x[1:n]
     reach[2:] = np.cumsum(table.lags[1:n])
-    size = next_fast_len(max(2 * n - 3, 1), real=True)
+    size = fft_size(max(2 * n - 3, 1))
     spectrum = rfft(table.lags[1:n], size)
 
     # rows of x are transformed a few at a time, so that the transforms'

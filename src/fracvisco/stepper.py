@@ -60,14 +60,14 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
+from numpy.fft import irfft, rfft
 
 from .fem import AssembledSystem
 from .solvers import SolverError, csr_product, make_spd_solver
 from .weights import WeightTable
 
 __all__ = ["SolutionHistory", "history_sums", "time_average_load",
-           "advance", "run"]
+           "advance", "run", "fft_size"]
 
 # Square blocks of history_sums with sides up to this many steps are dense
 # products; larger ones (uniform grids only) go through real FFTs.  Dense
@@ -77,6 +77,26 @@ DIRECT_BLOCK = 512
 # An FFT square transforms its columns in blocks of about this many numbers,
 # so its temporaries stay about 1 MB each instead of three (2L x nf) arrays.
 FFT_CHUNK = 1 << 17
+
+
+def fft_size(n):
+    """The smallest 2^a 3^b 5^c >= n, for n >= 1: a length that pocketfft,
+    behind ``numpy.fft``, transforms fast (``scipy.fft.next_fast_len(n,
+    real=True)``)."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < n:
+            # the least p35 * 2^a >= n
+            m = p35 << ((n - 1) // p35).bit_length()
+            if m < best:
+                best = m
+            p35 *= 3
+        if p35 < best:
+            best = p35
+        p5 *= 5
+    return best
 
 
 @dataclass
@@ -188,15 +208,17 @@ def history_sums(table: WeightTable, u, acc):
         # lags 1 .. span + n_tgt - 1 against the sources, one column of
         # u per row of the transform; no wrap-around reaches the
         # targets, which sit at offsets span - 1 .. span + n_tgt - 2
-        size = next_fast_len(span + n_tgt - 1, real=True)
+        size = fft_size(span + n_tgt - 1)
         spectrum = rfft(w[1:span + n_tgt], size)
         src2 = src.reshape(span, -1)
         tgt = acc[m + 1:hi + 1].reshape(n_tgt, -1)     # a view
         width = max(1, FFT_CHUNK // size)
         for c in range(0, src2.shape[1], width):
             cols = slice(c, c + width)
-            # in place, operands in the order of spectrum * spec
-            spec = rfft(src2[:, cols].T, size)
+            # the columns copied row-major first: numpy's rfft of the
+            # strided transpose is up to 25% slower.  In place, operands in
+            # the order of spectrum * spec
+            spec = rfft(np.ascontiguousarray(src2[:, cols].T), size)
             np.multiply(spectrum, spec, out=spec)
             conv = irfft(spec, size)
             del spec

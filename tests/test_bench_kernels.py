@@ -27,10 +27,13 @@ def test_benchmark_script_smoke(tmp_path):
     assert "memory[N=2048,nf=1300],run" in out.stdout
     assert "memory[N=2048,nf=1300],ledger" in out.stdout
     assert "import of fracvisco.cli" in out.stdout
+    assert "peak RSS" in out.stdout
+    assert "fresh-process simulate configs/paper_sec6.cfg" in out.stdout
+    assert "fresh-process energy-check configs/paper_sec6.cfg" in out.stdout
 
     rec = json.loads(record.read_text())
     assert set(rec) == {"machine", "software", "quick", "rows", "memory",
-                        "import_cli"}
+                        "import_cli", "import_cli_peak_rss_mb", "cli"}
     assert set(rec["machine"]) == {"nproc", "cpu_model", "blas_threads",
                                    "numba"}
     assert rec["machine"]["nproc"] >= 1 and rec["machine"]["cpu_model"]
@@ -43,7 +46,13 @@ def test_benchmark_script_smoke(tmp_path):
     # the rows printed, each with its sizes where they apply
     assert len(rec["rows"]) == 19
     assert all(r["name"] in out.stdout for r in rec["rows"])
-    for r in rec["rows"] + [rec["import_cli"]]:
+    # the fresh interpreters: the import's resident size in MB, and the
+    # one-shot CLI calls
+    assert 20.0 < rec["import_cli_peak_rss_mb"] < 1000.0
+    assert [r["name"] for r in rec["cli"]] == [
+        "simulate configs/paper_sec6.cfg",
+        "energy-check configs/paper_sec6.cfg"]
+    for r in rec["rows"] + [rec["import_cli"]] + rec["cli"]:
         assert set(r) == ROW_KEYS, r
         assert r["k"] == 1 and 0.0 < r["best_s"] <= r["median_s"], r
         assert all(r[key] is None or r[key] >= 1 for key in ("N", "nf")), r

@@ -199,6 +199,17 @@ class TestParse:
             ("probes[0]", "probe (nan, 0.5) lies outside the mesh "
              "[0, 1.0] x [0, 1.0]")]
 
+    @pytest.mark.parametrize("mesh,corner", [
+        ("lx = 0.5\n", (0.5, 1.0)),
+        ("lx = 2\nly = 3\n", (2.0, 3.0)),
+    ], ids=["narrow", "wide"])
+    def test_default_probe_at_far_corner(self, mesh, corner):
+        # without [probes] the one probe is the tip (lx, ly) of the mesh,
+        # whatever its size, and is still listed as defaulted
+        with pytest.warns(UserWarning, match="using defaults for.*probes"):
+            cfg = parse_config(f"[mesh]\n{mesh}")
+        assert cfg.probes == (corner,)
+
     def test_retired_cg_tol_parses_to_default(self):
         # the value perfbench writes into every config it generates
         with pytest.warns(UserWarning, match="using defaults for"):

@@ -1,5 +1,8 @@
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -57,3 +60,35 @@ def test_every_import_is_used(path):
                     if name not in used
                     and (path.stem, name) not in UNUSED_ON_PURPOSE)
     assert not unused, f"{path.name} imports {unused} and never uses them"
+
+
+# A fresh interpreter runs every subcommand on a 2x2, N = 8 config and
+# prints the heavy scipy modules it loaded: the package takes its FFTs from
+# numpy and its log-gamma from math, so none of them may appear.
+NOT_LOADED = ("scipy.fft", "scipy.special")
+CLI_RUN = """
+import sys
+from pathlib import Path
+from fracvisco import cli
+cfg = Path(sys.argv[1])
+cfg.write_text("[mesh]\\nnx = 2\\nny = 2\\n[time]\\nsteps = 8\\n"
+               "[loads]\\ng_right = (0.0, -1.0)\\n")
+for argv in (["simulate", cfg], ["energy-check", cfg], ["weights-dump", cfg],
+             ["converge-time", cfg, "--k-list", "0.5,0.25", "--t-final", "1"],
+             ["ml-eval", "--alpha", "0.5", "--b", "1", "--x", "2"]):
+    assert cli.main([str(a) for a in argv]) == 0, argv
+print("loaded:", *(m for m in sys.argv[2:] if m in sys.modules))
+"""
+
+
+def test_cli_loads_no_scipy_fft_or_special(tmp_path):
+    src = str(Path(fracvisco.__file__).resolve().parent.parent)
+    env = dict(os.environ, FRACVISCO_OUTPUT_DIR=str(tmp_path / "out"),
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run(
+        [sys.executable, "-W", "ignore", "-c", CLI_RUN,
+         str(tmp_path / "run.cfg"), *NOT_LOADED],
+        env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "loaded:", out.stdout

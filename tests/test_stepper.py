@@ -217,6 +217,13 @@ class TestHistorySums:
             assert np.all(np.isfinite(h)), m
             u[m] = 1.0
 
+    def test_fft_size_is_scipys_real_fast_length(self):
+        # the transform lengths of history_sums and the energy ledger, so
+        # the bitwise tests above compare numpy's FFTs at scipy's lengths
+        sizes = range(1, (1 << 17) + 1)
+        assert ([stepper.fft_size(n) for n in sizes]
+                == [next_fast_len(n, real=True) for n in sizes])
+
 
 class TestTimeAverageLoad:
     def test_constant_traction_equals_load_vector(self, loaded_system8,
