@@ -22,8 +22,9 @@ call; the solve rows are per solve, backward-error check included, the step
 rows per step, with the products and the solver bound once as ``run`` binds
 them, and the run rows per step of the run, factorization and history sum
 included.  The memory rows give the tracemalloc peaks of ``stepper.run`` and
-of ``energy_ledger`` on the 25x25 mesh with N=2048, next to the two
-(N+1) x nf histories a run must hold.  Last comes the wall time of a fresh
+of ``energy_ledger`` at the energy_audit (25x25, N=2048), sec6 (16x16,
+N=2560) and long_memory (8x8, N=8192) shapes, next to the two (N+1) x nf
+histories a run must hold and what each call holds beyond them.  Last comes the wall time of a fresh
 interpreter that imports ``fracvisco.cli``, the start-up every CLI call pays,
 with that interpreter's peak resident size, and the wall times of fresh
 ``simulate`` and ``energy-check`` calls on ``configs/paper_sec6.cfg``.
@@ -199,22 +200,33 @@ def traced_peak(fn):
 
 
 def memory_rows():
-    """Peaks of one run and of its energy ledger on the energy_audit size,
-    beside the size of one history array."""
-    n_steps = 2048
+    """Peaks of one run and of its energy ledger at the three perfbench
+    shapes (energy_audit, sec6, long_memory), from random initial data,
+    beside the size of one history array.  ``beyond_histories_mb`` is what
+    the call holds beyond the two histories of the run: the run's peak less
+    both, and the ledger's whole peak (it reads a stored history)."""
     ker = KernelParams(alpha=2.0 / 3.0, tau=1.0, gamma=0.5)
-    sys_ = assemble(build_rect_mesh(25, 25), ElasticParams(1.0, 1.0, 3000.0))
-    table = build_weights(TimeGrid.uniform(8.0, n_steps), ker)
-    nf = sys_.free_dofs.size
-    u0 = sys_.expand(np.random.default_rng(9).standard_normal(nf))
-    hist, run_mb = traced_peak(
-        lambda: stepper.run(sys_, table, u0, np.zeros_like(u0)))
-    _, ledger_mb = traced_peak(lambda: energy_ledger(hist))
-    tag = f"[N={n_steps},nf={nf}]"
-    history_mb = hist.u1f.nbytes / 1e6
-    return [{"name": f"memory{tag},{what}", "N": n_steps, "nf": nf,
-             "peak_mb": peak, "history_mb": history_mb}
-            for what, peak in (("run", run_mb), ("ledger", ledger_mb))]
+    mem = []
+    for nx, n_steps, t_final in ((25, 2048, 8.0), (16, 2560, 40.0),
+                                 (8, 8192, 40.0)):
+        sys_ = assemble(build_rect_mesh(nx, nx),
+                        ElasticParams(1.0, 1.0, 3000.0))
+        table = build_weights(TimeGrid.uniform(t_final, n_steps), ker)
+        nf = sys_.free_dofs.size
+        u0 = sys_.expand(np.random.default_rng(9).standard_normal(nf))
+        hist, run_mb = traced_peak(
+            lambda: stepper.run(sys_, table, u0, np.zeros_like(u0)))
+        _, ledger_mb = traced_peak(lambda: energy_ledger(hist))
+        tag = f"[N={n_steps},nf={nf}]"
+        history_mb = hist.u1f.nbytes / 1e6
+        mem += [{"name": f"memory{tag},{what}", "N": n_steps, "nf": nf,
+                 "peak_mb": peak, "history_mb": history_mb,
+                 "beyond_histories_mb": beyond}
+                for what, peak, beyond in (
+                    ("run", run_mb, run_mb - 2 * history_mb),
+                    ("ledger", ledger_mb, ledger_mb))]
+        del hist
+    return mem
 
 
 # The import's peak resident size is VmHWM, the peak of the interpreter's
@@ -363,10 +375,11 @@ def main():
 
     mem = memory_rows()
     width = max(len(m["name"]) for m in mem)
-    print(f"\n{'memory':<{width}}  tracemalloc peak (one history array)")
+    print(f"\n{'memory':<{width}}  tracemalloc peak (one history array), "
+          f"beyond the two histories")
     for m in mem:
         print(f"{m['name']:<{width}}  {m['peak_mb']:8.1f} MB "
-              f"({m['history_mb']:.1f} MB)")
+              f"({m['history_mb']:.1f} MB), {m['beyond_histories_mb']:.2f} MB")
 
     import_cli, import_rss_mb, cli_rows = fresh_process_rows(
         1 if args.quick else 5)

@@ -50,6 +50,13 @@ import numpy as np
 
 S_SERIES = 5.0
 S_ASYM = 40.0
+# The ascending series keeps 45/alpha + 64 term ratios, enough for every
+# s <= S_SERIES, but at most SERIES_TERMS.  The cap binds below ALPHA_MIN =
+# 45/1536, about 0.0293, and the series then runs out of terms at some
+# s <= S_SERIES from alpha about 0.026 (b = alpha), 0.0236 (b = 1) and
+# 0.0225 (b = 2) down, so a config refuses alpha < ALPHA_MIN.
+SERIES_TERMS = 1600
+ALPHA_MIN = 45.0 / (SERIES_TERMS - 64)
 U_CUT = 64.0  # exp(-u) is below double rounding past this
 SPECTRAL_BLOCK = 256  # points per _spectral call
 SERIES_BLOCK = 16384  # points per _series and _asymptotic call
@@ -77,7 +84,7 @@ def _lgamma(x):
 @lru_cache(maxsize=64)
 def series_coefficients(alpha, b):
     """Ratios r_k = Gamma(b+alpha k)/Gamma(b+alpha(k+1)) and the k=0 term."""
-    n = min(1600, int(min(45.0 / alpha, 1600.0)) + 64)
+    n = min(SERIES_TERMS, int(min(45.0 / alpha, SERIES_TERMS)) + 64)
     g = _lgamma(b + alpha * np.arange(n + 1))
     return np.exp(g[:-1] - g[1:]), float(np.exp(-g[0]))
 

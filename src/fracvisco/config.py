@@ -29,6 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._kernels import ALPHA_MIN, SERIES_TERMS
 from .weights import dividing_step_count
 
 __all__ = ["RunConfig", "ConfigError", "parse_config"]
@@ -65,17 +66,24 @@ class RunConfig:
     g_right: tuple = (0.0, 0.0)
     g_bottom: tuple = (0.0, 0.0)
     g_top: tuple = (0.0, 0.0)
-    # probes; without a [probes] section ``parse_config`` puts the one
-    # probe at the far corner (lx, ly)
-    probes: tuple = ((1.0, 1.0),)
+    # probes; by default the one probe at the far corner (lx, ly)
+    probes: tuple | None = None
     # output
     out_dir: str = "out"
+
+    def __post_init__(self):
+        if self.probes is None:
+            object.__setattr__(self, "probes", ((self.lx, self.ly),))
 
     def validate(self):
         """Constraint violations as (field, message) pairs."""
         errors = []
         if not (0.0 < self.alpha <= 1.0):
             errors.append(("alpha", f"alpha must be in (0, 1], got {self.alpha}"))
+        elif self.alpha < ALPHA_MIN:
+            errors.append(("alpha", f"alpha must be at least {ALPHA_MIN!r}, "
+                           f"where the Mittag-Leffler series converges in "
+                           f"its {SERIES_TERMS} terms, got {self.alpha}"))
         if not self.tau > 0.0:
             errors.append(("tau", f"tau must be positive, got {self.tau}"))
         if not (0.0 <= self.gamma < 1.0):
@@ -207,16 +215,11 @@ def parse_config(text):
         assigned[fname] = value
 
     dt = assigned.pop("dt", None)
-    cfg = RunConfig()
-    defaulted = [f for f in cfg.__dataclass_fields__
-                 if f not in assigned and f != "probes"]
     if probes:
         assigned["probes"] = tuple(probes)
-    else:
-        defaulted.append("probes")
-    cfg = replace(cfg, **assigned)
-    if not probes:
-        cfg = replace(cfg, probes=((cfg.lx, cfg.ly),))
+    defaulted = [f for f in RunConfig.__dataclass_fields__
+                 if f not in assigned]
+    cfg = RunConfig(**assigned)
     if dt is not None:
         if "steps" in assigned:
             errors.append("time: give either steps or dt, not both")

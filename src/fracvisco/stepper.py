@@ -15,7 +15,11 @@ one factorization at a time, refactored when (k_n, k_n - omega_nn)
 changes: once on a uniform grid (``TimeGrid.steps`` exactly equal).  H_n
 accumulates in row n of the velocity history, which step n then overwrites
 with U2_n, so a run holds exactly its two (N+1) x nf histories and no
-scratch copy of either.
+scratch copy of either.  Every square of the sum adds into those rows in
+place (a dense one by BLAS ``dgemm`` with beta = 1), so beyond its two
+histories a run holds 1.8 MB at nf=1300, N=2048, 1.1 MB at nf=544,
+N=2560 and 1.4 MB at nf=144, N=8192 (tracemalloc peaks, factorization
+included; ``benchmarks/bench_kernels.py``, memory rows).
 
 A step solves for its velocity increment.  Subtracting A_n U2_{n-1}, with
 A_n = M + k_n co_n K the step matrix and co_n = k_n - omega_nn, from both
@@ -61,6 +65,7 @@ from functools import cached_property
 
 import numpy as np
 from numpy.fft import irfft, rfft
+from scipy.linalg.blas import dgemm
 
 from .fem import AssembledSystem
 from .solvers import SolverError, csr_product, make_spd_solver
@@ -74,9 +79,13 @@ __all__ = ["SolutionHistory", "history_sums", "time_average_load",
 # blocks run at BLAS matrix-product speed, so the FFT only pays from sides
 # of about 1024 on (``benchmarks/bench_kernels.py``, history rows).
 DIRECT_BLOCK = 512
-# An FFT square transforms its columns in blocks of about this many numbers,
-# so its temporaries stay about 1 MB each instead of three (2L x nf) arrays.
-FFT_CHUNK = 1 << 17
+# A dense square copies its slice of the weight table in chunks of target
+# rows of about this many weights, and an FFT square transforms its columns
+# in blocks of about this many numbers: 256 KB each.  On uniform grids
+# chunks of 2^15 to 2^17 numbers ran within a few percent of each other;
+# 2^15 keeps a run at nf=1300 within 2 MB of its histories.
+ROWS_CHUNK = 1 << 15
+FFT_CHUNK = 1 << 15
 
 
 def fft_size(n):
@@ -158,10 +167,11 @@ def history_sums(table: WeightTable, u, acc):
 
     ``u`` has N + 1 rows (row 0 is never read) and is filled by the caller:
     row n must hold U_n before H_{n+1} is requested.  ``acc``, of the shape
-    of ``u``, is the caller's zeroed accumulator: row n of ``acc`` is H_n
-    when it is yielded and is never touched again, so the caller may
-    overwrite it (``run`` writes U2_n there).  Row 0 is never touched.  The
-    loop reads
+    of ``u``, is the caller's zeroed C-contiguous float64 accumulator
+    (ValueError otherwise: every square is added into it in place): row n of
+    ``acc`` is H_n when it is yielded and is never touched again, so the
+    caller may overwrite it (``run`` writes U2_n there).  Row 0 is never
+    touched.  The loop reads
 
         for n, h in enumerate(history_sums(table, u, acc), start=1):
             u[n] = ...  # from h; acc[n] is free from here on
@@ -175,15 +185,25 @@ def history_sums(table: WeightTable, u, acc):
     bit for bit its 1 x 1 matrix product.  A larger square is a dense
     product with its slice of ``table.omega`` when L <= DIRECT_BLOCK or the
     grid is nonuniform, and otherwise a real-FFT convolution of the Toeplitz
-    lags, which keeps the weights exact up to roundoff.  The yielded rows
-    are views into ``acc`` (scalars when ``u`` is one-dimensional).
+    lags, which keeps the weights exact up to roundoff.  A dense square
+    takes its target rows in chunks of about ROWS_CHUNK weights: each chunk
+    copies its slice of the table and BLAS ``dgemm`` adds the product into
+    the rows of ``acc`` themselves (beta = 1, on their transposed view), so
+    no product array is formed.  An FFT square transforms its columns in
+    blocks of about FFT_CHUNK numbers.  So beyond ``u`` and ``acc`` the sums
+    hold a few hundred KB.  The yielded rows are views into ``acc`` (scalars
+    when ``u`` is one-dimensional).
     """
     n_steps = u.shape[0] - 1
     if acc.shape != u.shape:
         raise ValueError(f"acc must have shape {u.shape}, got {acc.shape}")
+    if acc.dtype != np.float64 or not acc.flags.c_contiguous:
+        # dgemm would write into a copy of such an acc and drop the square
+        raise ValueError("acc must be a C-contiguous float64 array")
     w = table.lags
     sub = table.omega.diagonal(-1).tolist()     # sub[m - 1] = omega[m, m - 1]
     scratch = np.empty(u.shape[1:])
+    width = scratch.size            # the numbers in one row
     for m in range(1, n_steps + 1):
         yield acc[m]
         if m == n_steps:
@@ -195,30 +215,35 @@ def history_sums(table: WeightTable, u, acc):
             acc[m + 1] += scratch
             continue
         hi = min(m + span, n_steps)
-        src = u[m - span + 1:m + 1]
-        if w is None or span <= DIRECT_BLOCK:
-            block = table.omega[m:hi, m - span:m]
-            if w is not None:
-                # copied first: the Toeplitz view has a negative row stride;
-                # a slice of a dense table goes to BLAS as it is
-                block = np.ascontiguousarray(block)
-            acc[m + 1:hi + 1] += block @ src
-            continue
         n_tgt = hi - m
+        src = u[m - span + 1:m + 1].reshape(span, width)
+        if w is None or span <= DIRECT_BLOCK:
+            # acc[m+1:hi+1] += omega[m:hi, m-span:m] @ src, transposed for
+            # Fortran's dgemm: (rows of acc)^T += src^T block^T.  The block
+            # is copied: f2py hands BLAS only contiguous operands, and the
+            # Toeplitz view runs its rows backwards
+            rows = max(1, ROWS_CHUNK // span)
+            for r in range(0, n_tgt, rows):
+                r2 = min(r + rows, n_tgt)
+                block = np.ascontiguousarray(
+                    table.omega[m + r:m + r2, m - span:m])
+                dgemm(1.0, src.T, block.T, 1.0,
+                      acc[m + 1 + r:m + 1 + r2].reshape(r2 - r, width).T,
+                      overwrite_c=1)
+            continue
         # lags 1 .. span + n_tgt - 1 against the sources, one column of
         # u per row of the transform; no wrap-around reaches the
         # targets, which sit at offsets span - 1 .. span + n_tgt - 2
         size = fft_size(span + n_tgt - 1)
         spectrum = rfft(w[1:span + n_tgt], size)
-        src2 = src.reshape(span, -1)
-        tgt = acc[m + 1:hi + 1].reshape(n_tgt, -1)     # a view
-        width = max(1, FFT_CHUNK // size)
-        for c in range(0, src2.shape[1], width):
-            cols = slice(c, c + width)
+        tgt = acc[m + 1:hi + 1].reshape(n_tgt, width)     # a view
+        cols_per_block = max(1, FFT_CHUNK // size)
+        for c in range(0, width, cols_per_block):
+            cols = slice(c, c + cols_per_block)
             # the columns copied row-major first: numpy's rfft of the
             # strided transpose is up to 25% slower.  In place, operands in
             # the order of spectrum * spec
-            spec = rfft(np.ascontiguousarray(src2[:, cols].T), size)
+            spec = rfft(np.ascontiguousarray(src[:, cols].T), size)
             np.multiply(spectrum, spec, out=spec)
             conv = irfft(spec, size)
             del spec

@@ -24,8 +24,9 @@ def test_benchmark_script_smoke(tmp_path):
     assert "run[N=256,nf=144]" in out.stdout
     assert "ledger[" in out.stdout
     assert "csv[probe_trace,N=8192]" in out.stdout
-    assert "memory[N=2048,nf=1300],run" in out.stdout
-    assert "memory[N=2048,nf=1300],ledger" in out.stdout
+    for shape in ("N=2048,nf=1300", "N=2560,nf=544", "N=8192,nf=144"):
+        assert f"memory[{shape}],run" in out.stdout
+        assert f"memory[{shape}],ledger" in out.stdout
     assert "import of fracvisco.cli" in out.stdout
     assert "peak RSS" in out.stdout
     assert "fresh-process simulate configs/paper_sec6.cfg" in out.stdout
@@ -62,8 +63,13 @@ def test_benchmark_script_smoke(tmp_path):
     assert by_name["direct_solve[nf=144,bw=17]"]["nf"] == 144
     assert by_name["ml_weights[N=8192,T=40]"]["N"] == 8192
     assert [m["name"] for m in rec["memory"]] == [
-        "memory[N=2048,nf=1300],run", "memory[N=2048,nf=1300],ledger"]
+        f"memory[N={n},nf={nf}],{what}"
+        for n, nf in ((2048, 1300), (2560, 544), (8192, 144))
+        for what in ("run", "ledger")]
     for m in rec["memory"]:
-        assert set(m) == {"name", "N", "nf", "peak_mb", "history_mb"}
-        assert (m["N"], m["nf"]) == (2048, 1300)
+        assert set(m) == {"name", "N", "nf", "peak_mb", "history_mb",
+                          "beyond_histories_mb"}
         assert m["peak_mb"] > 0.0 and m["history_mb"] > 0.0
+        # a run holds its two histories; the ledger reads a stored one
+        held = 2 * m["history_mb"] if m["name"].endswith(",run") else 0.0
+        assert m["beyond_histories_mb"] == m["peak_mb"] - held > 0.0

@@ -4,7 +4,8 @@ Each case either runs (exit 0, every CSV cell finite and, for
 energy-check, the balance closed within ``cli.RESIDUAL_MAX``) or is
 refused with exactly one line on stderr, ``error: <subcommand>: ...``, and
 nothing else: no warning ahead of it.  A probe outside the unit square is
-always refused.
+always refused, and so is an alpha below ``_kernels.ALPHA_MIN``, at parse
+time with its line.
 """
 
 import math
@@ -12,6 +13,7 @@ import warnings
 
 import pytest
 
+from fracvisco._kernels import ALPHA_MIN
 from fracvisco.cli import RESIDUAL_MAX, main
 
 # 4x4 mesh, N = 16, unit downward traction on the right side
@@ -65,6 +67,9 @@ def test_runs_or_errs_in_one_line(tmp_path, monkeypatch, capsys, section,
     err = capsys.readouterr().err.splitlines()
     if key == "probe" and float(value) > 1.0:
         assert code != 0
+    if key == "alpha" and float(value) < ALPHA_MIN:
+        # below the series' floor: refused at parse time, naming the line
+        assert code == 2 and err[0].startswith(f"error: {command}: line 2:")
     if code == 0:
         rows = [row.split(",") for row in
                 (tmp_path / csv).read_text().splitlines()[1:]]

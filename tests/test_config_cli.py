@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fracvisco._kernels import ALPHA_MIN
 from fracvisco.cli import main
 from fracvisco.config import ConfigError, RunConfig, parse_config
 
@@ -210,6 +211,13 @@ class TestParse:
             cfg = parse_config(f"[mesh]\n{mesh}")
         assert cfg.probes == (corner,)
 
+    def test_run_config_default_probe_at_far_corner(self):
+        # the default lives in RunConfig itself, not only in parse_config
+        assert RunConfig(lx=0.5).validate() == []
+        assert RunConfig(lx=2.0, ly=3.0).probes == ((2.0, 3.0),)
+        assert RunConfig(lx=2.0, probes=((0.5, 0.5),)).probes == (
+            (0.5, 0.5),)
+
     def test_retired_cg_tol_parses_to_default(self):
         # the value perfbench writes into every config it generates
         with pytest.warns(UserWarning, match="using defaults for"):
@@ -347,6 +355,29 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: simulate:")
+
+    def test_alpha_below_series_floor_refused_with_line(self, tmp_path,
+                                                        monkeypatch, capsys):
+        # below ALPHA_MIN the Mittag-Leffler series runs out of terms; the
+        # config is refused before any weight is built
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("[mesh]\nnx = 2\nny = 2\n[kernel]\ngamma = 0.5\n"
+                       "alpha = 0.01\n")
+        code = run_cli(["simulate", str(bad)], tmp_path, monkeypatch)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: simulate: line 6: alpha must be at "
+                              f"least {ALPHA_MIN!r}")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["simulate", "energy-check"])
+    def test_alpha_at_series_floor_runs(self, tmp_path, monkeypatch,
+                                        command):
+        cfg = tmp_path / "floor.cfg"
+        cfg.write_text(f"[kernel]\nalpha = {ALPHA_MIN!r}\n[mesh]\nnx = 4\n"
+                       "ny = 4\n[time]\nsteps = 16\n[loads]\n"
+                       "g_right = (0.0, -1.0)\n")
+        assert run_cli([command, str(cfg)], tmp_path, monkeypatch) == 0
 
     def test_memory_error_is_one_line(self, tmp_path, monkeypatch, capsys):
         from fracvisco import cli

@@ -181,7 +181,8 @@ class TestMlE:
             want = self._masked_asymptotic(xs, *coef)
             assert np.array_equal(_kernels._asymptotic(xs, *coef), want), b
 
-    @pytest.mark.parametrize("alpha", [0.05, 0.25, 2.0 / 3.0, 0.999])
+    @pytest.mark.parametrize("alpha", [_kernels.ALPHA_MIN, 0.05, 0.25,
+                                       2.0 / 3.0, 0.999])
     def test_series_converges_in_its_window(self, alpha):
         xs = np.linspace(0.0, _kernels.S_SERIES, 2001)[1:] ** alpha
         for b in (1.0, 2.0, alpha):

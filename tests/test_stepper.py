@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.fft import irfft, next_fast_len, rfft
+from scipy.linalg.blas import dgemm
 
 from fracvisco import stepper
 from fracvisco.diagnostics import energy_ledger
@@ -38,7 +39,10 @@ def poisoned_sums(table, u):
 def square_tiled_sums(table, u):
     """The H_n of ``history_sums`` with every square, the 1 x 1 ones too, a
     matrix product or an FFT convolution, as the squares were formed before
-    the 1 x 1 ones became one scaled row each."""
+    the 1 x 1 ones became one scaled row each.  A matrix product is BLAS
+    ``dgemm`` adding into the target rows (beta = 1) in chunks of
+    ``stepper.ROWS_CHUNK`` weights, as ``history_sums`` forms its dense
+    squares: ``acc += block @ src`` rounds differently."""
     n_steps = u.shape[0] - 1
     acc = np.zeros_like(u)
     w = table.lags
@@ -47,10 +51,14 @@ def square_tiled_sums(table, u):
         hi = min(m + span, n_steps)
         src = u[m - span + 1:m + 1]
         if w is None or span <= stepper.DIRECT_BLOCK:
-            block = table.omega[m:hi, m - span:m]
-            if w is not None:
-                block = np.ascontiguousarray(block)
-            acc[m + 1:hi + 1] += block @ src
+            rows = max(1, stepper.ROWS_CHUNK // span)
+            for r in range(m, hi, rows):
+                r2 = min(r + rows, hi)
+                block = np.array(table.omega[r:r2, m - span:m])
+                tgt = acc[r + 1:r2 + 1].reshape(r2 - r, -1).T
+                out = dgemm(1.0, src.reshape(span, -1).T, block.T, 1.0, tgt,
+                            overwrite_c=1)
+                assert np.shares_memory(out, acc)
             continue
         n_tgt = hi - m
         size = next_fast_len(span + n_tgt - 1, real=True)
@@ -205,6 +213,35 @@ class TestHistorySums:
         table = build_weights(TimeGrid.uniform(1.0, 4), kernel_sec6)
         with pytest.raises(ValueError, match="acc"):
             next(history_sums(table, np.zeros((5, 2)), np.zeros((5, 3))))
+
+    @pytest.mark.parametrize("layout", ["fortran", "strided"])
+    def test_accumulator_layout_checked(self, kernel_sec6, layout):
+        # dgemm would add a square into a copy of such an acc and drop it
+        table = build_weights(TimeGrid.uniform(1.0, 4), kernel_sec6)
+        if layout == "fortran":
+            acc = np.zeros((5, 3), order="F")
+        else:
+            acc = np.zeros((5, 6))[:, ::2]
+        with pytest.raises(ValueError, match="C-contiguous float64"):
+            next(history_sums(table, np.zeros((5, 3)), acc))
+
+    def test_holds_under_1mb_beyond_u_and_acc(self, kernel_sec6):
+        # span-512 dense squares and one FFT square (span 1024, 76 targets)
+        # on sec6's nf = 544: 0.57 MB, where a product array per dense
+        # square and 1 MB transform blocks took 4.4 MB
+        n_steps, nf = 1100, 544
+        table = build_weights(TimeGrid.uniform(40.0, n_steps), kernel_sec6)
+        u = np.random.default_rng(4).standard_normal((n_steps + 1, nf))
+        acc = np.zeros_like(u)
+        tracemalloc.start()
+        try:
+            for _ in history_sums(table, u, acc):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.any(acc[-1])
+        assert peak < 1e6
 
     def test_reads_only_known_rows(self, kernel_sec6):
         # row n may be filled after H_n is taken: a NaN placed in row n
