@@ -17,14 +17,16 @@ U x = y) in the band order ``assemble`` gives the free dofs (the rows name
 the half-bandwidth bw), one dG(0) step (``stepper.advance``: right-hand side
 and checked solve) with that matrix, a whole ``stepper.run`` of the sec6
 physics per step, the energy ledger of ``energy-check`` on a stored history,
-and the CSV writer on the probe trace of an 8192-step run.  Times are per
+and the CSV writer on the probe trace of an 8192-step run, converted a block
+of rows at a time as ``simulate`` converts it.  Times are per
 call; the solve rows are per solve, backward-error check included, the step
 rows per step, with the products and the solver bound once as ``run`` binds
 them, and the run rows per step of the run, factorization and history sum
 included.  The memory rows give the tracemalloc peaks of ``stepper.run`` and
 of ``energy_ledger`` at the energy_audit (25x25, N=2048), sec6 (16x16,
-N=2560) and long_memory (8x8, N=8192) shapes, next to the two (N+1) x nf
-histories a run must hold and what each call holds beyond them.  Last comes the wall time of a fresh
+N=2560) and long_memory (8x8, N=8192) shapes, and of ``simulate``'s probe
+CSV output at the last two, next to the two (N+1) x nf histories a run must
+hold and what each call holds beyond them.  Last comes the wall time of a fresh
 interpreter that imports ``fracvisco.cli``, the start-up every CLI call pays,
 with that interpreter's peak resident size, and the wall times of fresh
 ``simulate`` and ``energy-check`` calls on ``configs/paper_sec6.cfg``.
@@ -176,15 +178,16 @@ def ledger_row(nx, n_steps, ker, repeat):
 
 
 def csv_row(n_steps, repeat):
-    """``cli._write_csv`` on the (N+1) x 5 rows of a probe trace, handed over
-    as ``simulate`` hands them: one list of Python floats per row."""
+    """``cli._write_csv`` on the (N+1) x 5 array of a probe trace, handed
+    over as ``simulate`` hands it: converted to Python floats a block of
+    rows at a time (``cli._array_rows``)."""
     rng = np.random.default_rng(13)
-    rows = np.column_stack([np.linspace(0.0, 40.0, n_steps + 1),
-                            rng.standard_normal((n_steps + 1, 4))]).tolist()
+    trace = np.column_stack([np.linspace(0.0, 40.0, n_steps + 1),
+                             rng.standard_normal((n_steps + 1, 4))])
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "probe_trace.csv"
         t = timed(lambda: cli._write_csv(path, "t,u1_x,u1_y,u2_x,u2_y",
-                                         rows), repeat)
+                                         cli._array_rows(trace)), repeat)
     return row(f"csv[probe_trace,N={n_steps}]", t, n_steps=n_steps)
 
 
@@ -202,29 +205,39 @@ def traced_peak(fn):
 def memory_rows():
     """Peaks of one run and of its energy ledger at the three perfbench
     shapes (energy_audit, sec6, long_memory), from random initial data,
-    beside the size of one history array.  ``beyond_histories_mb`` is what
-    the call holds beyond the two histories of the run: the run's peak less
-    both, and the ledger's whole peak (it reads a stored history)."""
+    beside the size of one history array, and of ``simulate``'s output
+    phase (``cli._write_traces``: the probe trace at the corner (1, 1)) at
+    the sec6 and long_memory shapes.  ``beyond_histories_mb`` is what the
+    call holds beyond the two histories of the run: the run's peak less
+    both, and the whole peak of the ledger and of the output phase (they
+    read a stored history)."""
     ker = KernelParams(alpha=2.0 / 3.0, tau=1.0, gamma=0.5)
     mem = []
-    for nx, n_steps, t_final in ((25, 2048, 8.0), (16, 2560, 40.0),
-                                 (8, 8192, 40.0)):
-        sys_ = assemble(build_rect_mesh(nx, nx),
-                        ElasticParams(1.0, 1.0, 3000.0))
+    for nx, n_steps, t_final, simulated in ((25, 2048, 8.0, False),
+                                            (16, 2560, 40.0, True),
+                                            (8, 8192, 40.0, True)):
+        mesh = build_rect_mesh(nx, nx)
+        sys_ = assemble(mesh, ElasticParams(1.0, 1.0, 3000.0))
         table = build_weights(TimeGrid.uniform(t_final, n_steps), ker)
         nf = sys_.free_dofs.size
         u0 = sys_.expand(np.random.default_rng(9).standard_normal(nf))
         hist, run_mb = traced_peak(
             lambda: stepper.run(sys_, table, u0, np.zeros_like(u0)))
-        _, ledger_mb = traced_peak(lambda: energy_ledger(hist))
-        tag = f"[N={n_steps},nf={nf}]"
         history_mb = hist.u1f.nbytes / 1e6
+        peaks = [("run", run_mb, run_mb - 2 * history_mb)]
+        _, ledger_mb = traced_peak(lambda: energy_ledger(hist))
+        peaks.append(("ledger", ledger_mb, ledger_mb))
+        if simulated:
+            vertex = mesh.nearest_vertex((1.0, 1.0))
+            with tempfile.TemporaryDirectory() as tmp:
+                _, output_mb = traced_peak(
+                    lambda: cli._write_traces(Path(tmp), hist, [vertex]))
+            peaks.append(("output", output_mb, output_mb))
+        tag = f"[N={n_steps},nf={nf}]"
         mem += [{"name": f"memory{tag},{what}", "N": n_steps, "nf": nf,
                  "peak_mb": peak, "history_mb": history_mb,
                  "beyond_histories_mb": beyond}
-                for what, peak, beyond in (
-                    ("run", run_mb, run_mb - 2 * history_mb),
-                    ("ledger", ledger_mb, ledger_mb))]
+                for what, peak, beyond in peaks]
         del hist
     return mem
 

@@ -43,8 +43,9 @@ def _out_dir(cfg):
 # acceptance criterion 1.
 RESIDUAL_MAX = 1e-8
 
-# Rows per write of ``_write_csv``: 0.4 to 0.8 MB of text per block.
-CSV_BLOCK = 8192
+# Rows per write of ``_write_csv`` and per conversion of ``_array_rows``:
+# about 0.1 MB of probe-trace text per block.
+CSV_BLOCK = 1024
 _PLAIN = frozenset((float, int))
 
 
@@ -74,6 +75,28 @@ def _write_csv(path, header, rows):
             f.write("\n".join(map(_line, block)) + "\n")
 
 
+def _array_rows(a):
+    """The rows of a 2-D array as lists of Python numbers, converted
+    ``CSV_BLOCK`` rows at a time."""
+    for r in range(0, len(a), CSV_BLOCK):
+        yield from a[r:r + CSV_BLOCK].tolist()
+
+
+def _write_traces(out, hist, vertices):
+    """Write the probe trace of each vertex of a history to
+    probe_trace.csv, probe_trace_2.csv, ... in ``out``; returns the paths.
+    A trace is written from its (N+1) x 5 array a block of rows at a time,
+    so the text and the Python numbers of a whole trace are never held."""
+    paths = []
+    for i, vertex in enumerate(vertices):
+        trace = np.column_stack([hist.times, hist.probe_trace(vertex)])
+        name = "probe_trace.csv" if i == 0 else f"probe_trace_{i + 1}.csv"
+        path = out / name
+        _write_csv(path, "t,u1_x,u1_y,u2_x,u2_y", _array_rows(trace))
+        paths.append(path)
+    return paths
+
+
 def _kernel(cfg):
     return KernelParams(alpha=cfg.alpha, tau=cfg.tau, gamma=cfg.gamma)
 
@@ -99,15 +122,8 @@ def cmd_simulate(args):
     zero = np.zeros(sys_.n_dofs)
     hist = run(sys_, table, zero, zero)
     out = _out_dir(cfg)
-    paths = []
-    for i, point in enumerate(cfg.probes):
-        vertex = mesh.nearest_vertex(point)
-        trace = hist.probe_trace(vertex)
-        name = "probe_trace.csv" if i == 0 else f"probe_trace_{i + 1}.csv"
-        path = out / name
-        _write_csv(path, "t,u1_x,u1_y,u2_x,u2_y",
-                   np.column_stack([hist.times, trace]).tolist())
-        paths.append(path)
+    paths = _write_traces(out, hist, [mesh.nearest_vertex(point)
+                                      for point in cfg.probes])
     print("wrote " + ", ".join(str(p) for p in paths))
     return 0
 

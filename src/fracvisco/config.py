@@ -222,7 +222,8 @@ def parse_config(text):
     cfg = RunConfig(**assigned)
     if dt is not None:
         if "steps" in assigned:
-            errors.append("time: give either steps or dt, not both")
+            errors.append(f"line {line_of['dt']}: give either steps or dt, "
+                          "not both")
         else:
             try:
                 steps = dividing_step_count(cfg.t_final, dt)

@@ -26,9 +26,11 @@ with H_n = sum_{j<n} omega_nj U1_j, all from the free-dof Kff; no full-size
 operator is used.  On uniform grids K H_n (in blocks of free dofs) and Z_n
 are real-FFT convolutions of the weight lags, so the ledger costs
 O(N log N * nf) work; nonuniform grids use their dense table.  Each block
-of free dofs copies dof-major only the band window of history columns that
-its stiffness rows touch, so beyond the history the ledger holds a few
-blocks of about _CHUNK numbers.  The ledger does not call
+of free dofs builds its U and K U rows a tile of steps at a time, copying
+dof-major only the band window of history columns that its stiffness rows
+touch; the weighted sums K H then overwrite K U.  So beyond the history the
+ledger holds those two blocks of rows, about _CHUNK numbers, and a few
+arrays of about _TILE numbers.  The ledger does not call
 ``stepper.history_sums``, so it stays an independent check of the stepper.
 Its terms agree with the Gram-matrix sums to about 1e-13 of the energy.
 
@@ -52,11 +54,16 @@ from .weights import WeightTable
 
 __all__ = ["EnergyLedger", "energy_ledger", "long_time_limit", "TailReport"]
 
-# Blocks of the ledger's per-dof and per-step work hold about this many
-# numbers: beyond the history it reads, no array with (N + 1)^2 or
-# (N + 1) * nf entries is built.  The block width also fixes the order of
-# the per-dof sums, and with it the last digits of the ledger.
+# Beyond the history it reads, the ledger holds the U and K U rows of one
+# block of free dofs, about _CHUNK numbers together (2 MB, the L2 cache of
+# one core of the 2-core x86-64 machine of ``BENCH_kernels.json``), and a
+# few arrays of about _TILE numbers (256 KB): a tile of steps of the block's
+# band window, a batch of transforms, a block of velocity jumps.  No array
+# with (N + 1)^2 or (N + 1) * nf entries is built.  The block width and the
+# jump blocks fix the order of the ledger's sums, and with it their last
+# digits; the tiles do not.
 _CHUNK = 1 << 18
+_TILE = 1 << 15
 
 # Largest relative gap between the means of the two halves of the tail
 # window for which ``long_time_limit`` calls a run settled.
@@ -122,7 +129,7 @@ def energy_ledger(history: SolutionHistory):
 
     weigh, reach = _lower_weights(table, n)
     diag, dsq, p, q = _stiffness_products(history.u1f, sys, weigh)
-    z = weigh(diag)
+    z = weigh(diag[None, :].copy())[0]
 
     final_elastic = eta[n] * diag[n]
     eta_diss = float(np.sum(-np.diff(eta[:n + 1]) * diag[:-1])
@@ -141,7 +148,7 @@ def energy_ledger(history: SolutionHistory):
 
     final_kinetic = float(u2f[n] @ (sys.Mff @ u2f[n]))
     jump_diss = 0.0
-    rows = max(1, _CHUNK // max(u2f.shape[1], 1))
+    rows = max(1, _TILE // max(u2f.shape[1], 1))
     for r in range(0, n, rows):
         jumps = np.diff(u2f[r:r + rows + 1], axis=0)
         jump_diss += float(np.einsum("ni,ni->", jumps,
@@ -164,9 +171,10 @@ def energy_ledger(history: SolutionHistory):
 def _lower_weights(table: WeightTable, n):
     """The strictly lower weight product and its row sums on steps 0..n.
 
-    Returns ``(weigh, reach)``: ``weigh(x)[..., m] = sum_{1 <= j < m}
-    omega_mj x[..., j]`` for x with n + 1 columns (columns 0 and 1 exactly
-    zero), and ``reach[m] = sum_{1 <= j < m} omega_mj``.  On uniform grids
+    Returns ``(weigh, reach)``: ``weigh(x)`` overwrites column m of a 2-D
+    x with n + 1 columns by ``sum_{1 <= j < m} omega_mj x[:, j]`` (columns
+    0 and 1 exactly zero) and returns x, and
+    ``reach[m] = sum_{1 <= j < m} omega_mj``.  On uniform grids
     the product is one real-FFT convolution of the lags, long enough that
     nothing wraps around, and the row sums a running sum of the lags;
     nonuniform grids use their dense table.
@@ -177,9 +185,9 @@ def _lower_weights(table: WeightTable, n):
         reach[1:] = lower.sum(axis=1)
 
         def weigh(x):
-            out = np.zeros(x.shape)
-            out[..., 1:] = x[..., 1:] @ lower.T
-            return out
+            x[:, 1:] = x[:, 1:] @ lower.T
+            x[:, 0] = 0.0
+            return x
         return weigh, reach
 
     # weigh(x)[m] = sum_{d=1}^{m-1} lags[d] x[m - d], entry m - 2 of the
@@ -190,19 +198,17 @@ def _lower_weights(table: WeightTable, n):
 
     # rows of x are transformed a few at a time, so that the transforms'
     # temporaries stay small next to the ledger's blocks
-    batch = max(1, _CHUNK // (4 * size))
+    batch = max(1, _TILE // size)
 
     def weigh(x):
-        out = np.zeros(x.shape)
         if n >= 2:
-            rows_in = x.reshape(-1, n + 1)
-            rows_out = out.reshape(-1, n + 1)
-            for r in range(0, rows_in.shape[0], batch):
-                spec = rfft(rows_in[r:r + batch, 1:n], size)
+            for r in range(0, x.shape[0], batch):
+                spec = rfft(x[r:r + batch, 1:n], size)
                 np.multiply(spec, spectrum, out=spec)
-                rows_out[r:r + batch, 2:] = irfft(spec, size)[:, :n - 1]
+                x[r:r + batch, 2:] = irfft(spec, size)[:, :n - 1]
                 del spec
-        return out
+        x[:, :2] = 0.0
+        return x
     return weigh, reach
 
 
@@ -214,11 +220,13 @@ def _stiffness_products(u1f, sys: AssembledSystem, weigh):
     (from the step differences of a block's U and K U rows), p[n] =
     a(U_n, H_n) and q[n] = a(U_{n-1}, H_n) with H_n = weigh(U)[n], each of
     length N + 1 (dsq[0], p[0], q[0], p[1], q[1] zero).  The free dofs are
-    processed in blocks of ``width``.  A block's rows of ``Kff`` touch only
-    the dofs of its band window lo..hi, so only that window of the history
-    is copied dof-major; the block's CSR rows, with columns shifted by lo,
-    multiply it: the same terms, added in the same order, as
-    ``Kff[c:e] @ u1f.T``.
+    processed in blocks of ``width``, whose U and K U rows hold about
+    ``_CHUNK`` numbers.  A block's rows of ``Kff`` touch only the dofs of
+    its band window lo..hi, so only that window is copied dof-major, in
+    tiles of steps of about ``_TILE`` numbers; the block's CSR rows, with
+    columns shifted by lo, multiply each tile: the same terms, added in the
+    same order, as ``Kff[c:e] @ u1f.T``.  ``weigh`` then overwrites K U
+    with K H.
     """
     n_cols, nf = u1f.shape
     kff = sys.Kff
@@ -233,18 +241,24 @@ def _stiffness_products(u1f, sys: AssembledSystem, weigh):
         cols = idx[ptr[c]:ptr[e]]
         lo = min(c, cols.min(initial=c))
         hi = max(e, cols.max(initial=c) + 1)
-        window = u1f[:, lo:hi].T.copy()
         block = sparse.csr_matrix(
             (kff.data[ptr[c]:ptr[e]], cols - lo, ptr[c:e + 1] - ptr[c]),
             shape=(e - c, hi - lo))
-        u = window[c - lo:e - lo]
-        ku = block @ window
+        u = np.empty((e - c, n_cols))
+        ku = np.empty((e - c, n_cols))
+        steps = max(1, _TILE // (hi - lo))
+        for t in range(0, n_cols, steps):
+            window = u1f[t:t + steps, lo:hi].T.copy()
+            u[:, t:t + steps] = window[c - lo:e - lo]
+            ku[:, t:t + steps] = block @ window
+            s = slice(max(t - 1, 0), t + steps)     # and the step before
+            dsq[s][1:] += np.einsum("in,in->n", np.diff(u[:, s]),
+                                    np.diff(ku[:, s]))
         diag += np.einsum("in,in->n", u, ku)
-        dsq[1:] += np.einsum("in,in->n", np.diff(u), np.diff(ku))
         kh = weigh(ku)
         p += np.einsum("in,in->n", u, kh)
         q[1:] += np.einsum("in,in->n", u[:, :-1], kh[:, 1:])
-        del window, u, ku, kh       # before the next block's copy
+        del u, ku, kh       # before the next block's rows
     return diag, dsq, p, q
 
 

@@ -80,10 +80,21 @@ class TimeGrid:
 
     @cached_property
     def steps(self):
-        """The k_n; on a uniform grid (differences equal to 1e-12 relative)
-        every entry is exactly k_1, the step ``build_weights`` uses."""
+        """The k_n; on a uniform grid every entry is exactly k_1, the step
+        ``build_weights`` uses.
+
+        A grid is uniform when every difference of its nodes lies within
+        4 u t_N of k_1 (u = 2^-53), the rounding of the nodes t_n = fl(n k)
+        that ``uniform`` builds.  Their differences are exact: t_1 - t_0 =
+        t_1 = k, and for n >= 2 the nodes t_{n-1} <= t_n <= 2 t_{n-1}
+        subtract exactly (Sterbenz).  So k_n - k_1 = e_n - e_{n-1} with
+        |e_n| = |t_n - n k| <= u n k, and |k_n - k_1| <= 2 u N k, below
+        4 u t_N.  A tolerance relative to k_1 alone is too tight once N u
+        exceeds it: 1e-12 k_1 was, beyond N of about 4500 for non-dyadic k.
+        The uniform path takes its lags from ``arange(n + 1) * k_1``, so the
+        rounding of the nodes never reaches the weights."""
         k = np.diff(self.nodes)
-        if np.all(np.abs(k - k[0]) <= 1e-12 * k[0]):
+        if np.all(np.abs(k - k[0]) <= 4 * 2.0 ** -53 * self.nodes[-1]):
             k[:] = k[0]
         k.flags.writeable = False
         return k

@@ -27,6 +27,8 @@ def test_benchmark_script_smoke(tmp_path):
     for shape in ("N=2048,nf=1300", "N=2560,nf=544", "N=8192,nf=144"):
         assert f"memory[{shape}],run" in out.stdout
         assert f"memory[{shape}],ledger" in out.stdout
+    for shape in ("N=2560,nf=544", "N=8192,nf=144"):
+        assert f"memory[{shape}],output" in out.stdout
     assert "import of fracvisco.cli" in out.stdout
     assert "peak RSS" in out.stdout
     assert "fresh-process simulate configs/paper_sec6.cfg" in out.stdout
@@ -62,14 +64,19 @@ def test_benchmark_script_smoke(tmp_path):
             by_name["run[N=256,nf=144]"]["nf"]) == (256, 144)
     assert by_name["direct_solve[nf=144,bw=17]"]["nf"] == 144
     assert by_name["ml_weights[N=8192,T=40]"]["N"] == 8192
+    # the run and ledger at the three perfbench shapes, and simulate's
+    # probe CSV output at the two that simulate
     assert [m["name"] for m in rec["memory"]] == [
         f"memory[N={n},nf={nf}],{what}"
-        for n, nf in ((2048, 1300), (2560, 544), (8192, 144))
-        for what in ("run", "ledger")]
+        for n, nf, whats in ((2048, 1300, ("run", "ledger")),
+                             (2560, 544, ("run", "ledger", "output")),
+                             (8192, 144, ("run", "ledger", "output")))
+        for what in whats]
     for m in rec["memory"]:
         assert set(m) == {"name", "N", "nf", "peak_mb", "history_mb",
                           "beyond_histories_mb"}
         assert m["peak_mb"] > 0.0 and m["history_mb"] > 0.0
-        # a run holds its two histories; the ledger reads a stored one
+        # a run holds its two histories; the ledger and the output read a
+        # stored one
         held = 2 * m["history_mb"] if m["name"].endswith(",run") else 0.0
         assert m["beyond_histories_mb"] == m["peak_mb"] - held > 0.0

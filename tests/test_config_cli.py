@@ -75,8 +75,15 @@ class TestParse:
             parse_config("[loads]\nf = 0, -1\n")
 
     def test_dt_steps_exclusive(self):
-        with pytest.raises(ConfigError, match="not both"):
-            parse_config("[time]\nt_final = 1.0\nsteps = 4\ndt = 0.25\n")
+        # the conflict names the dt line, in either order of the keys
+        for text, line in (("[time]\nsteps = 4\ndt = 0.25\n", 3),
+                           ("[time]\ndt = 0.25\nsteps = 4\n", 2),
+                           ("[time]\nt_final = 1.0\nsteps = 4\n\n"
+                            "dt = 0.25\n", 5)):
+            with pytest.raises(ConfigError) as err:
+                parse_config(text)
+            assert err.value.errors == [
+                f"line {line}: give either steps or dt, not both"]
 
     def test_dt_accepted(self):
         with pytest.warns(UserWarning):
@@ -264,6 +271,84 @@ class TestCli:
         assert run_cli(["simulate", str(cfg)], tmp_path, monkeypatch) == 0
         assert (tmp_path / "probe_trace.csv").exists()
         assert (tmp_path / "probe_trace_2.csv").exists()
+
+    def test_probe_traces_do_not_depend_on_the_block(self, tmp_path,
+                                                     monkeypatch):
+        # 41 rows per trace, converted and written in blocks of the default,
+        # 7 (the last one partial) and 1 rows
+        from fracvisco import cli
+
+        cfg = tmp_path / "two.cfg"
+        cfg.write_text("[mesh]\nnx = 2\nny = 2\n[time]\nt_final = 1.0\n"
+                       "steps = 40\n[loads]\ng_right = (0.0, -1.0)\n"
+                       "[probes]\nprobe = (1.0, 1.0)\nprobe = (0.5, 0.5)\n")
+        written = []
+        for block in (cli.CSV_BLOCK, 7, 1):
+            monkeypatch.setattr(cli, "CSV_BLOCK", block)
+            assert run_cli(["simulate", str(cfg)], tmp_path, monkeypatch) == 0
+            written.append([(tmp_path / name).read_bytes() for name in
+                            ("probe_trace.csv", "probe_trace_2.csv")])
+        assert written[0] == written[1] == written[2]
+        assert [w.count(b"\n") for w in written[0]] == [42, 42]
+
+    def test_simulate_output_holds_a_block_of_rows(self, tmp_path,
+                                                   monkeypatch):
+        # after the run, simulate holds the (N + 1) x 5 trace and one block
+        # of its rows as Python numbers and text: 1.2 MB at N = 16384,
+        # against 6.4 MB when the whole trace was converted at once
+        import tracemalloc
+
+        from fracvisco import cli
+
+        cfg = tmp_path / "long.cfg"
+        cfg.write_text("[mesh]\nnx = 2\nny = 2\n[time]\nt_final = 16.0\n"
+                       "steps = 16384\n[loads]\ng_right = (0.0, -1.0)\n")
+        run = cli.run
+
+        def run_then_trace(*args):
+            hist = run(*args)
+            tracemalloc.start()
+            return hist
+
+        monkeypatch.setattr(cli, "run", run_then_trace)
+        try:
+            code = run_cli(["simulate", str(cfg)], tmp_path, monkeypatch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert (tmp_path / "probe_trace.csv").stat().st_size > 1.5e6
+        assert peak < 2e6
+
+    def test_simulate_long_non_dyadic_grid(self, tmp_path, monkeypatch):
+        # k = 1e-3 over 9000 steps, past where the nodes' rounding broke
+        # the former uniform test: the run keeps the O(N) lags and factors
+        # once (it built the dense 9000^2 table and refactored at every
+        # step: 29 s and 3.6 GB)
+        from fracvisco import cli, stepper
+        from fracvisco.weights import TimeGrid
+
+        assert TimeGrid.uniform(9.0, 9000).is_uniform
+        cfg = tmp_path / "k.cfg"
+        cfg.write_text("[mesh]\nnx = 8\nny = 8\n[time]\nt_final = 9.0\n"
+                       "steps = 9000\n[loads]\ng_right = (0.0, -1.0)\n")
+        tables, factors = [], []
+        run, factor = cli.run, stepper.make_spd_solver
+
+        def recorded(sys_, table, *args):
+            tables.append(table)
+            return run(sys_, table, *args)
+
+        def counted(*args, **kwargs):
+            factors.append(1)
+            return factor(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run", recorded)
+        monkeypatch.setattr(stepper, "make_spd_solver", counted)
+        assert run_cli(["simulate", str(cfg)], tmp_path, monkeypatch) == 0
+        assert tables[0].lags is not None and len(factors) == 1
+        lines = (tmp_path / "probe_trace.csv").read_text().splitlines()
+        assert len(lines) == 9002 and lines[-1].startswith("9.0,")
 
     def test_energy_check(self, tmp_path, monkeypatch):
         assert run_cli(["energy-check", str(CONFIG_DIR / "homogeneous.cfg")],

@@ -101,7 +101,7 @@ def blocked_products(u1f, kff, weigh, chunk):
     for c in range(0, nf, width):
         u = np.ascontiguousarray(u1f[:, c:c + width].T)
         ku = kff[c:c + width] @ u1f.T
-        kh = weigh(ku)
+        kh = weigh(ku.copy())
         diag += np.einsum("in,in->n", u, ku)
         dsq[1:] += np.einsum("in,in->n", np.diff(u), np.diff(ku))
         p += np.einsum("in,in->n", u, kh)
@@ -305,8 +305,10 @@ class TestAgainstGramOracle:
 
     def test_small_blocks(self, mesh8, elastic_soft, kernel_sec6,
                           downward_traction, monkeypatch):
-        # one free dof per stiffness block and one step per jump block
+        # one free dof per stiffness block, and one step per tile of its
+        # band window and per jump block
         monkeypatch.setattr(diagnostics, "_CHUNK", 1)
+        monkeypatch.setattr(diagnostics, "_TILE", 1)
         sys_ = assemble(mesh8, elastic_soft, traction=downward_traction)
         u0 = quasi_static_solve(sys_, scale=0.5)
         grid = TimeGrid.uniform(1.0, 32)
@@ -353,8 +355,10 @@ class TestAgainstGramOracle:
         assert led.residual_rel <= 1e-8
 
     def test_no_copy_of_the_history(self, elastic_soft, kernel_sec6):
-        # 16x16 with N = 4096: 17.8 MB per history; the ledger reads the
-        # dof windows of its blocks instead of a dof-major copy of u1f
+        # 16x16 with N = 4096: 17.8 MB per history; the ledger holds one
+        # block's U and K U rows (2 MB) and tiles of its band window, not a
+        # dof-major copy of u1f (3.0 MB; 6.6 MB when each block copied its
+        # whole band window and kept K U beside K H)
         sys_ = assemble(build_rect_mesh(16, 16), elastic_soft)
         table = build_weights(TimeGrid.uniform(4.0, 4096), kernel_sec6)
         rng = np.random.default_rng(4)
@@ -367,7 +371,7 @@ class TestAgainstGramOracle:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8e6
+        assert peak < 4e6
         assert led.residual_rel <= 1e-8
 
     @pytest.mark.parametrize("chunk", [diagnostics._CHUNK, 2 * 33 * 5])
@@ -379,6 +383,8 @@ class TestAgainstGramOracle:
         # half the dofs and more, or a symmetric permutation of the whole
         # problem (stiffness, mass and history), under which every window
         # spans nearly all dofs; chunk 330 makes blocks of 5 dofs.  The
+        # products are taken with whole-history tiles and with tile 1000
+        # (6 or more of the 33 steps per tile), to the same bits.  The
         # full-size K and free-dof order change with Kff, so that the Gram
         # oracle's a(u0, u0), taken through expand and K, is of the same
         # stiffness as every other term
@@ -405,10 +411,12 @@ class TestAgainstGramOracle:
         wide_hist = SolutionHistory(u1f=u1f, u2f=u2f, system=wide_sys,
                                     table=hist.table)
         weigh, _ = diagnostics._lower_weights(hist.table, hist.table.n_steps)
-        got = diagnostics._stiffness_products(u1f, wide_sys, weigh)
         want = blocked_products(u1f, wide_sys.Kff, weigh, chunk)
-        for a, b in zip(got, want):
-            assert np.array_equal(a, b)
+        for tile in (diagnostics._TILE, 1000):
+            monkeypatch.setattr(diagnostics, "_TILE", tile)
+            got = diagnostics._stiffness_products(u1f, wide_sys, weigh)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
         got = energy_ledger(wide_hist)
         want = gram_ledger(wide_hist)
         tol = 1e-12 * abs(want.rhs_total)

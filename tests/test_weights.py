@@ -32,6 +32,32 @@ class TestTimeGrid:
         assert g.t_final == pytest.approx(2.0)
         assert np.all(g.steps == pytest.approx(0.25))
 
+    def test_uniform_stays_uniform_at_any_step_count(self):
+        # the nodes fl(n k) of a non-dyadic k scatter their differences by
+        # up to 2u t_N (u = 2^-53); beyond N of about 4500 that exceeded
+        # the former 1e-12 k_1, and such a grid lost its lags
+        past_old_tolerance = 0
+        for t_final in (0.1, 1.0 / 3.0, 9.0, 10.0, 16.0, 40.0, 7e5, np.pi):
+            for n in (3, 1000, 4500, 9000, 10000, 16000, 20000, 99999,
+                      300001, 2 ** 20 - 1, 2 ** 20):
+                g = TimeGrid.uniform(t_final, n)
+                k = np.diff(g.nodes)
+                past_old_tolerance += bool(
+                    np.any(np.abs(k - k[0]) > 1e-12 * k[0]))
+                assert g.is_uniform, (t_final, n)
+                assert np.all(g.steps == k[0])
+        assert past_old_tolerance > 20
+
+    def test_graded_grids_stay_nonuniform(self):
+        # three dyadic step values; one step of 1000 off by 1e-9 relative,
+        # far beyond the rounding of a uniform grid's nodes
+        steps = np.repeat([2.0 ** -5, 2.0 ** -4, 2.0 ** -6], [12, 8, 16])
+        assert not TimeGrid(np.concatenate([[0.0], np.cumsum(steps)])
+                            ).is_uniform
+        nodes = TimeGrid.uniform(9.0, 1000).nodes.copy()
+        nodes[500] += 1e-9 * 0.009
+        assert not TimeGrid(nodes).is_uniform
+
     def test_uniform_needs_whole_step_count(self):
         # 2.5 steps used to give the nodes 0, 0.4, 0.8, 1.2, past t_final
         for n_steps in (2.5, 0, -3, np.nan, np.inf):
